@@ -47,11 +47,10 @@ sim::Task<> Cpu::compute_parallel(double flops, std::uint64_t bytes) {
   }
 }
 
-sim::Task<> Cpu::wait_value_ge(mem::Addr addr, std::uint64_t value) {
+mem::SpinWait Cpu::wait_value_ge(mem::Addr addr, std::uint64_t value) {
   ++stats_.counter("flag_waits");
-  while (mem_->load<std::uint64_t>(addr) < value) {
-    co_await compute(config_.poll_interval);
-  }
+  return mem::SpinWait(*sim_, *mem_, addr, value, {0, config_.poll_interval},
+                       &util_);
 }
 
 }  // namespace gputn::cpu

@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "mem/memory.hpp"
+#include "mem/spin_wait.hpp"
 #include "obs/busy.hpp"
 #include "sim/stats.hpp"
 #include "sim/sync.hpp"
@@ -75,8 +76,9 @@ class Cpu {
   /// and bandwidth-bound times (roofline).
   sim::Task<> compute_parallel(double flops, std::uint64_t bytes);
 
-  /// Spin until *addr >= value, polling at the configured interval.
-  sim::Task<> wait_value_ge(mem::Addr addr, std::uint64_t value);
+  /// Spin until *addr >= value: one core reads the flag every
+  /// poll_interval, starting at once (event-free, mem/spin_wait.hpp).
+  mem::SpinWait wait_value_ge(mem::Addr addr, std::uint64_t value);
 
   /// Streaming time for `bytes` with the L3/DRAM blend: the first
   /// `l3_tier_bytes` are served at L3 speed, the remainder at `miss_bw`.
@@ -95,9 +97,11 @@ class Cpu {
   sim::StatRegistry& stats() { return stats_; }
 
   /// Core-occupancy ledger over `cores` units. Flag-poll spins count as
-  /// busy (they go through compute()): burning a core to poll is exactly
-  /// the CPU cost the paper's triggered strategies avoid, so it must show
-  /// up in the utilization report.
+  /// busy (wait_value_ge charges one core from its first failed read to the
+  /// wake, and one op per failed read, as a compute(poll_interval) loop
+  /// would): burning a core to poll is exactly the CPU cost the paper's
+  /// triggered strategies avoid, so it must show up in the utilization
+  /// report.
   const obs::BusyTracker& util() const { return util_; }
 
   /// Attach a trace recorder; parallel-compute and staging-copy phases are

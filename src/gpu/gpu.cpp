@@ -62,12 +62,12 @@ sim::Task<std::uint64_t> WorkGroupCtx::load_system(mem::Addr addr) {
   co_return mem().load<std::uint64_t>(addr);
 }
 
-sim::Task<> WorkGroupCtx::wait_value_ge(mem::Addr addr, std::uint64_t value) {
-  for (;;) {
-    std::uint64_t v = co_await load_system(addr);
-    if (v >= value) co_return;
-    co_await compute(gpu_->config().poll_interval);
-  }
+mem::SpinWait WorkGroupCtx::wait_value_ge(mem::Addr addr,
+                                          std::uint64_t value) {
+  const auto& cfg = gpu_->config();
+  return mem::SpinWait(
+      gpu_->simulator(), mem(), addr, value,
+      {cfg.load_system_latency, cfg.load_system_latency + cfg.poll_interval});
 }
 
 Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
@@ -122,9 +122,8 @@ sim::Task<> Gpu::front_end_loop() {
       p->nic->ring_doorbell(std::move(p->cmd));
       ++stats_.counter("gds_doorbells");
     } else if (auto* w = std::get_if<GdsWaitOp>(&op)) {
-      while (mem_->load<std::uint64_t>(w->addr) < w->value) {
-        co_await sim_->delay(config_.poll_interval);
-      }
+      co_await mem::SpinWait(*sim_, *mem_, w->addr, w->value,
+                             {0, config_.poll_interval});
     }
   }
 }

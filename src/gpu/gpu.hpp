@@ -28,6 +28,7 @@
 
 #include "gpu/launch_model.hpp"
 #include "mem/memory.hpp"
+#include "mem/spin_wait.hpp"
 #include "nic/nic.hpp"
 #include "obs/busy.hpp"
 #include "sim/stats.hpp"
@@ -104,8 +105,9 @@ class WorkGroupCtx {
   sim::Task<> store_system(mem::Addr addr, std::uint64_t value);
   /// System-scope acquire load.
   sim::Task<std::uint64_t> load_system(mem::Addr addr);
-  /// Spin (with the configured poll interval) until *addr >= value.
-  sim::Task<> wait_value_ge(mem::Addr addr, std::uint64_t value);
+  /// Spin until *addr >= value: a load_system, then poll_interval, then
+  /// the next load... (event-free, mem/spin_wait.hpp).
+  mem::SpinWait wait_value_ge(mem::Addr addr, std::uint64_t value);
 
   // -- Functional buffer access (time accounted via compute_* phases) -----
   /// Device writes to global memory: tracked for fence-hazard detection.

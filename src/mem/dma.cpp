@@ -16,10 +16,9 @@ sim::Task<> DmaEngine::consume_time(std::uint64_t n) {
 
 sim::Task<> DmaEngine::copy(Addr dst, Addr src, std::uint64_t n) {
   co_await consume_time(n);
-  // Functional move happens at completion time.
-  auto s = mem_->bytes(src, n);
-  auto d = mem_->bytes(dst, n);
-  std::memcpy(d.data(), s.data(), n);
+  // Functional move happens at completion time, through write() so a
+  // copy that lands on a polled flag wakes its spin-waits.
+  mem_->write(dst, mem_->bytes(src, n).data(), n);
 }
 
 sim::Task<> DmaEngine::read_into(std::vector<std::byte>& dst, Addr src,

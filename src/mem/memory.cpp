@@ -1,8 +1,10 @@
 #include "mem/memory.hpp"
 
+#include <algorithm>
 #include <new>
 
 #include "mem/arena.hpp"
+#include "mem/spin_wait.hpp"
 
 namespace gputn::mem {
 
@@ -21,23 +23,48 @@ Addr Memory::alloc(std::uint64_t bytes, std::uint64_t align) {
   return base;
 }
 
-void Memory::check_range(Addr addr, std::size_t n) const {
+void Memory::range_error(Addr addr) const {
   if (is_mmio(addr)) {
     throw std::out_of_range("functional access to MMIO window");
   }
-  if (addr + n > dram_.size() || addr + n < addr) {
-    throw std::out_of_range("memory access out of bounds");
+  throw std::out_of_range("memory access out of bounds");
+}
+
+void Memory::write_watched(Addr addr, const void* src, std::size_t n) {
+  std::memcpy(dram_.data() + addr, src, n);
+  // Backwards, because on_store() may unwatch(): the swap-remove moves an
+  // already-visited watcher into the freed slot.
+  for (std::size_t i = watchers_.size(); i-- > 0;) {
+    SpinWait* w = watchers_[i];
+    if (w->addr() < addr + n && addr < w->addr() + sizeof(std::uint64_t)) {
+      w->on_store();
+    }
   }
 }
 
-void Memory::write(Addr addr, const void* src, std::size_t n) {
-  check_range(addr, n);
-  std::memcpy(dram_.data() + addr, src, n);
+void Memory::count_pages(const SpinWait* w, int d) {
+  Addr first = w->addr() >> kWatchPageShift;
+  Addr last = (w->addr() + sizeof(std::uint64_t) - 1) >> kWatchPageShift;
+  for (Addr p = first; p <= last; ++p) {
+    page_watchers_[p] += static_cast<std::uint32_t>(d);  // -1 wraps
+  }
 }
 
-void Memory::read(Addr addr, void* dst, std::size_t n) const {
-  check_range(addr, n);
-  std::memcpy(dst, dram_.data() + addr, n);
+void Memory::watch(SpinWait* w) {
+  check_range(w->addr(), sizeof(std::uint64_t));
+  if (page_watchers_.empty()) {
+    page_watchers_.assign((dram_.size() >> kWatchPageShift) + 1, 0);
+  }
+  watchers_.push_back(w);
+  count_pages(w, +1);
+}
+
+void Memory::unwatch(SpinWait* w) {
+  auto it = std::find(watchers_.begin(), watchers_.end(), w);
+  if (it == watchers_.end()) return;
+  *it = watchers_.back();
+  watchers_.pop_back();
+  count_pages(w, -1);
 }
 
 std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {

@@ -28,6 +28,8 @@ using Addr = std::uint64_t;
 /// Base of the MMIO window. DRAM allocations never reach this address.
 inline constexpr Addr kMmioBase = Addr{1} << 48;
 
+class SpinWait;  // mem/spin_wait.hpp
+
 /// Device-side receiver for posted MMIO stores.
 class MmioHandler {
  public:
@@ -52,8 +54,26 @@ class Memory {
   std::uint64_t allocated_bytes() const { return next_; }
 
   // -- Functional (zero-time) access --------------------------------------
-  void write(Addr addr, const void* src, std::size_t n);
-  void read(Addr addr, void* dst, std::size_t n) const;
+  /// Every store to DRAM goes through here, so parked spin-waits on the
+  /// written words hear of it (see watch()). Inline, so a typed store
+  /// compiles to a bounds check, a watch check and a move.
+  void write(Addr addr, const void* src, std::size_t n) {
+    check_range(addr, n);
+    if (!watchers_.empty()) [[unlikely]] {
+      // A write under a page touches at most its first and last pages;
+      // longer ones (and n == 0, which wraps) take the slow path's scan.
+      if (n - 1 >= kWatchPageBytes ||
+          page_watchers_[addr >> kWatchPageShift] != 0 ||
+          page_watchers_[(addr + n - 1) >> kWatchPageShift] != 0) {
+        return write_watched(addr, src, n);
+      }
+    }
+    std::memcpy(dram_.data() + addr, src, n);
+  }
+  void read(Addr addr, void* dst, std::size_t n) const {
+    check_range(addr, n);
+    std::memcpy(dst, dram_.data() + addr, n);
+  }
 
   template <typename T>
   void store(Addr addr, const T& value) {
@@ -68,16 +88,26 @@ class Memory {
     return v;
   }
 
-  /// Direct view into backing bytes (bounds-checked).
+  /// Direct view into backing bytes (bounds-checked). Writes through the
+  /// view bypass watch(): it must never write a word a spin-wait polls.
   std::span<std::byte> bytes(Addr addr, std::size_t n);
   std::span<const std::byte> bytes(Addr addr, std::size_t n) const;
 
-  /// Typed view of a region (addr must be suitably aligned for T).
+  /// Typed view of a region (addr must be suitably aligned for T). Like
+  /// bytes(), it must never write a word a spin-wait polls.
   template <typename T>
   std::span<T> typed(Addr addr, std::size_t count) {
     auto b = bytes(addr, count * sizeof(T));
     return {reinterpret_cast<T*>(b.data()), count};
   }
+
+  // -- Spin-wait watch list -------------------------------------------------
+  /// Park `w`: every write() overlapping its 64-bit word tells it, until
+  /// unwatch(w). A write tests per-page watch counts before looking
+  /// further, so a write to an unwatched page pays two loads and a compare
+  /// (one compare while nothing is watched).
+  void watch(SpinWait* w);
+  void unwatch(SpinWait* w);
 
   // -- MMIO ----------------------------------------------------------------
   /// Map `bytes` of MMIO space to a handler; returns the window base.
@@ -88,9 +118,29 @@ class Memory {
   void mmio_store(Addr addr, std::uint64_t value);
 
  private:
-  void check_range(Addr addr, std::size_t n) const;
+  void check_range(Addr addr, std::size_t n) const {
+    if (is_mmio(addr) || addr + n > dram_.size() || addr + n < addr)
+        [[unlikely]] {
+      range_error(addr);
+    }
+  }
+  [[noreturn]] void range_error(Addr addr) const;
+  /// write() into a watched page: stores, then tells the watchers of the
+  /// words overlapping [addr, addr+n). Out of line, so the inline write()
+  /// stays small at every call site.
+  __attribute__((noinline)) void write_watched(Addr addr, const void* src,
+                                               std::size_t n);
+  /// Adds `d` to the watch counts of the pages `w`'s word touches.
+  void count_pages(const SpinWait* w, int d);
+
+  static constexpr int kWatchPageShift = 12;
+  static constexpr std::size_t kWatchPageBytes = std::size_t{1}
+                                                 << kWatchPageShift;
 
   std::vector<std::byte> dram_;
+  std::vector<SpinWait*> watchers_;
+  // Watchers per 4 KiB page, sized at the first watch().
+  std::vector<std::uint32_t> page_watchers_;
   std::uint64_t next_ = 64;  // never hand out address 0
   Addr next_mmio_ = kMmioBase;
   // MMIO window base -> (limit, handler)

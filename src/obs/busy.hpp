@@ -58,6 +58,9 @@ class BusyTracker {
   }
 
   void add_bytes(std::uint64_t n) { bytes_ += n; }
+  /// Count `n` more ops without a transition: a unit held across n
+  /// back-to-back ops, charged in one go (mem::SpinWait's polls).
+  void add_ops(std::uint64_t n) { ops_ += n; }
 
   int capacity() const { return capacity_; }
   int in_use() const { return in_use_; }

@@ -207,8 +207,9 @@ const std::vector<Knob>& knob_registry() {
           // Upscale only: persistent kernels size their launch for the
           // baseline CU budget, and a grid larger than cu_count *
           // max_wgs_per_cu that synchronizes across work-groups livelocks
-          // (GpuConfig's documented constraint) — an infinite poll loop the
-          // deadlock watchdog reads as progress.
+          // (GpuConfig's documented constraint): its resident work-groups
+          // spin on flags only unscheduled ones would set, the event queue
+          // drains, and the run fails as deadlocked.
           if (s < 1.0) return false;
           int old = c.gpu.cu_count;
           double eff = std::isinf(s) ? 64.0 : s;

@@ -51,7 +51,12 @@ void ShardEngine::merge_barrier() {
   const std::size_t S = sims_.size();
   for (std::size_t dst = 0; dst < S; ++dst) {
     merge_scratch_.clear();
+    read_scratch_.clear();
     for (auto& d : deferred_[dst]) {
+      if (d.order != nullptr) {
+        read_scratch_.push_back(std::move(d));
+        continue;
+      }
       merge_scratch_.push_back(MergeItem{d.when, d.t_sched,
                                          static_cast<int>(dst), d.seq,
                                          std::move(d.fn)});
@@ -66,20 +71,39 @@ void ShardEngine::merge_barrier() {
       }
       box.clear();
     }
-    if (merge_scratch_.empty()) continue;
+    // Spin-wait reads are ordered as if scheduled at their wait's start
+    // (Simulator::ReadOrder), so one may be due on the same tick as an
+    // event this merge inserts with a fresh sequence number although the
+    // wait began first. A wait begun during the window just run reserved
+    // its number before that window's emissions: re-sequence its order
+    // among them, keyed like the events it interleaves with. Orders from
+    // earlier windows precede every emission merged here already.
+    for (Simulator::ReadOrder* o : sims_[dst]->take_window_orders()) {
+      merge_scratch_.push_back(MergeItem{0, o->t0, static_cast<int>(dst),
+                                         o->emit, EventFn(), o});
+    }
     // Canonical order: scheduling-time order first (sequentially,
     // same-`when` events execute in scheduling order, and an event
     // scheduled at an earlier tick always has the smaller sequence
-    // number), then source shard, then the shard's own emit order.
+    // number), then source shard, then the shard's own emit order. Only
+    // same-`when` events compare in the calendar, so `when` needs no key:
+    // one pass of fresh sequence numbers serves events and orders alike.
     std::sort(merge_scratch_.begin(), merge_scratch_.end(),
               [](const MergeItem& a, const MergeItem& b) {
-                if (a.when != b.when) return a.when < b.when;
                 if (a.t_sched != b.t_sched) return a.t_sched < b.t_sched;
                 if (a.src != b.src) return a.src < b.src;
                 return a.seq < b.seq;
               });
     for (auto& it : merge_scratch_) {
-      sims_[dst]->schedule_event(it.when, std::move(it.fn));
+      if (it.order != nullptr) {
+        it.order->seq = sims_[dst]->reserve_seq();
+      } else {
+        sims_[dst]->schedule_event(it.when, std::move(it.fn));
+      }
+    }
+    // Deferred reads go in at their (re-sequenced) orders' places.
+    for (auto& r : read_scratch_) {
+      sims_[dst]->schedule_ordered(r.when, *r.order, std::move(r.fn));
     }
     merge_scratch_.clear();
   }

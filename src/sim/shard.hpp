@@ -123,6 +123,8 @@ class ShardEngine {
     int src;
     std::uint64_t seq;
     EventFn fn;
+    /// Set for a spin-wait read order to re-sequence (no event).
+    Simulator::ReadOrder* order = nullptr;
   };
 
   /// Re-insert all mailboxed and deferred events in canonical order.
@@ -140,6 +142,7 @@ class ShardEngine {
   std::vector<std::uint64_t> emit_seq_;
   std::vector<std::vector<Mail>> mail_;
   std::vector<MergeItem> merge_scratch_;
+  std::vector<Simulator::Deferred> read_scratch_;
 
   std::vector<ShardStats> stats_;
   std::uint64_t rounds_ = 0;

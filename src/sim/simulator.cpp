@@ -79,9 +79,9 @@ void Simulator::reap_processes() {
   live_states_.clear();
 }
 
-void Simulator::schedule_overflow(Tick when, EventFn fn) {
+void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
   std::uint64_t blk = block_of(when);
-  overflow_.push_back(Item{when, next_seq_ - 1, std::move(fn)});
+  overflow_.push_back(Item{when, seq, std::move(fn)});
   std::push_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
   if (blk < overflow_min_blk_) overflow_min_blk_ = blk;
 }
@@ -104,8 +104,59 @@ void Simulator::schedule_event(Tick when, EventFn fn) {
   if (blk < cur_blk_ + kBuckets) {
     insert_into_wheel(Item{when, next_seq_ - 1, std::move(fn)});
   } else {
-    schedule_overflow(when, std::move(fn));
+    schedule_overflow(when, next_seq_ - 1, std::move(fn));
   }
+}
+
+void Simulator::reserve_order(ReadOrder& o) {
+  o.t0 = now_;
+  o.emit = emit_seq_ != nullptr ? (*emit_seq_)++ : 0;
+  o.seq = next_seq_++;
+  if (horizon_ != kTickMax) {
+    // Inside a parallel-DES window: the barrier merge re-sequences this
+    // order among the deferred events it inserts (sim/shard.cpp).
+    o.slot = window_orders_.size();
+    window_orders_.push_back(&o);
+  }
+}
+
+void Simulator::release_order(ReadOrder& o) {
+  if (o.slot == ReadOrder::kNoSlot) return;
+  ReadOrder* last = window_orders_.back();
+  window_orders_[o.slot] = last;
+  last->slot = o.slot;
+  window_orders_.pop_back();
+  o.slot = ReadOrder::kNoSlot;
+}
+
+void Simulator::schedule_ordered(Tick when, const ReadOrder& o, EventFn fn) {
+  assert((when > now_ || (when == now_ && yet_to_run(o))) &&
+         "a spin-wait read must be scheduled after the running event");
+  if (when >= horizon_) {
+    // Merges at the order's place, as if scheduled at the wait's start,
+    // not at the store that armed it (ShardEngine::merge_barrier).
+    deferred_->push_back(Deferred{when, o.t0, o.emit, std::move(fn), &o});
+    return;
+  }
+  pending_++;
+  if (when == now_) {
+    late_.push_back(Item{when, o.seq, std::move(fn)});
+    return;
+  }
+  if (block_of(when) < cur_blk_ + kBuckets) {
+    insert_into_wheel(Item{when, o.seq, std::move(fn)});
+  } else {
+    schedule_overflow(when, o.seq, std::move(fn));
+  }
+}
+
+void Simulator::merge_late() {
+  for (Item& it : late_) {
+    auto pos = std::lower_bound(drain_.begin(), drain_.end(), it,
+                                OverflowAfter{});
+    drain_.insert(pos, std::move(it));
+  }
+  late_.clear();
 }
 
 Tick Simulator::next_pending_time() const {
@@ -296,6 +347,7 @@ void Simulator::consume_after_throw(Tick t) {
   // appended to the FIFO, so it moves there — drain_'s tail run is in
   // reverse execution order, hence the backwards walk.
   drain_.pop_back();
+  merge_late();
   std::size_t i = drain_.size();
   while (i > 0 && drain_[i - 1].when == t) --i;
   if (i < drain_.size()) {
@@ -324,6 +376,7 @@ template <bool Bounded>
 std::uint64_t Simulator::run_loop(Tick limit) {
   std::uint64_t executed = 0;
   for (;;) {
+    cur_seq_ = ~std::uint64_t{0};
     while (fifo_head_ < fifo_.size()) {
       // Reclaim the consumed prefix if a long same-timestamp chain keeps
       // appending; amortized O(1) per event.
@@ -354,14 +407,17 @@ std::uint64_t Simulator::run_loop(Tick limit) {
     const Tick t = now_;
     for (;;) {
       --pending_;
+      cur_seq_ = drain_.back().seq;
       try {
         drain_.back().fn();
       } catch (...) {
+        cur_seq_ = ~std::uint64_t{0};
         consume_after_throw(t);
         throw;
       }
       drain_.pop_back();
       ++executed;
+      if (!late_.empty()) [[unlikely]] merge_late();
       if (drain_.empty() || drain_.back().when != t) break;
     }
     if (drain_.empty()) {
@@ -375,6 +431,7 @@ std::uint64_t Simulator::run_loop(Tick limit) {
       }
     }
   }
+  cur_seq_ = ~std::uint64_t{0};
   executed_events_ += executed;
   return executed;
 }

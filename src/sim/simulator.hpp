@@ -3,10 +3,12 @@
 // The simulator owns a two-level calendar queue of (time, sequence, callback)
 // events: a "now" FIFO for events at the current timestamp, a bucketed wheel
 // covering the near-term horizon, and a sorted overflow tier for far-future
-// events. Events at equal times execute in insertion order, which — together
-// with the single-threaded execution model — makes every simulation fully
-// deterministic. Coroutine processes (`Task<>`) are driven by scheduling
-// their resumption through this queue.
+// events. Events at equal times execute in insertion order — except a
+// spin-wait's reads, which take the place reserved when the wait began
+// (ReadOrder, DESIGN.md §17) — which, together with the single-threaded
+// execution model, makes every simulation fully deterministic. Coroutine
+// processes (`Task<>`) are driven by scheduling their resumption through
+// this queue.
 #pragma once
 
 #include <array>
@@ -101,7 +103,7 @@ class Simulator {
       w.dirty |= bit;
       occ_summary_ |= std::uint64_t{1} << (idx >> 6);
     } else {
-      schedule_overflow(when, EventFn(std::forward<F>(fn)));
+      schedule_overflow(when, next_seq_ - 1, EventFn(std::forward<F>(fn)));
     }
   }
   /// Schedule a callback `delay` picoseconds from now.
@@ -128,6 +130,18 @@ class Simulator {
 
   // --- Conservative-PDES hooks (driven by sim::ShardEngine) -------------
 
+  /// The place, within its tick, of every read of one spin-wait: each read
+  /// is ordered as if it had been scheduled when the wait began. `seq` is
+  /// the one sequence number reserved then; `t0` and `emit` key the wait in
+  /// the parallel engine's barrier merge, like a deferred event's t_sched
+  /// and emit counter.
+  struct ReadOrder {
+    Tick t0 = 0;
+    std::uint64_t emit = 0;
+    std::uint64_t seq = 0;
+    std::size_t slot = kNoSlot;  ///< index in window_orders_, if listed
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  };
   /// An event diverted by the deferral horizon. `t_sched` is the clock at
   /// scheduling time and `seq` the shard's emit counter; together with the
   /// source shard id they form the deterministic cross-shard merge key.
@@ -136,6 +150,9 @@ class Simulator {
     Tick t_sched;
     std::uint64_t seq;
     EventFn fn;
+    /// Set for a spin-wait read (schedule_ordered): the merge inserts it
+    /// at its order's sequence number, not at a fresh one.
+    const ReadOrder* order = nullptr;
   };
 
   /// Arm the deferral machinery: schedules at `when >= horizon` land in
@@ -166,6 +183,31 @@ class Simulator {
   /// kTickMax when the calendar is empty. Deferred events are excluded:
   /// the engine merges them back before asking.
   Tick next_pending_time() const;
+
+  // --- Spin-wait read order (mem::SpinWait, DESIGN.md §17) -------------
+
+  /// Reserve `o` at now(). `o` must stay put until release_order(o).
+  void reserve_order(ReadOrder& o);
+  /// The wait ordered by `o` is over.
+  void release_order(ReadOrder& o);
+  /// True when an event at now() in the place `o` gives it has yet to run,
+  /// i.e. it is ordered after the running event. Outside an event batch
+  /// (now-FIFO events, code between runs) every such place has passed.
+  bool yet_to_run(const ReadOrder& o) const { return o.seq > cur_seq_; }
+  /// Schedule `fn` at `when` in the place `o` gives it. Requires
+  /// when > now(), or when == now() and yet_to_run(o); a current-tick
+  /// event joins the executing batch at its place in sequence order.
+  void schedule_ordered(Tick when, const ReadOrder& o, EventFn fn);
+  /// Barrier merge: the orders reserved during the window just run, which
+  /// the merge re-sequences among the deferred events it inserts.
+  std::vector<ReadOrder*> take_window_orders() {
+    std::vector<ReadOrder*> out;
+    out.swap(window_orders_);
+    for (ReadOrder* o : out) o->slot = ReadOrder::kNoSlot;
+    return out;
+  }
+  /// Reserve a fresh sequence number for a re-sequenced order.
+  std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Awaitable that suspends the current coroutine for `d` picoseconds.
   auto delay(Tick d) {
@@ -247,7 +289,10 @@ class Simulator {
   template <bool Bounded>
   __attribute__((always_inline)) bool advance_to_next_batch(Tick limit);
   /// Out-of-line slow path of schedule_at: push onto the far-future heap.
-  void schedule_overflow(Tick when, EventFn fn);
+  void schedule_overflow(Tick when, std::uint64_t seq, EventFn fn);
+  /// Moves schedule_ordered's current-tick events into drain_ at their
+  /// places. Runs between batch events, never while one executes.
+  void merge_late();
   /// Out-of-line slow path of schedule_at under an armed deferral horizon.
   void defer_event(Tick when, EventFn fn);
   /// Moves bucket `blk`'s events into drain_ (an O(1) vector swap when
@@ -285,7 +330,15 @@ class Simulator {
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_events_ = 0;
   std::uint64_t pending_ = 0;  // scheduled, not yet started (live count)
+  // Sequence number of the running batch event; the maximum while now-FIFO
+  // events run and between runs, since every read of a spin-wait due at
+  // now() was reserved before now() and so ran ahead of them.
+  std::uint64_t cur_seq_ = ~std::uint64_t{0};
   int live_processes_ = 0;
+  // schedule_ordered's current-tick events, waiting for merge_late.
+  std::vector<Item> late_;
+  // Orders reserved during a parallel-DES window (sim/shard.hpp).
+  std::vector<ReadOrder*> window_orders_;
 
   // Events at when == now(): executed front to back; appends during
   // execution keep sequence order because only current-time events land

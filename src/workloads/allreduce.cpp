@@ -406,9 +406,10 @@ AllreduceResult run_allreduce(const AllreduceConfig& cfg,
     }
     by_shard[static_cast<std::size_t>(w.cluster.node_shard(r))].push_back(h);
   }
-  // Completion monitors + watchdog: a protocol bug that livelocks (e.g. a
-  // poll loop whose flag never arrives) would otherwise spin the event
-  // queue forever; and run_until pads the clock, so the collective's end
+  // Completion monitors + watchdog: a protocol bug that livelocks would
+  // otherwise spin the event queue forever (a spin-wait whose flag never
+  // arrives just leaves it empty, see mem/spin_wait.hpp); and run_until
+  // pads the clock, so the collective's end
   // time is captured when the last rank finishes. One monitor per shard
   // (each joins only shard-local ranks); the run's finish is their max,
   // which equals the sequential single-join tick — the globally last

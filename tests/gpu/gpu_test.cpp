@@ -224,8 +224,10 @@ TEST(Gpu, OccupancyAllowsMoreResidentWorkGroups) {
 TEST(Gpu, PersistentKernelOversubscriptionLivelocks) {
   // A persistent kernel with more cross-synchronizing work-groups than
   // resident slots can never make progress: WG 0 polls a flag only WG 2
-  // (never resident) would set. The model faithfully livelocks; the
-  // harness detects it with a bounded run.
+  // (never resident) would set. The model faithfully livelocks. The
+  // spinning work-groups are parked on a flag nobody writes, so they leave
+  // no event behind: an unbounded run drains the queue and returns with
+  // the kernel unfinished instead of polling forever.
   GpuConfig cfg = fast_config();
   cfg.cu_count = 2;
   cfg.max_wgs_per_cu = 1;
@@ -242,8 +244,10 @@ TEST(Gpu, PersistentKernelOversubscriptionLivelocks) {
     }
   };
   auto rec = r.gpu.enqueue_kernel(std::move(k));
-  r.sim.run_until(sim::ms(1));
+  r.sim.run();
   EXPECT_FALSE(rec->done.triggered()) << "livelock must not resolve";
+  EXPECT_EQ(r.sim.pending_events(), 0u);
+  EXPECT_LT(r.sim.now(), sim::us(10));
 
   // The same kernel with occupancy 2 has slots for all three WGs.
   GpuConfig ok_cfg = fast_config();
