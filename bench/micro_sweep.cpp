@@ -13,11 +13,9 @@
 // per-pair ratios — adjacent-in-time pairs move together under a phase
 // shift instead of skewing the result (same protocol as micro_events).
 //
-// Also profiles per-run construction cost: building a 4-node Table 2
-// Cluster cold (first-touch page faults on every DRAM backing) vs warm
-// (backings recycled through mem::DramArena) — the setup the engine pays
-// at every run point, and why short microbench points aren't dominated by
-// it.
+// Also profiles per-run construction cost: building a fresh 4-node Table 2
+// Cluster, the setup the engine pays at every run point. Node DRAM is
+// faulted in only where a run touches it, so the build touches almost none.
 //
 // Emits BENCH_sweep.json. Usage: micro_sweep [out.json] [--jobs N]
 #include <algorithm>
@@ -31,7 +29,6 @@
 #include "cluster/cluster.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweeps.hpp"
-#include "mem/arena.hpp"
 #include "sim/simulator.hpp"
 
 using namespace gputn;
@@ -84,17 +81,14 @@ int main(int argc, char** argv) {
               "%d interleaved reps\n",
               plan.size(), jobs, hw, reps);
 
-  // Per-run construction cost: cold = fresh OS pages (arena emptied), warm
-  // = recycled backings. One throwaway run first so code/data are hot.
+  // Per-run construction cost: the median of fresh builds, after one
+  // throwaway build so code and data are hot.
   setup_us_once();
-  mem::DramArena::clear();
-  double setup_cold_us = setup_us_once();
-  double setup_warm_us = 0.0;
-  const int setup_reps = 10;
-  for (int i = 0; i < setup_reps; ++i) setup_warm_us += setup_us_once();
-  setup_warm_us /= setup_reps;
-  std::printf("  cluster setup: %.0f us cold, %.0f us warm (arena reuse)\n",
-              setup_cold_us, setup_warm_us);
+  std::vector<double> setups(11);
+  for (double& s : setups) s = setup_us_once();
+  std::sort(setups.begin(), setups.end());
+  double setup_us = setups[setups.size() / 2];
+  std::printf("  cluster setup: %.0f us\n", setup_us);
 
   std::vector<std::string> jsons;
   double best1 = 1e300;
@@ -130,8 +124,7 @@ int main(int argc, char** argv) {
       << "  \"speedup\": " << speedup << ",\n"
       << "  \"deterministic\": " << (deterministic ? "true" : "false")
       << ",\n"
-      << "  \"setup_cold_us\": " << setup_cold_us << ",\n"
-      << "  \"setup_warm_us\": " << setup_warm_us << "\n"
+      << "  \"setup_us\": " << setup_us << "\n"
       << "}\n";
   if (!out.good()) {
     std::fprintf(stderr, "micro_sweep: cannot write %s\n", out_path);

@@ -1,24 +1,32 @@
 #include "mem/memory.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <new>
 
-#include "mem/arena.hpp"
 #include "mem/spin_wait.hpp"
 
 namespace gputn::mem {
 
-Memory::Memory(std::uint64_t dram_bytes)
-    : dram_(DramArena::acquire(dram_bytes)) {}
+Memory::Memory(std::uint64_t dram_bytes) : dram_bytes_(dram_bytes) {
+  if (dram_bytes == 0) return;
+  void* p = mmap(nullptr, dram_bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  dram_ = static_cast<std::byte*>(p);
+}
 
-Memory::~Memory() { DramArena::release(std::move(dram_)); }
+Memory::~Memory() {
+  if (dram_ != nullptr) munmap(dram_, dram_bytes_);
+}
 
 Addr Memory::alloc(std::uint64_t bytes, std::uint64_t align) {
   if (align == 0 || (align & (align - 1)) != 0) {
     throw std::invalid_argument("alignment must be a power of two");
   }
   Addr base = (next_ + align - 1) & ~(align - 1);
-  if (base + bytes > dram_.size()) throw std::bad_alloc();
+  if (base + bytes > dram_bytes_) throw std::bad_alloc();
   next_ = base + bytes;
   return base;
 }
@@ -31,7 +39,7 @@ void Memory::range_error(Addr addr) const {
 }
 
 void Memory::write_watched(Addr addr, const void* src, std::size_t n) {
-  std::memcpy(dram_.data() + addr, src, n);
+  std::memcpy(dram_ + addr, src, n);
   // Backwards, because on_store() may unwatch(): the swap-remove moves an
   // already-visited watcher into the freed slot.
   for (std::size_t i = watchers_.size(); i-- > 0;) {
@@ -53,7 +61,7 @@ void Memory::count_pages(const SpinWait* w, int d) {
 void Memory::watch(SpinWait* w) {
   check_range(w->addr(), sizeof(std::uint64_t));
   if (page_watchers_.empty()) {
-    page_watchers_.assign((dram_.size() >> kWatchPageShift) + 1, 0);
+    page_watchers_.assign((dram_bytes_ >> kWatchPageShift) + 1, 0);
   }
   watchers_.push_back(w);
   count_pages(w, +1);
@@ -69,12 +77,12 @@ void Memory::unwatch(SpinWait* w) {
 
 std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {
   check_range(addr, n);
-  return {dram_.data() + addr, n};
+  return {dram_ + addr, n};
 }
 
 std::span<const std::byte> Memory::bytes(Addr addr, std::size_t n) const {
   check_range(addr, n);
-  return {dram_.data() + addr, n};
+  return {dram_ + addr, n};
 }
 
 Addr Memory::map_mmio(std::uint64_t bytes, MmioHandler* handler) {

@@ -39,9 +39,10 @@ class MmioHandler {
 
 class Memory {
  public:
-  /// The backing store comes from (and retires into) the thread-local
-  /// DramArena, so sweeping many short-lived clusters re-faults no pages;
-  /// the bytes are zero-filled either way (see arena.hpp).
+  /// DRAM is one private anonymous mapping (none for 0 bytes). The kernel
+  /// hands out a zeroed page at first touch, so untouched DRAM reads as
+  /// zero and costs neither time nor RSS (DESIGN.md §10). Throws
+  /// std::bad_alloc when the mapping fails.
   explicit Memory(std::uint64_t dram_bytes);
   ~Memory();
   Memory(const Memory&) = delete;
@@ -50,7 +51,7 @@ class Memory {
   /// Bump-allocate a DRAM region. Throws std::bad_alloc when exhausted.
   Addr alloc(std::uint64_t bytes, std::uint64_t align = 64);
 
-  std::uint64_t dram_bytes() const { return dram_.size(); }
+  std::uint64_t dram_bytes() const { return dram_bytes_; }
   std::uint64_t allocated_bytes() const { return next_; }
 
   // -- Functional (zero-time) access --------------------------------------
@@ -68,11 +69,11 @@ class Memory {
         return write_watched(addr, src, n);
       }
     }
-    std::memcpy(dram_.data() + addr, src, n);
+    std::memcpy(dram_ + addr, src, n);
   }
   void read(Addr addr, void* dst, std::size_t n) const {
     check_range(addr, n);
-    std::memcpy(dst, dram_.data() + addr, n);
+    std::memcpy(dst, dram_ + addr, n);
   }
 
   template <typename T>
@@ -119,7 +120,7 @@ class Memory {
 
  private:
   void check_range(Addr addr, std::size_t n) const {
-    if (is_mmio(addr) || addr + n > dram_.size() || addr + n < addr)
+    if (is_mmio(addr) || addr + n > dram_bytes_ || addr + n < addr)
         [[unlikely]] {
       range_error(addr);
     }
@@ -137,7 +138,8 @@ class Memory {
   static constexpr std::size_t kWatchPageBytes = std::size_t{1}
                                                  << kWatchPageShift;
 
-  std::vector<std::byte> dram_;
+  std::byte* dram_ = nullptr;
+  std::uint64_t dram_bytes_;
   std::vector<SpinWait*> watchers_;
   // Watchers per 4 KiB page, sized at the first watch().
   std::vector<std::uint32_t> page_watchers_;

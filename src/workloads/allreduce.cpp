@@ -369,6 +369,11 @@ sim::Task<> gputn_rank(Workspace& w, int r) {
 AllreduceResult run_allreduce(const AllreduceConfig& cfg,
                               const cluster::SystemConfig& sys) {
   if (cfg.nodes < 2) throw std::invalid_argument("allreduce needs >= 2 nodes");
+  // rt::RingAllreducePlan rejects this too, but only after the cluster is
+  // built; at thousands of ranks that build costs seconds.
+  if (cfg.elements < static_cast<std::size_t>(cfg.nodes)) {
+    throw std::invalid_argument("fewer elements than ranks");
+  }
   cluster::SystemConfig adjusted = with_fabric_overrides(cfg, sys);
   std::uint64_t vec_bytes = cfg.elements * sizeof(float);
   adjusted.dram_bytes = vec_bytes + 4 * (vec_bytes / cfg.nodes) + (8u << 20);

@@ -403,15 +403,23 @@ std::vector<double> reference(int n, int iterations) {
   for (int i = 0; i < g; ++i) {
     for (int j = 0; j < g; ++j) cur[static_cast<std::size_t>(i) * g + j] = initial_value(i, j);
   }
-  auto at = [g](std::vector<double>& v, int i, int j) -> double& {
-    return v[static_cast<std::size_t>((i + g) % g) * g + (j + g) % g];
+  // The torus wraps once per row (row pointers for i-1, i, i+1) and at
+  // columns 0 and g-1, so the inner loop takes no modulo.
+  auto row = [g](std::vector<double>& v, int i) {
+    return v.data() + static_cast<std::size_t>((i + g) % g) * g;
   };
   for (int k = 0; k < iterations; ++k) {
     for (int i = 0; i < g; ++i) {
-      for (int j = 0; j < g; ++j) {
-        at(nxt, i, j) = 0.25 * (at(cur, i - 1, j) + at(cur, i + 1, j) +
-                                at(cur, i, j - 1) + at(cur, i, j + 1));
-      }
+      const double* up = row(cur, i - 1);
+      const double* mid = row(cur, i);
+      const double* down = row(cur, i + 1);
+      double* out = row(nxt, i);
+      auto point = [&](int j, int left, int right) {
+        out[j] = 0.25 * (up[j] + down[j] + mid[left] + mid[right]);
+      };
+      point(0, g - 1, 1);
+      for (int j = 1; j < g - 1; ++j) point(j, j - 1, j + 1);
+      point(g - 1, g - 2, 0);
     }
     cur.swap(nxt);
   }

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <stdexcept>
+#include <vector>
+
+#include "../support/max_rss.hpp"
 
 namespace gputn::mem {
 namespace {
@@ -28,6 +33,43 @@ TEST(Memory, AllocRejectsBadAlignment) {
   Memory m(4096);
   EXPECT_THROW(m.alloc(8, 3), std::invalid_argument);
   EXPECT_THROW(m.alloc(8, 0), std::invalid_argument);
+}
+
+constexpr std::uint64_t kDram = std::uint64_t{64} << 20;
+constexpr Addr kWords[] = {0, kDram / 2, kDram - 8};  // first, middle, last
+constexpr std::size_t kSpan = 1 << 20;
+
+TEST(Memory, UntouchedDramCostsNoResidentMemory) {
+  long before = test::max_rss_kb();
+  std::vector<std::unique_ptr<Memory>> nodes;
+  for (int i = 0; i < 16; ++i) nodes.push_back(std::make_unique<Memory>(kDram));
+  EXPECT_LT(test::max_rss_kb() - before, 32 * 1024);  // of 1 GiB of DRAM
+}
+
+void expect_zeroed(const Memory& m) {
+  for (Addr a : kWords) EXPECT_EQ(m.load<std::uint64_t>(a), 0u) << a;
+  auto span = m.bytes(kDram / 2, kSpan);
+  EXPECT_TRUE(std::all_of(span.begin(), span.end(),
+                          [](std::byte b) { return b == std::byte{0}; }));
+}
+
+TEST(Memory, FreshDramReadsZero) {
+  {
+    Memory m(kDram);
+    expect_zeroed(m);
+    for (Addr a : kWords) m.store<std::uint64_t>(a, ~std::uint64_t{0});
+    auto span = m.bytes(kDram / 2, kSpan);
+    std::fill(span.begin(), span.end(), std::byte{0xff});
+  }
+  // Built right after a written one of the same size was destroyed.
+  Memory again(kDram);
+  expect_zeroed(again);
+}
+
+TEST(Memory, ZeroBytesMapsNothing) {
+  Memory m(0);
+  EXPECT_EQ(m.dram_bytes(), 0u);
+  EXPECT_THROW(m.alloc(1), std::bad_alloc);
 }
 
 TEST(Memory, LoadStoreRoundTrip) {

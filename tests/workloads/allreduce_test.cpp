@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "../support/max_rss.hpp"
+
 namespace gputn::workloads {
 namespace {
 
@@ -92,6 +94,14 @@ TEST(Allreduce, NicOffloadDoesNotSlowDown) {
 TEST(Allreduce, RejectsSingleNode) {
   EXPECT_THROW(run_allreduce(small(Strategy::kCpu, 1)),
                std::invalid_argument);
+}
+
+TEST(Allreduce, RejectsFewerElementsThanRanksBeforeBuilding) {
+  // Building 4096 nodes alone takes ~90 MB; the check must come first.
+  long before = test::max_rss_kb();
+  EXPECT_THROW(run_allreduce(small(Strategy::kGpuTn, 4096, 1)),
+               std::invalid_argument);
+  EXPECT_LT(test::max_rss_kb() - before, 32 * 1024);
 }
 
 }  // namespace
