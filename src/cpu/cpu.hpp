@@ -80,6 +80,15 @@ class Cpu {
   /// poll_interval, starting at once (event-free, mem/spin_wait.hpp).
   mem::SpinWait wait_value_ge(mem::Addr addr, std::uint64_t value);
 
+  /// Spin until one of `scan`'s words reaches its target: one core reads
+  /// them all every poll_interval, the first read one interval in, as a
+  /// compute(poll_interval)-then-scan loop would; yields the word's index
+  /// (event-free, mem/spin_wait.hpp). Every word's first read must be a
+  /// multiple of poll_interval.
+  mem::MultiSpinWait::Awaiter wait_any(mem::MultiSpinWait& scan) {
+    return scan.wait(config_.poll_interval, &util_);
+  }
+
   /// Streaming time for `bytes` with the L3/DRAM blend: the first
   /// `l3_tier_bytes` are served at L3 speed, the remainder at `miss_bw`.
   /// Continuous in `bytes`, so scaling curves have no cliff at the tier.

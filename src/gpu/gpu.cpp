@@ -57,11 +57,6 @@ sim::Task<> WorkGroupCtx::store_system(mem::Addr addr, std::uint64_t value) {
   }
 }
 
-sim::Task<std::uint64_t> WorkGroupCtx::load_system(mem::Addr addr) {
-  co_await compute(gpu_->config().load_system_latency);
-  co_return mem().load<std::uint64_t>(addr);
-}
-
 mem::SpinWait WorkGroupCtx::wait_value_ge(mem::Addr addr,
                                           std::uint64_t value) {
   const auto& cfg = gpu_->config();

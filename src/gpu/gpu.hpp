@@ -103,10 +103,9 @@ class WorkGroupCtx {
   /// Firing a trigger with unfenced buffer writes is counted as a memory-
   /// model hazard.
   sim::Task<> store_system(mem::Addr addr, std::uint64_t value);
-  /// System-scope acquire load.
-  sim::Task<std::uint64_t> load_system(mem::Addr addr);
-  /// Spin until *addr >= value: a load_system, then poll_interval, then
-  /// the next load... (event-free, mem/spin_wait.hpp).
+  /// Spin until *addr >= value: a system-scope acquire load
+  /// (load_system_latency), then poll_interval, then the next load...
+  /// (event-free, mem/spin_wait.hpp).
   mem::SpinWait wait_value_ge(mem::Addr addr, std::uint64_t value);
 
   // -- Functional buffer access (time accounted via compute_* phases) -----

@@ -2,10 +2,7 @@
 
 #include <sys/mman.h>
 
-#include <algorithm>
 #include <new>
-
-#include "mem/spin_wait.hpp"
 
 namespace gputn::mem {
 
@@ -43,35 +40,38 @@ void Memory::write_watched(Addr addr, const void* src, std::size_t n) {
   // Backwards, because on_store() may unwatch(): the swap-remove moves an
   // already-visited watcher into the freed slot.
   for (std::size_t i = watchers_.size(); i-- > 0;) {
-    SpinWait* w = watchers_[i];
-    if (w->addr() < addr + n && addr < w->addr() + sizeof(std::uint64_t)) {
+    WatchedWord* w = watchers_[i];
+    if (w->addr < addr + n && addr < w->addr + sizeof(std::uint64_t)) {
       w->on_store();
     }
   }
 }
 
-void Memory::count_pages(const SpinWait* w, int d) {
-  Addr first = w->addr() >> kWatchPageShift;
-  Addr last = (w->addr() + sizeof(std::uint64_t) - 1) >> kWatchPageShift;
+void Memory::count_pages(const WatchedWord* w, int d) {
+  Addr first = w->addr >> kWatchPageShift;
+  Addr last = (w->addr + sizeof(std::uint64_t) - 1) >> kWatchPageShift;
   for (Addr p = first; p <= last; ++p) {
     page_watchers_[p] += static_cast<std::uint32_t>(d);  // -1 wraps
   }
 }
 
-void Memory::watch(SpinWait* w) {
-  check_range(w->addr(), sizeof(std::uint64_t));
+void Memory::watch(WatchedWord* w) {
+  check_range(w->addr, sizeof(std::uint64_t));
   if (page_watchers_.empty()) {
     page_watchers_.assign((dram_bytes_ >> kWatchPageShift) + 1, 0);
   }
+  w->slot_ = watchers_.size();
   watchers_.push_back(w);
   count_pages(w, +1);
 }
 
-void Memory::unwatch(SpinWait* w) {
-  auto it = std::find(watchers_.begin(), watchers_.end(), w);
-  if (it == watchers_.end()) return;
-  *it = watchers_.back();
+void Memory::unwatch(WatchedWord* w) {
+  if (!w->watched()) return;
+  WatchedWord* last = watchers_.back();
+  watchers_[w->slot_] = last;
+  last->slot_ = w->slot_;
   watchers_.pop_back();
+  w->slot_ = WatchedWord::kNotWatched;
   count_pages(w, -1);
 }
 

@@ -28,7 +28,29 @@ using Addr = std::uint64_t;
 /// Base of the MMIO window. DRAM allocations never reach this address.
 inline constexpr Addr kMmioBase = Addr{1} << 48;
 
-class SpinWait;  // mem/spin_wait.hpp
+/// A 64-bit word a spin-wait polls, while it is parked on its Memory's
+/// watch list (mem/spin_wait.hpp). Memory::write tests `addr` of every
+/// parked word on a watched page, so it is a plain member.
+class WatchedWord {
+ public:
+  explicit WatchedWord(Addr a) : addr(a) {}
+  WatchedWord(const WatchedWord&) = delete;
+  WatchedWord& operator=(const WatchedWord&) = delete;
+
+  const Addr addr;
+
+ protected:
+  ~WatchedWord() = default;
+
+ private:
+  friend class Memory;
+  /// A write just overlapped the word.
+  virtual void on_store() = 0;
+  bool watched() const { return slot_ != kNotWatched; }
+
+  static constexpr std::size_t kNotWatched = ~std::size_t{0};
+  std::size_t slot_ = kNotWatched;  // index in Memory::watchers_
+};
 
 /// Device-side receiver for posted MMIO stores.
 class MmioHandler {
@@ -106,9 +128,10 @@ class Memory {
   /// Park `w`: every write() overlapping its 64-bit word tells it, until
   /// unwatch(w). A write tests per-page watch counts before looking
   /// further, so a write to an unwatched page pays two loads and a compare
-  /// (one compare while nothing is watched).
-  void watch(SpinWait* w);
-  void unwatch(SpinWait* w);
+  /// (one compare while nothing is watched). unwatch() of a word not
+  /// parked is a no-op.
+  void watch(WatchedWord* w);
+  void unwatch(WatchedWord* w);
 
   // -- MMIO ----------------------------------------------------------------
   /// Map `bytes` of MMIO space to a handler; returns the window base.
@@ -132,7 +155,7 @@ class Memory {
   __attribute__((noinline)) void write_watched(Addr addr, const void* src,
                                                std::size_t n);
   /// Adds `d` to the watch counts of the pages `w`'s word touches.
-  void count_pages(const SpinWait* w, int d);
+  void count_pages(const WatchedWord* w, int d);
 
   static constexpr int kWatchPageShift = 12;
   static constexpr std::size_t kWatchPageBytes = std::size_t{1}
@@ -140,7 +163,7 @@ class Memory {
 
   std::byte* dram_ = nullptr;
   std::uint64_t dram_bytes_;
-  std::vector<SpinWait*> watchers_;
+  std::vector<WatchedWord*> watchers_;
   // Watchers per 4 KiB page, sized at the first watch().
   std::vector<std::uint32_t> page_watchers_;
   std::uint64_t next_ = 64;  // never hand out address 0

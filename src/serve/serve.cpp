@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "mem/spin_wait.hpp"
 #include "nic/qp.hpp"
 #include "serve/zipf.hpp"
 #include "sim/random.hpp"
@@ -78,15 +79,18 @@ struct ClientSlot {
 
 /// Completion multiplexer: one poller coroutine per client node scans all
 /// outstanding flag waits at the CPU poll interval (epoll-style), so client
-/// CPU time scales with nodes, not with outstanding requests.
+/// CPU time scales with nodes, not with outstanding requests. The scan is
+/// one event-free wait on every waiter's flag (mem::MultiSpinWait).
 struct Reactor {
-  explicit Reactor(sim::Simulator& sim) : cond(sim) {}
+  Reactor(sim::Simulator& sim, mem::Memory& memory)
+      : scan(sim, memory), cond(sim) {}
   struct Waiter {
     mem::Addr addr;
     std::uint64_t value;
     sim::Event* ev;
   };
   std::vector<Waiter> waiters;
+  mem::MultiSpinWait scan;
   sim::Condition cond;
 };
 
@@ -105,7 +109,8 @@ struct Workspace {
     // client-side object must live with its node. The per-node SLO
     // reporters are merged exactly (disjoint tenant sets) after the run.
     for (int c = 0; c < cfg.clients; ++c) {
-      reactors.push_back(std::make_unique<Reactor>(node_sim(c)));
+      reactors.push_back(std::make_unique<Reactor>(
+          node_sim(c), cluster.node(c).memory()));
       start.push_back(std::make_unique<sim::Event>(node_sim(c)));
       slo_node.push_back(std::make_unique<SloReporter>(cfg.tenants, cfg.slo));
     }
@@ -267,6 +272,10 @@ struct Workspace {
     sim::Event ev(node_sim(client_node));
     auto& r = *reactors[static_cast<std::size_t>(client_node)];
     r.waiters.push_back({addr, value, &ev});
+    // A parked scan reads the new flag from its next poll on.
+    if (r.scan.parked()) {
+      r.scan.add(addr, value, node.cpu().config().poll_interval);
+    }
     r.cond.notify_all();
     co_await ev.wait();
   }
@@ -296,13 +305,18 @@ struct Workspace {
 
 sim::Task<> reactor_loop(Workspace& w, int client_node) {
   auto& node = w.cluster.node(client_node);
+  auto& cpu = node.cpu();
   auto& r = *w.reactors[static_cast<std::size_t>(client_node)];
   for (;;) {
     if (r.waiters.empty()) {
       co_await r.cond.wait();
       continue;
     }
-    co_await node.cpu().compute(node.cpu().config().poll_interval);
+    r.scan.clear();
+    for (const auto& wt : r.waiters) {
+      r.scan.add(wt.addr, wt.value, cpu.config().poll_interval);
+    }
+    co_await cpu.wait_any(r.scan);
     for (std::size_t i = 0; i < r.waiters.size();) {
       const auto& wt = r.waiters[i];
       if (node.memory().load<std::uint64_t>(wt.addr) >= wt.value) {
@@ -443,26 +457,41 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
          i += static_cast<std::size_t>(ctx.num_wgs())) {
       mine.push_back(state.active[i]);
     }
+    // Round-robin over the live slots, one system-scope acquire load each
+    // (the load doubles as the poll pacing), starting just after the slot
+    // last served; finished slots are skipped at no cost. With n live
+    // slots, the k-th (from 1) is read k loads in and every n loads after:
+    // one event-free wait on all of them.
+    const sim::Tick load = ctx.gpu().config().load_system_latency;
+    mem::MultiSpinWait scan(ctx.gpu().simulator(), ctx.mem());
+    std::vector<std::size_t> live;  // positions in `mine`, in scan order
+    std::size_t next = 0;
     for (;;) {
-      bool all_done = true;
-      for (int slot : mine) {
-        auto sl = static_cast<std::size_t>(slot);
+      scan.clear();
+      live.clear();
+      for (std::size_t k = 0; k < mine.size(); ++k) {
+        std::size_t p = (next + k) % mine.size();
+        auto sl = static_cast<std::size_t>(mine[p]);
         if (state.processed[sl] >= state.expected[sl]) continue;
-        all_done = false;
-        std::uint64_t want = state.processed[sl] + 1;
-        // System-scope acquire load doubles as the poll pacing.
-        std::uint64_t v = co_await ctx.load_system(state.req_flag[sl]);
-        if (v < want) continue;
-        std::uint64_t key =
-            ctx.load_data<std::uint64_t>(ws->slot_addr(s, slot));
-        co_await ctx.compute(compute);
-        ws->apply_put(s, slot, key, want, ctx.mem());
-        ctx.mark_dirty();
-        co_await ctx.fence_system();
-        co_await ctx.store_system(trig, slot_tag(slot, want));
-        state.processed[sl] = want;
+        live.push_back(p);
+        scan.add(state.req_flag[sl], state.processed[sl] + 1,
+                 static_cast<sim::Tick>(live.size()) * load);
       }
-      if (all_done) break;
+      if (live.empty()) break;
+      std::size_t p = live[co_await scan.wait(
+          static_cast<sim::Tick>(live.size()) * load)];
+      int slot = mine[p];
+      auto sl = static_cast<std::size_t>(slot);
+      std::uint64_t want = state.processed[sl] + 1;
+      std::uint64_t key =
+          ctx.load_data<std::uint64_t>(ws->slot_addr(s, slot));
+      co_await ctx.compute(compute);
+      ws->apply_put(s, slot, key, want, ctx.mem());
+      ctx.mark_dirty();
+      co_await ctx.fence_system();
+      co_await ctx.store_system(trig, slot_tag(slot, want));
+      state.processed[sl] = want;
+      next = p + 1;
     }
   };
   auto rec = co_await node.rt().launch(std::move(k));

@@ -25,9 +25,13 @@
 // path and the mailbox path, so one tick's emissions keep program order).
 // Sequentially, same-`when` events execute in scheduling order, and
 // scheduling order is exactly t_sched order (ties broken by emit order);
-// the merge reproduces it, so every workload result, checksum, and stats
-// export is bit-identical to the sequential engine at any shard count.
-// tests/workloads/golden_test.cpp pins this on every registered workload.
+// the merge reproduces it, so workload results, checksums, and stats
+// exports are meant to be bit-identical to the sequential engine at any
+// shard count. tests/workloads/golden_test.cpp pins this on every
+// registered workload, but it is not universal: a 4-client, 4-server
+// serve run diverges at 3 and 4 shards (DESIGN.md §15, "A known
+// divergence"), likely where events emitted from different shards at one
+// t_sched tie and the merge orders them by source shard.
 //
 // shards == 1 is a degenerate fast path: no worker threads, no horizon, no
 // mailboxes — run()/run_until() delegate directly to the one Simulator.

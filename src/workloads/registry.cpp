@@ -235,8 +235,10 @@ ResultBase run_serve_entry(const RunOptions& opts, const WorkloadParams& p,
   cfg.qp_batch = static_cast<int>(p.get_int("batch", cfg.qp_batch, 1, 1024));
   cfg.nic_rate_limit =
       p.get_double("rate-limit", cfg.nic_rate_limit, 0.0, 1e12);
+  // The driver's --seed (a replica's seed S + r) reaches every run as the
+  // system config's fault seed; it is the request schedule's seed too.
   cfg.seed = static_cast<std::uint64_t>(
-      p.get_int("seed", static_cast<long>(cfg.seed), 0, 1L << 62));
+      p.get_int("seed", static_cast<long>(sys.fault.seed), 0, 1L << 62));
   serve::ServeResult res = run_serve(cfg, sys);
   return res;
 }

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "cluster/config.hpp"
+#include "workloads/registry.hpp"
 #include "workloads/strategy.hpp"
 
 namespace gputn::serve {
@@ -151,6 +154,37 @@ TEST(Serve, NicRateLimitThrottlesThroughput) {
     worst_limited = std::max(worst_limited, t.p99_ns);
   }
   EXPECT_GT(worst_limited, worst_base);
+}
+
+TEST(Serve, DriverSeedReachesTheRequestSchedule) {
+  // `gputn serve --seed S` (and replica r of `--replicas`, seed S + r)
+  // reaches the registry entry only as the system config's fault seed.
+  workloads::Registry& reg = workloads::Registry::instance();
+  if (reg.find("serve") == nullptr) {
+    workloads::register_builtin_workloads(reg);
+  }
+  workloads::WorkloadParams params;
+  params.set("requests", "60");
+  workloads::RunOptions opts;
+  opts.quiet = true;
+  auto via_driver = [&](std::uint64_t seed) {
+    return reg.find("serve")
+        ->run(opts, params,
+              cluster::SystemConfig::table2_with_loss(0.0, seed))
+        .stats_json();
+  };
+  auto direct = [](std::uint64_t seed) {
+    ServeConfig cfg;
+    cfg.quiet = true;
+    cfg.requests = 60;
+    cfg.seed = seed;
+    return run_serve(cfg).stats_json();
+  };
+  std::string s1 = via_driver(1);
+  std::string s2 = via_driver(2);
+  EXPECT_NE(s1, s2);
+  EXPECT_EQ(s1, direct(1));
+  EXPECT_EQ(s2, direct(2));
 }
 
 }  // namespace

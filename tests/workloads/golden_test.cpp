@@ -236,5 +236,49 @@ TEST(Golden, ShardsServeBitIdentical) {
   }
 }
 
+TEST(Golden, ServeMultiSlotScansBitIdentical) {
+  // 48 request slots on 24 work-groups, so every serving work-group scans
+  // two, and up to 24 completion waiters per client reactor: the shapes of
+  // the multi-word spin-wait (mem::MultiSpinWait). Pinned at the
+  // event-per-read scans it replaced.
+  struct Pin {
+    Strategy strategy;
+    sim::Tick total_time;
+    std::uint64_t cpu_ops;
+  };
+  for (Pin pin : {Pin{Strategy::kGpuTn, 329480000, 14261},
+                  Pin{Strategy::kCpu, 808985341, 34002}}) {
+    SCOPED_TRACE(strategy_name(pin.strategy));
+    serve::ServeConfig cfg;
+    cfg.strategy = pin.strategy;
+    cfg.quiet = true;
+    cfg.clients = 2;
+    cfg.servers = 1;
+    cfg.tenants = 12;
+    cfg.read_fraction = 0.5;
+    cfg.requests = 300;
+    RunImage base;
+    for (int s : {1, 2, 3}) {
+      std::uint64_t cpu_ops = 0;
+      RunImage img = image_at(cfg, s, [&](const serve::ServeConfig& c) {
+        serve::ServeResult r = serve::run_serve(c);
+        for (const auto& [key, v] : r.net_stats.counters()) {
+          if (key.starts_with("util.node") && key.ends_with(".cpu.ops")) {
+            cpu_ops += v;
+          }
+        }
+        return r;
+      });
+      EXPECT_EQ(img.total_time, pin.total_time) << "shards=" << s;
+      EXPECT_EQ(cpu_ops, pin.cpu_ops) << "shards=" << s;
+      if (s == 1) {
+        base = img;
+      } else {
+        expect_identical(base, img, s);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gputn::workloads

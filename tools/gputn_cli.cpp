@@ -19,7 +19,8 @@
 // jacobi/allreduce/broadcast additionally accept fault injection:
 //   --loss P   uniform per-packet loss rate on every link (e.g. 0.01);
 //              enables NIC reliable delivery and prints fault/retry stats
-//   --seed S   fault-injection RNG seed (default 1)
+//   --seed S   fault-injection RNG seed (default 1); serve also draws its
+//              request schedule from it
 //
 // Parallel experiments (the exp engine):
 //   --replicas R   run the workload R times with seeds S, S+1, ... as an
@@ -145,7 +146,7 @@ namespace {
       "star|fat-tree:k=8|torus:4x4x4|dragonfly:a=4,h=2,p=2 "
       "--routing deterministic|adaptive --credits <n per switch port>\n"
       "  fault injection (jacobi/allreduce/broadcast): --loss <rate> "
-      "--seed <s>\n"
+      "--seed <s> (serve: the request-schedule seed)\n"
       "  replication (any workload): --replicas <r> --jobs <n>\n"
       "  parallel DES (any workload): --shards <s> worker threads inside "
       "one run, bit-identical output; excludes "
