@@ -17,8 +17,10 @@ sim::Task<> DmaEngine::consume_time(std::uint64_t n) {
 sim::Task<> DmaEngine::copy(Addr dst, Addr src, std::uint64_t n) {
   co_await consume_time(n);
   // Functional move happens at completion time, through write() so a
-  // copy that lands on a polled flag wakes its spin-waits.
-  mem_->write(dst, mem_->bytes(src, n).data(), n);
+  // copy that lands on a polled flag wakes its spin-waits. The source is
+  // read through a const view, which a parked word does not refuse.
+  const Memory& from = *mem_;
+  mem_->write(dst, from.bytes(src, n).data(), n);
 }
 
 sim::Task<> DmaEngine::read_into(std::vector<std::byte>& dst, Addr src,

@@ -2,6 +2,7 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <new>
 
 namespace gputn::mem {
@@ -41,8 +42,22 @@ void Memory::write_watched(Addr addr, const void* src, std::size_t n) {
   // already-visited watcher into the freed slot.
   for (std::size_t i = watchers_.size(); i-- > 0;) {
     WatchedWord* w = watchers_[i];
-    if (w->addr < addr + n && addr < w->addr + sizeof(std::uint64_t)) {
-      w->on_store();
+    if (overlaps(w, addr, n)) w->on_store();
+  }
+}
+
+void Memory::check_unwatched(Addr addr, std::size_t n) const {
+  if (n == 0) return;
+  Addr first = addr >> kWatchPageShift;
+  Addr last = (addr + n - 1) >> kWatchPageShift;
+  auto counts = std::span(page_watchers_).subspan(first, last - first + 1);
+  if (std::ranges::all_of(counts, [](std::uint32_t c) { return c == 0; })) {
+    return;
+  }
+  for (const WatchedWord* w : watchers_) {
+    if (overlaps(w, addr, n)) {
+      throw std::logic_error(
+          "mutable view over a word a spin-wait is parked on");
     }
   }
 }
@@ -73,16 +88,6 @@ void Memory::unwatch(WatchedWord* w) {
   watchers_.pop_back();
   w->slot_ = WatchedWord::kNotWatched;
   count_pages(w, -1);
-}
-
-std::span<std::byte> Memory::bytes(Addr addr, std::size_t n) {
-  check_range(addr, n);
-  return {dram_ + addr, n};
-}
-
-std::span<const std::byte> Memory::bytes(Addr addr, std::size_t n) const {
-  check_range(addr, n);
-  return {dram_ + addr, n};
 }
 
 Addr Memory::map_mmio(std::uint64_t bytes, MmioHandler* handler) {

@@ -111,17 +111,33 @@ class Memory {
     return v;
   }
 
-  /// Direct view into backing bytes (bounds-checked). Writes through the
-  /// view bypass watch(): it must never write a word a spin-wait polls.
-  std::span<std::byte> bytes(Addr addr, std::size_t n);
-  std::span<const std::byte> bytes(Addr addr, std::size_t n) const;
+  /// Direct view into backing bytes (bounds-checked). Writes through a
+  /// mutable view bypass watch(), so it throws std::logic_error when a
+  /// parked spin-wait's word lies in the range: one compare while nothing
+  /// is watched, an exact scan of the watch list only when a page in the
+  /// range has a parked word. A const view cannot write and is exempt.
+  /// Hold no view across a co_await: a wait may park on its range meanwhile.
+  std::span<std::byte> bytes(Addr addr, std::size_t n) {
+    check_range(addr, n);
+    if (!watchers_.empty()) [[unlikely]] check_unwatched(addr, n);
+    return {dram_ + addr, n};
+  }
+  std::span<const std::byte> bytes(Addr addr, std::size_t n) const {
+    check_range(addr, n);
+    return {dram_ + addr, n};
+  }
 
-  /// Typed view of a region (addr must be suitably aligned for T). Like
-  /// bytes(), it must never write a word a spin-wait polls.
+  /// Typed view of a region (addr must be suitably aligned for T), with
+  /// bytes()' rules: a mutable one refuses a parked word, a const one not.
   template <typename T>
   std::span<T> typed(Addr addr, std::size_t count) {
     auto b = bytes(addr, count * sizeof(T));
     return {reinterpret_cast<T*>(b.data()), count};
+  }
+  template <typename T>
+  std::span<const T> typed(Addr addr, std::size_t count) const {
+    auto b = bytes(addr, count * sizeof(T));
+    return {reinterpret_cast<const T*>(b.data()), count};
   }
 
   // -- Spin-wait watch list -------------------------------------------------
@@ -154,6 +170,11 @@ class Memory {
   /// stays small at every call site.
   __attribute__((noinline)) void write_watched(Addr addr, const void* src,
                                                std::size_t n);
+  /// Throws std::logic_error when a parked word overlaps [addr, addr+n).
+  void check_unwatched(Addr addr, std::size_t n) const;
+  static bool overlaps(const WatchedWord* w, Addr addr, std::size_t n) {
+    return w->addr < addr + n && addr < w->addr + sizeof(std::uint64_t);
+  }
   /// Adds `d` to the watch counts of the pages `w`'s word touches.
   void count_pages(const WatchedWord* w, int d);
 

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstdio>
 #include <stdexcept>
+#include <utility>
 
 namespace gputn::sim {
 
@@ -29,6 +30,8 @@ struct ProcessHandle::State {
   std::exception_ptr exception;
   std::vector<std::coroutine_handle<>> waiters;
   std::coroutine_handle<> frame;  // detached wrapper frame, owned by Simulator
+  static constexpr std::size_t kReaped = ~std::size_t{0};
+  std::size_t slot = 0;  // index in Simulator::live_states_, or kReaped
 };
 
 bool ProcessHandle::finished() const {
@@ -75,6 +78,7 @@ void Simulator::reap_processes() {
       state->finished = true;
       --live_processes_;
     }
+    state->slot = ProcessHandle::State::kReaped;
   }
   live_states_.clear();
 }
@@ -490,7 +494,12 @@ void Simulator::finish_process(std::shared_ptr<ProcessHandle::State> state) {
       state->frame.destroy();
       state->frame = nullptr;
     }
-    std::erase(live_states_, state);
+    // Swap-remove, unless reap_processes() already dropped it.
+    std::size_t i = state->slot;
+    if (i == ProcessHandle::State::kReaped) return;
+    std::swap(live_states_[i], live_states_.back());
+    live_states_[i]->slot = i;
+    live_states_.pop_back();
   });
 }
 
@@ -499,6 +508,7 @@ ProcessHandle Simulator::spawn(Task<> task, std::string name) {
   state->sim = this;
   state->name = std::move(name);
   ++live_processes_;
+  state->slot = live_states_.size();
   live_states_.push_back(state);
 
   auto runner = [](Simulator* sim, Task<> t,

@@ -382,6 +382,8 @@ class Simulator {
   std::uint64_t overflow_min_blk_ = ~std::uint64_t{0};
   /// Detached process frames still running; destroyed (suspended) frames are
   /// reclaimed when the process finishes, and any remainder in ~Simulator.
+  /// Unordered: a finished process leaves in O(1), by a swap-remove at the
+  /// slot its State records.
   std::vector<std::shared_ptr<ProcessHandle::State>> live_states_;
   Logger log_;
 };

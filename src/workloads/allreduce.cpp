@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -78,7 +79,7 @@ struct Workspace {
 /// Functional combine: add `elems` floats at `src` into `dst`.
 void combine(mem::Memory& m, mem::Addr dst, mem::Addr src, std::size_t elems) {
   auto d = m.typed<float>(dst, elems);
-  auto s = m.typed<float>(src, elems);
+  auto s = std::as_const(m).typed<float>(src, elems);
   for (std::size_t i = 0; i < elems; ++i) d[i] += s[i];
 }
 

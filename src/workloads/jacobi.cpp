@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -56,8 +58,19 @@ double initial_value(int gi, int gj) {
   return static_cast<double>((gi * 31 + gj * 17) % 97) / 97.0;
 }
 
+/// One 5-point update, in the one sum order every strategy and the scalar
+/// reference share, so their doubles agree bit for bit.
+inline double relax(double up, double down, double left, double right) {
+  return 0.25 * (up + down + left + right);
+}
+
 /// Per-node simulated state: an (n+2)^2 ghost-padded grid pair plus packed
 /// edge (tx) and halo landing (rx) buffers, all in node memory.
+///
+/// The functional loops take one typed view per buffer per call, so an
+/// access is an indexed span read or write, bounds-checked under
+/// _GLIBCXX_ASSERTIONS. No grid or edge buffer holds a flag; a mutable
+/// view over a word a spin-wait is parked on would throw.
 struct NodeData {
   int n = 0;
   int id = 0;
@@ -72,10 +85,20 @@ struct NodeData {
   std::size_t row_bytes() const { return static_cast<std::size_t>(n) * 8; }
   std::size_t pitch() const { return static_cast<std::size_t>(n) + 2; }
 
-  mem::Addr at(int gridsel, int i, int j) const {
-    // i, j in [0, n+2): ghost-padded local coordinates.
-    return grid[gridsel] +
-           (static_cast<std::size_t>(i) * pitch() + j) * sizeof(double);
+  /// Grid `gridsel`, indexed [i * pitch() + j] with i, j in [0, n+2).
+  std::span<double> grid_out(int gridsel) {
+    return mem->typed<double>(grid[gridsel], pitch() * pitch());
+  }
+  std::span<const double> grid_in(int gridsel) const {
+    return std::as_const(*mem).typed<double>(grid[gridsel],
+                                             pitch() * pitch());
+  }
+  /// An n-double edge or halo buffer.
+  std::span<double> edge_out(mem::Addr a) {
+    return mem->typed<double>(a, static_cast<std::size_t>(n));
+  }
+  std::span<const double> edge_in(mem::Addr a) const {
+    return std::as_const(*mem).typed<double>(a, static_cast<std::size_t>(n));
   }
 
   void alloc(mem::Memory& m, int n_, int id_) {
@@ -99,46 +122,52 @@ struct NodeData {
     }
   }
 
+  /// Fills grid 0's interior. Grid 1 stays as mapped: fresh DRAM reads
+  /// zero, and the stencil writes each cell of it before reading it.
   void init_values() {
+    auto g = grid_out(0);
+    const std::size_t p = pitch();
     int r0 = (id / kCols) * n, c0 = (id % kCols) * n;
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < n; ++j) {
-        double v = initial_value(r0 + i, c0 + j);
-        mem->store<double>(at(0, i + 1, j + 1), v);
-        mem->store<double>(at(1, i + 1, j + 1), 0.0);
+        g[(i + 1) * p + (j + 1)] = initial_value(r0 + i, c0 + j);
       }
     }
   }
 
   /// Pack the four interior edges of `gridsel` into tx[parity].
   void pack_edges(int gridsel, int parity) {
-    for (int j = 0; j < n; ++j) {
-      mem->store<double>(tx[parity][kNorth] + j * 8,
-                         mem->load<double>(at(gridsel, 1, j + 1)));
-      mem->store<double>(tx[parity][kSouth] + j * 8,
-                         mem->load<double>(at(gridsel, n, j + 1)));
+    auto g = grid_in(gridsel);
+    auto north = edge_out(tx[parity][kNorth]);
+    auto south = edge_out(tx[parity][kSouth]);
+    auto west = edge_out(tx[parity][kWest]);
+    auto east = edge_out(tx[parity][kEast]);
+    const std::size_t p = pitch(), e = static_cast<std::size_t>(n);
+    for (std::size_t j = 0; j < e; ++j) {
+      north[j] = g[p + (j + 1)];
+      south[j] = g[e * p + (j + 1)];
     }
-    for (int i = 0; i < n; ++i) {
-      mem->store<double>(tx[parity][kWest] + i * 8,
-                         mem->load<double>(at(gridsel, i + 1, 1)));
-      mem->store<double>(tx[parity][kEast] + i * 8,
-                         mem->load<double>(at(gridsel, i + 1, n)));
+    for (std::size_t i = 0; i < e; ++i) {
+      west[i] = g[(i + 1) * p + 1];
+      east[i] = g[(i + 1) * p + e];
     }
   }
 
   /// Unpack rx[parity] halos into the ghost layer of `gridsel`.
   void unpack_halos(int gridsel, int parity) {
-    for (int j = 0; j < n; ++j) {
-      mem->store<double>(at(gridsel, 0, j + 1),
-                         mem->load<double>(rx[parity][kNorth] + j * 8));
-      mem->store<double>(at(gridsel, n + 1, j + 1),
-                         mem->load<double>(rx[parity][kSouth] + j * 8));
+    auto g = grid_out(gridsel);
+    auto north = edge_in(rx[parity][kNorth]);
+    auto south = edge_in(rx[parity][kSouth]);
+    auto west = edge_in(rx[parity][kWest]);
+    auto east = edge_in(rx[parity][kEast]);
+    const std::size_t p = pitch(), e = static_cast<std::size_t>(n);
+    for (std::size_t j = 0; j < e; ++j) {
+      g[j + 1] = north[j];
+      g[(e + 1) * p + (j + 1)] = south[j];
     }
-    for (int i = 0; i < n; ++i) {
-      mem->store<double>(at(gridsel, i + 1, 0),
-                         mem->load<double>(rx[parity][kWest] + i * 8));
-      mem->store<double>(at(gridsel, i + 1, n + 1),
-                         mem->load<double>(rx[parity][kEast] + i * 8));
+    for (std::size_t i = 0; i < e; ++i) {
+      g[(i + 1) * p] = west[i];
+      g[(i + 1) * p + (e + 1)] = east[i];
     }
   }
 
@@ -146,13 +175,13 @@ struct NodeData {
   /// executing agent).
   void stencil() {
     int nx = 1 - cur;
-    for (int i = 1; i <= n; ++i) {
-      for (int j = 1; j <= n; ++j) {
-        double v = 0.25 * (mem->load<double>(at(cur, i - 1, j)) +
-                           mem->load<double>(at(cur, i + 1, j)) +
-                           mem->load<double>(at(cur, i, j - 1)) +
-                           mem->load<double>(at(cur, i, j + 1)));
-        mem->store<double>(at(nx, i, j), v);
+    auto from = grid_in(cur);
+    auto to = grid_out(nx);
+    const std::size_t p = pitch(), e = static_cast<std::size_t>(n);
+    for (std::size_t i = 1; i <= e; ++i) {
+      for (std::size_t j = 1; j <= e; ++j) {
+        std::size_t c = i * p + j;
+        to[c] = relax(from[c - p], from[c + p], from[c - 1], from[c + 1]);
       }
     }
     cur = nx;
@@ -415,7 +444,7 @@ std::vector<double> reference(int n, int iterations) {
       const double* down = row(cur, i + 1);
       double* out = row(nxt, i);
       auto point = [&](int j, int left, int right) {
-        out[j] = 0.25 * (up[j] + down[j] + mid[left] + mid[right]);
+        out[j] = relax(up[j], down[j], mid[left], mid[right]);
       };
       point(0, g - 1, 1);
       for (int j = 1; j < g - 1; ++j) point(j, j - 1, j + 1);
@@ -430,6 +459,11 @@ std::vector<double> reference(int n, int iterations) {
 
 JacobiResult run_jacobi(const JacobiConfig& cfg,
                         const cluster::SystemConfig& sys) {
+  if (cfg.n < 1 || cfg.n > kMaxN) {
+    throw std::invalid_argument("jacobi: grid edge " + std::to_string(cfg.n) +
+                                " out of range [1, " + std::to_string(kMaxN) +
+                                "]");
+  }
   cluster::SystemConfig adjusted = with_fabric_overrides(cfg, sys);
   std::uint64_t grid_bytes =
       2ull * (cfg.n + 2) * (cfg.n + 2) * 8 + 16ull * cfg.n * 8 + (1 << 20);
@@ -504,16 +538,18 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
   w.cluster.export_net_stats(res.net_stats, res.total_time);
 
   auto ref = reference(cfg.n, cfg.iterations);
-  int g = 2 * cfg.n;
+  const std::size_t n = static_cast<std::size_t>(cfg.n), g = 2 * n;
   bool ok = true;
   double checksum = 0.0;
   for (int node = 0; node < kNodes && ok; ++node) {
-    auto& d = w.data[node];
-    int r0 = (node / kCols) * cfg.n, c0 = (node % kCols) * cfg.n;
-    for (int i = 0; i < cfg.n && ok; ++i) {
-      for (int j = 0; j < cfg.n; ++j) {
-        double got = w.data[node].mem->load<double>(d.at(d.cur, i + 1, j + 1));
-        double want = ref[static_cast<std::size_t>(r0 + i) * g + (c0 + j)];
+    const NodeData& d = w.data[node];
+    auto grid = d.grid_in(d.cur);
+    const std::size_t p = d.pitch();
+    std::size_t r0 = (node / kCols) * n, c0 = (node % kCols) * n;
+    for (std::size_t i = 0; i < n && ok; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        double got = grid[(i + 1) * p + (j + 1)];
+        double want = ref[(r0 + i) * g + (c0 + j)];
         if (node == 0) checksum += got;
         if (std::abs(got - want) > 1e-12) {
           ok = false;

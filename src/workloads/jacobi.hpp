@@ -26,6 +26,12 @@
 
 namespace gputn::workloads {
 
+/// Largest local grid edge. A run touches about 128·n² bytes: the four
+/// nodes' two ghost-padded grids and the reference's two (2n)² arrays,
+/// 2 GiB at this edge. run_jacobi rejects a larger grid before it builds
+/// anything.
+inline constexpr int kMaxN = 4096;
+
 /// Strategy/trace/nodes come from RunOptions; the 2x2 decomposition fixes
 /// the node count at 4.
 struct JacobiConfig : RunOptions {

@@ -165,7 +165,7 @@ ResultBase run_jacobi_entry(const RunOptions& opts, const WorkloadParams& p,
   if (cfg.nodes != 4) {
     throw std::invalid_argument("jacobi is a fixed 2x2 decomposition: 4 nodes");
   }
-  cfg.n = static_cast<int>(p.get_int("n", 256, 1, 1 << 14));
+  cfg.n = static_cast<int>(p.get_int("n", 256, 1, kMaxN));
   cfg.iterations = static_cast<int>(p.get_int("iterations", 10, 1, 1 << 20));
   cfg.overlap = p.flag("overlap");
   JacobiResult res = run_jacobi(cfg, sys);

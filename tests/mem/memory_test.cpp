@@ -7,9 +7,14 @@
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "../support/max_rss.hpp"
+#include "mem/dma.hpp"
+#include "mem/spin_wait.hpp"
+#include "sim/simulator.hpp"
+#include "sim/units.hpp"
 
 namespace gputn::mem {
 namespace {
@@ -103,6 +108,76 @@ TEST(Memory, BufferHelper) {
   EXPECT_EQ(buf.bytes(), 64u);
   buf[3] = 77;
   EXPECT_EQ(m.load<std::uint32_t>(buf.addr() + 3 * 4), 77u);
+}
+
+// A mutable view writes around the watch list, so it must refuse a word a
+// spin-wait is parked on. Each test first sees the refusal, then the case
+// the rule leaves open.
+
+/// A host flag wait parked on `word`, mid-page, until a store raises it.
+struct ParkedWait {
+  ParkedWait() {
+    sim.spawn(
+        [](sim::Simulator& s, Memory& m, Addr a) -> sim::Task<> {
+          co_await SpinWait(s, m, a, 1, PollGrid{0, sim::ns(60)});
+        }(sim, memory, word),
+        "waiter");
+  }
+  Memory memory{1 << 16};
+  sim::Simulator sim;
+  Addr page = memory.alloc(4096, 4096);
+  Addr word = page + 256;
+};
+
+TEST(MemoryViewGuard, MutableViewOverAParkedWordThrows) {
+  ParkedWait f;
+  EXPECT_THROW(f.memory.typed<std::uint64_t>(f.word, 1), std::logic_error);
+  EXPECT_THROW(f.memory.typed<double>(f.page, 512), std::logic_error);
+  EXPECT_THROW(f.memory.bytes(f.word - 1, 2), std::logic_error);
+  EXPECT_THROW(f.memory.bytes(f.word + 7, 1), std::logic_error);
+}
+
+TEST(MemoryViewGuard, ViewEndingJustBeforeTheWordSucceeds) {
+  ParkedWait f;
+  EXPECT_THROW(f.memory.bytes(f.page, 257), std::logic_error);
+  EXPECT_EQ(f.memory.bytes(f.page, 256).size(), 256u);
+  EXPECT_EQ(f.memory.bytes(f.word + 8, 8).size(), 8u);
+}
+
+TEST(MemoryViewGuard, ConstViewOverAParkedWordSucceeds) {
+  ParkedWait f;
+  EXPECT_THROW(f.memory.bytes(f.page, 4096), std::logic_error);
+  const Memory& m = f.memory;
+  EXPECT_EQ(m.typed<std::uint64_t>(f.word, 1)[0], 0u);
+  EXPECT_EQ(m.bytes(f.page, 4096).size(), 4096u);
+}
+
+TEST(MemoryViewGuard, MutableViewSucceedsOnceTheWaitHasWoken) {
+  ParkedWait f;
+  EXPECT_THROW(f.memory.typed<std::uint64_t>(f.word, 1), std::logic_error);
+  f.memory.store<std::uint64_t>(f.word, 1);
+  f.sim.run();
+  EXPECT_EQ(f.sim.live_processes(), 0);
+  f.memory.typed<std::uint64_t>(f.word, 1)[0] = 7;
+  EXPECT_EQ(f.memory.load<std::uint64_t>(f.word), 7u);
+}
+
+TEST(MemoryViewGuard, DmaCopyFromAParkedWordLands) {
+  ParkedWait f;
+  DmaEngine dma(f.sim, f.memory, sim::Bandwidth::bytes_per_sec(1e9),
+                sim::ns(10));
+  for (Addr a = f.page; a < f.page + 512; a += 8) {
+    if (a != f.word) f.memory.store<std::uint64_t>(a, a);
+  }
+  Addr dst = f.memory.alloc(512);
+  EXPECT_THROW(f.memory.bytes(f.page, 512), std::logic_error);
+  f.sim.spawn(dma.copy(dst, f.page, 512), "copy");
+  f.sim.run();
+  for (Addr a = f.page; a < f.page + 512; a += 8) {
+    EXPECT_EQ(f.memory.load<std::uint64_t>(dst + (a - f.page)),
+              a == f.word ? 0 : a);
+  }
+  EXPECT_EQ(f.sim.live_processes(), 1);  // the waiter, still parked
 }
 
 class RecordingHandler : public MmioHandler {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/sync.hpp"
 #include "sim/units.hpp"
 
 namespace gputn::sim {
@@ -170,6 +171,63 @@ TEST(Simulator, ReapProcessesKillsServiceLoops) {
   EXPECT_EQ(sim.live_processes(), 1);
   sim.reap_processes();
   EXPECT_EQ(sim.live_processes(), 0);
+}
+
+struct CountOnDestroy {
+  int* count;
+  ~CountOnDestroy() { ++*count; }
+};
+
+TEST(Simulator, ManyShortProcessesFinishAmongLongLivedOnes) {
+  // A finished process leaves the live list by swap-remove, which reorders
+  // it; every long-lived frame must still be on it for ~Simulator to reap.
+  int reaped = 0;
+  {
+    Simulator sim;
+    Event never(sim);
+    for (int wave = 1; wave <= 2; ++wave) {
+      for (int i = 0; i < 3000; ++i) {
+        if (i % 100 == 0) {
+          sim.spawn(
+              [](Event& e, int& count) -> Task<> {
+                CountOnDestroy c{&count};
+                co_await e.wait();
+              }(never, reaped),
+              "long");
+        } else {
+          sim.spawn(
+              [](Simulator& s, Tick d) -> Task<> { co_await s.delay(d); }(
+                  sim, ns(i % 13)),
+              "short");
+        }
+      }
+      sim.run();
+      EXPECT_EQ(sim.live_processes(), 30 * wave);
+    }
+    EXPECT_EQ(reaped, 0);
+  }
+  EXPECT_EQ(reaped, 60);
+}
+
+TEST(Simulator, ReclaimAfterReapLeavesLaterProcessesAlone) {
+  // The finished process's reclaim is still queued when reap_processes()
+  // empties the live list; it must not remove the process spawned next.
+  int reaped = 0;
+  {
+    Simulator sim;
+    Event never(sim);
+    sim.spawn([]() -> Task<> { co_return; }(), "done");
+    sim.reap_processes();
+    sim.spawn(
+        [](Event& e, int& count) -> Task<> {
+          CountOnDestroy c{&count};
+          co_await e.wait();
+        }(never, reaped),
+        "long");
+    sim.run();
+    EXPECT_EQ(sim.live_processes(), 1);
+  }
+  EXPECT_EQ(reaped, 1);
 }
 
 TEST(Simulator, DeterministicEventCounts) {

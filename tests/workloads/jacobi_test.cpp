@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "../support/max_rss.hpp"
+
 namespace gputn::workloads {
 namespace {
 
@@ -36,16 +40,18 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Jacobi, AllStrategiesAgreeOnChecksum) {
-  double reference_checksum = 0.0;
-  bool first = true;
-  for (Strategy s : kAllStrategies) {
-    JacobiResult res = run_jacobi(small(s, 16, 4));
-    ASSERT_TRUE(res.correct) << strategy_name(s);
-    if (first) {
-      reference_checksum = res.checksum;
-      first = false;
-    } else {
-      EXPECT_DOUBLE_EQ(res.checksum, reference_checksum) << strategy_name(s);
+  // Exact pins on an even and an odd grid edge: every strategy, and any
+  // rewrite of the functional loops, must reproduce these doubles.
+  struct Case {
+    int n, iterations;
+    double checksum;
+  };
+  for (Case c : {Case{16, 4, 0x1.f8bfa0fd5c5fp+6},
+                 Case{33, 3, 0x1.0d7a24f2cddafp+9}}) {
+    for (Strategy s : kAllStrategies) {
+      JacobiResult res = run_jacobi(small(s, c.n, c.iterations));
+      ASSERT_TRUE(res.correct) << strategy_name(s) << " n=" << c.n;
+      EXPECT_EQ(res.checksum, c.checksum) << strategy_name(s) << " n=" << c.n;
     }
   }
 }
@@ -114,6 +120,14 @@ TEST(Jacobi, OverlapIgnoredByOtherStrategies) {
   cfg.overlap = true;  // only GPU-TN implements overlap; others ignore it
   auto res = run_jacobi(cfg);
   EXPECT_TRUE(res.correct);
+}
+
+TEST(Jacobi, RejectsOversizedGridBeforeBuilding) {
+  long before = test::max_rss_kb();
+  EXPECT_THROW(run_jacobi(small(Strategy::kGpuTn, kMaxN + 1)),
+               std::invalid_argument);
+  EXPECT_THROW(run_jacobi(small(Strategy::kCpu, 0)), std::invalid_argument);
+  EXPECT_LT(test::max_rss_kb() - before, 32 * 1024);
 }
 
 TEST(Jacobi, NoMemoryModelHazards) {
