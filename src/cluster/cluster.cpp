@@ -20,9 +20,7 @@ void Cluster::install_faults() {
   if (!config_.fault.enabled()) return;
   // Faults on the wire: install the injectors and switch every NIC to
   // reliable delivery before any node (and thus any link) is built. The
-  // injectors are deterministic per link (rng seeded from the link name),
-  // so they are also naturally shard-safe: each link's packet sequence is
-  // classified on the shard that owns the link.
+  // injectors are deterministic per link (rng seeded from the link name).
   fault_ = std::make_unique<fault::FaultModel>(config_.fault);
   fabric_.set_fault_injector_provider([this](const std::string& name) {
     return fault_->injector_for(name);
@@ -43,27 +41,6 @@ Cluster::Cluster(sim::Simulator& sim, SystemConfig config, int node_count)
   fabric_.finalize();
 }
 
-Cluster::Cluster(sim::ShardEngine& engine, SystemConfig config, int node_count)
-    : sim_(&engine.shard(0)),
-      engine_(&engine),
-      config_(std::move(config)),
-      fabric_(engine.shard(0), config_.fabric) {
-  const int S = engine.shards();
-  std::vector<int> shard_of(static_cast<std::size_t>(node_count));
-  for (int i = 0; i < node_count; ++i) {
-    shard_of[static_cast<std::size_t>(i)] =
-        static_cast<int>(static_cast<std::int64_t>(i) * S / node_count);
-  }
-  fabric_.set_sharding(&engine, std::move(shard_of));
-  install_faults();
-  nodes_.reserve(node_count);
-  for (int i = 0; i < node_count; ++i) {
-    nodes_.push_back(
-        std::make_unique<Node>(fabric_.node_sim(i), fabric_, config_));
-  }
-  fabric_.finalize();
-}
-
 void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
   fabric_.export_stats(out);
   if (fault_) fault_->export_stats(out);
@@ -78,29 +55,6 @@ void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
     n.nic().cmd_util().export_into(out, p + "nic.cmd", now);
     n.nic().tx_dma_util().export_into(out, p + "dma.tx", now);
     n.nic().rx_dma_util().export_into(out, p + "dma.rx", now);
-  }
-  // Engine telemetry: per-shard window activity, plus a pseudo-resource
-  // per shard whose "busy" time is the spans that shard sat out — the
-  // report then ranks barrier waiting against real resources with no
-  // report-side changes. Deterministic (virtual-time spans only), but by
-  // construction a function of the partition: the golden suite strips
-  // util.shard* before comparing stats across shard counts. Gated to
-  // multi-shard runs so --shards 1 exports are byte-identical to the
-  // sequential seed's.
-  if (engine_ != nullptr && engine_->shards() > 1) {
-    const auto& ss = engine_->shard_stats();
-    for (std::size_t i = 0; i < ss.size(); ++i) {
-      std::string p = "util.shard" + std::to_string(i);
-      out.counter(p + ".busy_ps") += ss[i].busy_ps;
-      out.counter(p + ".capacity") += 1;
-      out.counter(p + ".ops") += ss[i].events;
-      out.counter(p + ".barrier.busy_ps") += ss[i].idle_ps;
-      out.counter(p + ".barrier.capacity") += 1;
-      out.counter(p + ".barrier.ops") += ss[i].barrier_waits;
-    }
-    out.counter("util.engine.rounds") += engine_->rounds();
-    out.counter("util.engine.lookahead_ps") +=
-        static_cast<std::uint64_t>(engine_->lookahead());
   }
   for (const auto& node : nodes_) {
     const sim::StatRegistry& s = node->nic().stats();
@@ -131,22 +85,13 @@ void Cluster::attach_flight(obs::FlightRecorder& flight) {
   wire.header_bytes = config_.fabric.header_bytes;
   wire.per_packet_overhead = config_.fabric.per_packet_overhead;
   flight.set_wire(wire);
-  if (engine_ != nullptr) {
-    // Sharded runs record into per-node spools; flush_flight() replays
-    // them into the recorder in a canonical order that is the same at
-    // every shard count (including 1 — every engine-driven run takes this
-    // path, so the dump never depends on --shards).
-    flight_ = &flight;
-    spools_.clear();
-    for (int i = 0; i < size(); ++i) {
-      spools_.push_back(
-          std::make_unique<obs::FlightSpool>(node_sim(i).now_ptr(), i));
-      nodes_[static_cast<std::size_t>(i)]->nic().set_flight(
-          spools_.back().get());
-    }
-    return;
+  flight_ = &flight;
+  spools_.clear();
+  for (int i = 0; i < size(); ++i) {
+    spools_.push_back(std::make_unique<obs::FlightSpool>(sim_->now_ptr(), i));
+    nodes_[static_cast<std::size_t>(i)]->nic().set_flight(
+        spools_.back().get());
   }
-  for (auto& node : nodes_) node->nic().set_flight(&flight);
 }
 
 void Cluster::flush_flight() {
@@ -199,11 +144,7 @@ void Cluster::enable_tracing(sim::TraceRecorder& trace) {
 Cluster::~Cluster() {
   // Service loops (NIC engines, GPU front-ends, link pumps) hold references
   // into the nodes; destroy their frames before the nodes die.
-  if (engine_ != nullptr) {
-    engine_->reap_processes();
-  } else {
-    sim_->reap_processes();
-  }
+  sim_->reap_processes();
 }
 
 }  // namespace gputn::cluster

@@ -15,7 +15,6 @@
 #include "net/fabric.hpp"
 #include "nic/nic.hpp"
 #include "rt/runtime.hpp"
-#include "sim/shard.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -54,24 +53,12 @@ class Cluster {
  public:
   /// Build `node_count` identical nodes on `sim` with `config`.
   Cluster(sim::Simulator& sim, SystemConfig config, int node_count);
-  /// Parallel-DES build: nodes are partitioned over the engine's shards in
-  /// balanced contiguous blocks (node i on shard i*S/node_count) and each
-  /// node's components run on its shard's simulator; the fabric places
-  /// switches and installs cross-shard hops (net::Fabric::set_sharding).
-  /// With a 1-shard engine this is exactly the sequential build.
-  Cluster(sim::ShardEngine& engine, SystemConfig config, int node_count);
   /// Reaps all service-loop processes so component destructors run safely.
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
   sim::Simulator& simulator() { return *sim_; }
-  /// The parallel engine driving this cluster, or nullptr when built on a
-  /// plain Simulator.
-  sim::ShardEngine* engine() { return engine_; }
-  /// The simulator owning node `i` (== simulator() without an engine).
-  sim::Simulator& node_sim(int i) { return fabric_.node_sim(i); }
-  int node_shard(int i) const { return fabric_.node_shard_of(i); }
   const SystemConfig& config() const { return config_; }
   net::Fabric& fabric() { return fabric_; }
   int size() const { return static_cast<int>(nodes_.size()); }
@@ -102,17 +89,16 @@ class Cluster {
   /// stats must be bit-identical with and without sampling.
   void export_net_stats(sim::StatRegistry& out, sim::Tick window = -1) const;
 
-  /// Attach a per-op flight recorder to every node's NIC and embed the
-  /// fabric's wire parameters in it (the analyzer needs them to split wire
-  /// serialization from switch queueing). The recorder must outlive the
-  /// run. Recording never perturbs timing or counters. Engine-driven
-  /// clusters record into per-node spools instead — call flush_flight()
-  /// after the run so the recorder sees the canonical replay order (which
-  /// makes the dump bit-identical at every shard count).
+  /// Attach a per-op flight recorder and embed the fabric's wire parameters
+  /// in it (the analyzer needs them to split wire serialization from switch
+  /// queueing). Each node's NIC records into its own spool; call
+  /// flush_flight() after the run to replay the spools into the recorder
+  /// in their canonical order (obs::replay_spools). The recorder must
+  /// outlive the run. Recording never perturbs timing or counters.
   void attach_flight(obs::FlightRecorder& flight);
 
   /// Replay spooled flight legs into the attached recorder (no-op without
-  /// an engine-driven attach_flight, idempotent otherwise).
+  /// attach_flight, idempotent otherwise).
   void flush_flight();
 
   /// Register this cluster's standard time-series probes on `ts` (per-link
@@ -125,7 +111,6 @@ class Cluster {
   void install_faults();
 
   sim::Simulator* sim_;
-  sim::ShardEngine* engine_ = nullptr;
   SystemConfig config_;
   /// Owned before fabric_ so link callbacks into injectors stay valid for
   /// the fabric's whole lifetime.

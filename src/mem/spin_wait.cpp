@@ -68,7 +68,6 @@ void SpinWait::arm() {
 void SpinWait::read() {
   sim::Tick now = sim_->now();
   if (!poll(*mem_, now, grid_.period)) return;
-  sim_->release_order(order_);
   if (core_ != nullptr) release_poller(*core_, order_.t0, now, grid_.period);
   waiter_.resume();
 }
@@ -147,7 +146,6 @@ struct MultiSpinWait::State : std::enable_shared_from_this<State> {
       mem->unwatch(&w);
       w.armed = kIdle;
     }
-    sim->release_order(order);
     if (core != nullptr) release_poller(*core, order.t0, now, period);
     waiter.resume();
   }

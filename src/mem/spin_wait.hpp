@@ -113,8 +113,8 @@ class SpinWait : private PolledWord {
 /// earlier than one already scheduled. The engine cannot cancel an event,
 /// so the later of the two stays queued and returns at once when it runs,
 /// by a generation check: the losing read. Every read's closure shares
-/// ownership of the wait's state, so no read, even one deferred past a
-/// parallel-DES window horizon, outlives the state it checks.
+/// ownership of the wait's state, so no read outlives the state it checks,
+/// even when the wait and its owner are gone by the time the read runs.
 ///
 /// The handle is reused wait after wait: clear(), add() the words, then
 /// co_await wait(). A word add()ed while the wait is parked joins it on

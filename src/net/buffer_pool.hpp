@@ -14,12 +14,8 @@
 // bit-identical. Hit/miss accessors exist for benchmarks but are
 // deliberately not exported into StatRegistry.
 //
-// The pool is shared by every NIC on a fabric, and under sharded (parallel
-// DES) runs NICs on different shards acquire/release concurrently — the
-// freelist is mutex-guarded. Which thread gets which recycled capacity can
-// vary, but capacity reuse is invisible to results by the argument above,
-// so determinism is unaffected; only hits()/misses() are scheduling-
-// dependent, which is why they stay out of StatRegistry.
+// The pool is shared by every NIC on a fabric; the freelist is
+// mutex-guarded.
 #pragma once
 
 #include <cstddef>

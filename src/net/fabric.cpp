@@ -1,49 +1,13 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <string>
-
-#include "sim/shard.hpp"
 
 namespace gputn::net {
 
 Fabric::Fabric(sim::Simulator& sim, FabricConfig config)
     : sim_(&sim), config_(std::move(config)) {}
-
-void Fabric::set_sharding(sim::ShardEngine* engine,
-                          std::vector<int> node_shard) {
-  if (!sinks_.empty()) {
-    throw std::logic_error(
-        "fabric: set_sharding after nodes were attached (the partition "
-        "decides which simulator owns each node's links)");
-  }
-  engine_ = engine;
-  node_shard_ = std::move(node_shard);
-  if (engine_ != nullptr) {
-    for (int s : node_shard_) {
-      if (s < 0 || s >= engine_->shards()) {
-        throw std::invalid_argument("fabric: node shard out of range");
-      }
-    }
-  }
-}
-
-sim::Simulator& Fabric::node_sim(NodeId id) {
-  if (engine_ == nullptr) return *sim_;
-  return engine_->shard(node_shard_[static_cast<std::size_t>(id)]);
-}
-
-int Fabric::node_shard_of(NodeId id) const {
-  if (engine_ == nullptr) return 0;
-  return node_shard_[static_cast<std::size_t>(id)];
-}
-
-sim::Simulator& Fabric::switch_sim(int s) {
-  if (engine_ == nullptr) return *sim_;
-  return engine_->shard(switch_shard_[static_cast<std::size_t>(s)]);
-}
 
 NodeId Fabric::add_node(MessageSink* sink) {
   if (topo_ != nullptr) {
@@ -51,20 +15,12 @@ NodeId Fabric::add_node(MessageSink* sink) {
                            "finalized (all nodes must attach before traffic)");
   }
   NodeId id = static_cast<NodeId>(sinks_.size());
-  if (engine_ != nullptr &&
-      static_cast<std::size_t>(id) >= node_shard_.size()) {
-    throw std::logic_error("fabric: more nodes attached than the shard map "
-                           "passed to set_sharding covers");
-  }
   sinks_.push_back(sink);
   flow_seq_.push_back(0);
-  messages_by_src_.push_back(0);
-  bytes_by_src_.push_back(0);
-  // The uplink lives on the transmitting node's shard: its pump runs where
-  // the NIC submits. The matching downlink is built at finalize(), once the
-  // egress switch's shard is known.
+  // The matching downlink is built at finalize(), once the topology names
+  // the node's egress switch port.
   uplinks_.push_back(std::make_unique<Link>(
-      node_sim(id), "up" + std::to_string(id), config_.bandwidth,
+      *sim_, "up" + std::to_string(id), config_.bandwidth,
       config_.link_latency,
       [this, id](Packet&& p) { inject(id, std::move(p)); }));
   if (fault_provider_) {
@@ -79,58 +35,16 @@ void Fabric::finalize() {
   topo_ = TopologyFactory::instance().make(config_.topology, node_count());
   router_ = RouterFactory::instance().make(config_.routing);
   int nsw = topo_->switch_count();
-
-  // Shard assignment for switches. A trunk hand-off is a direct crossbar
-  // call (Switch::arrive with the transmitting switch's credit return), so
-  // switches connected by trunks must share a shard: union-find the trunk
-  // graph, then round-robin the components over the shards. Only
-  // host <-> edge-switch links can cross shards.
-  switch_shard_.assign(static_cast<std::size_t>(nsw), 0);
-  const int S = engine_ != nullptr ? engine_->shards() : 1;
-  if (S > 1) {
-    std::vector<int> parent(static_cast<std::size_t>(nsw));
-    std::iota(parent.begin(), parent.end(), 0);
-    auto find = [&](int x) {
-      while (parent[static_cast<std::size_t>(x)] != x) {
-        parent[static_cast<std::size_t>(x)] =
-            parent[static_cast<std::size_t>(
-                parent[static_cast<std::size_t>(x)])];
-        x = parent[static_cast<std::size_t>(x)];
-      }
-      return x;
-    };
-    for (int s = 0; s < nsw; ++s) {
-      for (int p = 0; p < topo_->radix(s); ++p) {
-        PortPeer peer = topo_->peer(s, p);
-        if (peer.kind == PortPeer::Kind::kSwitch) {
-          int a = find(s), b = find(peer.index);
-          if (a != b) parent[static_cast<std::size_t>(a)] = b;
-        }
-      }
-    }
-    std::vector<int> comp_shard(static_cast<std::size_t>(nsw), -1);
-    int comps = 0;
-    for (int s = 0; s < nsw; ++s) {
-      int r = find(s);
-      if (comp_shard[static_cast<std::size_t>(r)] < 0) {
-        comp_shard[static_cast<std::size_t>(r)] = comps++ % S;
-      }
-      switch_shard_[static_cast<std::size_t>(s)] =
-          comp_shard[static_cast<std::size_t>(r)];
-    }
-  }
-
   switches_.reserve(static_cast<std::size_t>(nsw));
   for (int s = 0; s < nsw; ++s) {
     switches_.push_back(std::make_unique<Switch>(
-        switch_sim(s), s, topo_->radix(s), config_.switch_latency,
+        *sim_, s, topo_->radix(s), config_.switch_latency,
         config_.credits_per_port));
     switches_.back()->set_router(topo_.get(), router_.get());
   }
   host_port_.resize(sinks_.size());
   for (NodeId n = 0; n < node_count(); ++n) host_port_[n] = topo_->host(n);
   downlinks_.resize(sinks_.size());
-  bool cross_shard_edges = false;
   for (int s = 0; s < nsw; ++s) {
     for (int p = 0; p < topo_->radix(s); ++p) {
       PortPeer peer = topo_->peer(s, p);
@@ -138,41 +52,21 @@ void Fabric::finalize() {
         // Host slots beyond the attached node count stay idle (unwired).
         if (peer.index < node_count()) {
           NodeId n = peer.index;
-          // The downlink lives on the egress switch's shard (the switch
-          // submits into it); its terminus splits when the node lives
-          // elsewhere: the host-side delivery hops shards, the egress
-          // credit return stays local.
           downlinks_[static_cast<std::size_t>(n)] = std::make_unique<Link>(
-              switch_sim(s), "down" + std::to_string(n), config_.bandwidth,
+              *sim_, "down" + std::to_string(n), config_.bandwidth,
               config_.link_latency,
               [this, n](Packet&& pk) { deliver(n, std::move(pk)); });
           Link* down = downlinks_[static_cast<std::size_t>(n)].get();
           if (fault_provider_) {
             down->set_fault_injector(fault_provider_(down->name()));
           }
-          int node_sh = node_shard_of(n);
-          int sw_sh = switch_shard_[static_cast<std::size_t>(s)];
-          if (engine_ != nullptr && node_sh != sw_sh) {
-            cross_shard_edges = true;
-            down->set_remote([this, n, s, p, node_sh, sw_sh](sim::Tick when,
-                                                            Packet&& pk) {
-              Switch* esw = switches_[static_cast<std::size_t>(s)].get();
-              switch_sim(s).schedule_at(
-                  when, [esw, p] { esw->credit_return(p); });
-              engine_->post(sw_sh, node_sh, when,
-                            [this, n, pk = std::move(pk)]() mutable {
-                              deliver_host(n, std::move(pk));
-                            });
-            });
-          }
           switches_[static_cast<std::size_t>(s)]->attach_output(p, down);
         }
       } else if (peer.kind == PortPeer::Kind::kSwitch) {
         // One directed trunk per transmitting port; the receiving switch
         // dequeues into its crossbar and returns the port's credit there.
-        // Both ends share a shard by construction (one trunk component).
         trunks_.push_back(std::make_unique<Link>(
-            switch_sim(s), "sw" + std::to_string(s) + "p" + std::to_string(p),
+            *sim_, "sw" + std::to_string(s) + "p" + std::to_string(p),
             config_.bandwidth, config_.link_latency,
             [this, t = peer.index, s, p](Packet&& pk) {
               switches_[static_cast<std::size_t>(t)]->arrive(
@@ -186,39 +80,6 @@ void Fabric::finalize() {
         switches_[static_cast<std::size_t>(s)]->attach_output(
             p, trunks_.back().get());
       }
-    }
-  }
-  // Cross-shard uplink termini: the packet hops to the edge switch's shard.
-  if (engine_ != nullptr) {
-    for (NodeId n = 0; n < node_count(); ++n) {
-      int sw = host_port_[static_cast<std::size_t>(n)].sw;
-      int node_sh = node_shard_of(n);
-      int sw_sh = switch_shard_[static_cast<std::size_t>(sw)];
-      if (node_sh != sw_sh) {
-        cross_shard_edges = true;
-        uplinks_[static_cast<std::size_t>(n)]->set_remote(
-            [this, n, node_sh, sw_sh](sim::Tick when, Packet&& pk) {
-              engine_->post(node_sh, sw_sh, when,
-                            [this, n, pk = std::move(pk)]() mutable {
-                              inject(n, std::move(pk));
-                            });
-            });
-      }
-    }
-    if (S > 1) {
-      // Conservative lookahead: the minimum propagation over the links
-      // whose endpoints live on different shards (every cross-shard event
-      // is a packet that paid at least that propagation). No cross-shard
-      // edge means the shards are independent; an effectively unbounded
-      // lookahead lets each run to completion in one window.
-      sim::Tick la =
-          cross_shard_edges ? config_.link_latency : sim::kTickMax / 2;
-      if (la <= 0) {
-        throw std::invalid_argument(
-            "fabric: parallel runs need a positive link latency (the "
-            "conservative lookahead is the cross-shard wire propagation)");
-      }
-      engine_->set_lookahead(la);
     }
   }
   apply_trace();
@@ -256,18 +117,10 @@ void Fabric::inject(NodeId src, Packet&& p) {
 }
 
 void Fabric::deliver(NodeId dst, Packet&& p) {
-  deliver_host(dst, std::move(p));
-  // Host ejection is the downstream dequeue of the egress switch port:
-  // return its credit (per packet, after delivery bookkeeping).
-  const HostPort& hp = host_port_[static_cast<std::size_t>(dst)];
-  switches_[static_cast<std::size_t>(hp.sw)]->credit_return(hp.port);
-}
-
-void Fabric::deliver_host(NodeId dst, Packet&& p) {
   auto flight = p.flight;
   if (--flight->packets_remaining == 0) {
     flight->msg.corrupted = flight->corrupted;
-    flight->msg.t_rx = node_sim(dst).now();
+    flight->msg.t_rx = sim_->now();
     flight->msg.t_switch = flight->t_switch;
     if (trace_ != nullptr && flight->msg.flow != 0 &&
         flight->msg.t_wire >= 0) {
@@ -281,6 +134,10 @@ void Fabric::deliver_host(NodeId dst, Packet&& p) {
     }
     flight->sink->deliver(std::move(flight->msg));
   }
+  // Host ejection is the downstream dequeue of the egress switch port:
+  // return its credit (per packet, after delivery bookkeeping).
+  const HostPort& hp = host_port_[static_cast<std::size_t>(dst)];
+  switches_[static_cast<std::size_t>(hp.sw)]->credit_return(hp.port);
 }
 
 void Fabric::set_fault_injector_provider(
@@ -293,16 +150,6 @@ void Fabric::set_fault_injector_provider(
   for (auto& l : uplinks_) apply(*l);
   for (auto& l : downlinks_) apply(*l);
   for (auto& l : trunks_) apply(*l);
-}
-
-std::uint64_t Fabric::messages_sent() const {
-  return std::accumulate(messages_by_src_.begin(), messages_by_src_.end(),
-                         std::uint64_t{0});
-}
-
-std::uint64_t Fabric::bytes_sent() const {
-  return std::accumulate(bytes_by_src_.begin(), bytes_by_src_.end(),
-                         std::uint64_t{0});
 }
 
 void Fabric::export_stats(sim::StatRegistry& reg) const {
@@ -380,14 +227,14 @@ void Fabric::send(Message&& msg) {
   // reliability layer pre-stamps it on the window copy), so the spread
   // between the two is the total retransmission delay.
   if (msg.flow == 0) msg.flow = next_flow(msg.src);
-  msg.t_wire = node_sim(msg.src).now();
+  msg.t_wire = sim_->now();
   if (msg.t_wire_first < 0) msg.t_wire_first = msg.t_wire;
   // Deterministic-route switch count for the analyzer's per-hop ideal wire
   // model; candidate minimality makes it route-independent (topology_api).
   msg.hops = static_cast<std::uint32_t>(topo_->hop_count(msg.src, msg.dst));
-  ++messages_by_src_[static_cast<std::size_t>(msg.src)];
+  ++messages_;
   std::uint64_t wire = config_.header_bytes + msg.payload_bytes();
-  bytes_by_src_[static_cast<std::size_t>(msg.src)] += wire;
+  bytes_ += wire;
 
   auto flight = std::make_shared<MessageInFlight>();
   flight->sink = sinks_[static_cast<std::size_t>(msg.dst)];

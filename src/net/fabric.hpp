@@ -30,10 +30,6 @@
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
-namespace gputn::sim {
-class ShardEngine;
-}  // namespace gputn::sim
-
 namespace gputn::net {
 
 struct FabricConfig {
@@ -74,22 +70,6 @@ class Fabric {
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
-  /// Partition the fabric across a ShardEngine (parallel DES). Must be
-  /// called before the first add_node; `node_shard[i]` is the shard owning
-  /// node i's simulator. finalize() then places each switch component on a
-  /// shard, installs cross-shard remote hops on the edge links, and sets
-  /// the engine's conservative lookahead to the minimum cross-shard link
-  /// propagation. With a null engine (or one shard) the fabric behaves
-  /// exactly as the sequential seed.
-  void set_sharding(sim::ShardEngine* engine, std::vector<int> node_shard);
-
-  /// The simulator that owns node `id`'s endpoint state (its uplink pump,
-  /// NIC, and delivery events). Without sharding this is the fabric's one
-  /// simulator.
-  sim::Simulator& node_sim(NodeId id);
-  /// Shard owning node `id` (0 without sharding).
-  int node_shard_of(NodeId id) const;
-
   /// Register a node's receive sink; returns its NodeId. All nodes must be
   /// added before the first send (the switch graph is built from the final
   /// node count).
@@ -129,8 +109,8 @@ class Fabric {
   /// (equals the 1-arg form on a star). Finalizes on first use.
   sim::Tick ideal_latency(std::uint64_t payload_bytes, NodeId src, NodeId dst);
 
-  std::uint64_t messages_sent() const;
-  std::uint64_t bytes_sent() const;
+  std::uint64_t messages_sent() const { return messages_; }
+  std::uint64_t bytes_sent() const { return bytes_; }
 
   /// Install a per-link fault-injector factory (called with the link name,
   /// e.g. "up3"/"down0"/"sw0p4"; may return nullptr for a lossless link).
@@ -144,10 +124,8 @@ class Fabric {
   void export_stats(sim::StatRegistry& reg) const;
 
   /// Allocate the next flow id for traffic originating at `src` (see
-  /// Message::flow). Ids are per-source ((src+1) << 40 | seq) so they are
-  /// unique cluster-wide yet allocated without any cross-node — and under
-  /// sharding cross-thread — counter, keeping runs bit-identical at every
-  /// shard count; allocation is independent of tracing so runs are
+  /// Message::flow). Ids are per-source ((src+1) << 40 | seq), unique
+  /// cluster-wide; allocation is independent of tracing so runs are
   /// identical with tracing off.
   std::uint64_t next_flow(NodeId src) {
     return ((static_cast<std::uint64_t>(src) + 1) << 40) |
@@ -172,17 +150,10 @@ class Fabric {
  private:
   /// Uplink terminus: hand a packet from node `src` to its edge switch.
   void inject(NodeId src, Packet&& p);
-  /// Downlink terminus: per-packet delivery bookkeeping for node `dst`,
-  /// then return the egress port's credit.
+  /// Downlink terminus: per-packet delivery bookkeeping for node `dst`
+  /// (the last packet hands the message to its sink), then return the
+  /// egress port's credit.
   void deliver(NodeId dst, Packet&& p);
-  /// The node-side half of deliver(): packets_remaining bookkeeping and
-  /// final-message hand-off to the sink. Under sharding this runs on the
-  /// destination node's shard while the credit return stays on the egress
-  /// switch's shard (the two touch disjoint state).
-  void deliver_host(NodeId dst, Packet&& p);
-  /// Simulator owning switch `s` (the fabric's one simulator without
-  /// sharding). Valid after finalize().
-  sim::Simulator& switch_sim(int s);
   void apply_trace();
 
   sim::Simulator* sim_;
@@ -192,27 +163,17 @@ class Fabric {
   std::vector<std::unique_ptr<Switch>> switches_;
   // Per node: uplink (node -> edge switch) and downlink (egress switch ->
   // node); multi-switch topologies add directed trunk links ("sw<s>p<p>",
-  // named for their transmitting port). Downlinks are built at finalize()
-  // because their owning simulator is the egress switch's shard.
+  // named for their transmitting port). Downlinks are built at finalize(),
+  // once the topology names each node's egress switch port.
   std::vector<std::unique_ptr<Link>> uplinks_;
   std::vector<std::unique_ptr<Link>> downlinks_;
   std::vector<std::unique_ptr<Link>> trunks_;
   std::vector<HostPort> host_port_;  // per node, filled at finalize()
   std::vector<MessageSink*> sinks_;
   std::function<FaultInjector*(const std::string&)> fault_provider_;
-  // Parallel DES partition (null engine = sequential). switch_shard_ is
-  // computed at finalize(): switches connected by trunks form one
-  // component (trunk hand-off is a direct crossbar call and must stay on
-  // one shard); components round-robin over shards.
-  sim::ShardEngine* engine_ = nullptr;
-  std::vector<int> node_shard_;
-  std::vector<int> switch_shard_;
-  // Per-source-node ledgers: sends happen on the source's shard, so the
-  // counters must not share a cache line or a race across workers. Summed
-  // on export (post-run, single-threaded).
-  std::vector<std::uint64_t> messages_by_src_;
-  std::vector<std::uint64_t> bytes_by_src_;
-  std::vector<std::uint64_t> flow_seq_;
+  std::uint64_t messages_ = 0;
+  std::uint64_t bytes_ = 0;
+  std::vector<std::uint64_t> flow_seq_;  // per source node
   BufferPool payload_pool_;
   sim::TraceRecorder* trace_ = nullptr;
 };

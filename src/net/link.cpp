@@ -51,10 +51,6 @@ sim::Task<> Link::pump() {
     // outlives every in-flight packet (pending events are destroyed, never
     // invoked, on simulator teardown), so capturing `this` keeps the event
     // small enough for EventFn's inline storage.
-    if (remote_) {
-      remote_(sim_->now() + propagation_ + extra, std::move(p));
-      continue;
-    }
     sim_->schedule_in(
         propagation_ + extra,
         [this, p = std::move(p)]() mutable { downstream_(std::move(p)); });

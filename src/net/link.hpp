@@ -62,15 +62,6 @@ class Link {
   /// yet serialized; typically wired before traffic starts.
   void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
 
-  /// Cross-shard hop (parallel DES): when set, the pump hands each packet
-  /// and its absolute arrival time (serialization end + propagation +
-  /// jitter) to this hook instead of scheduling `downstream` locally. The
-  /// Fabric wires it to ShardEngine::post for links whose endpoints live
-  /// on different shards; the propagation delay is what guarantees the
-  /// deposit lands past the conservative lookahead window.
-  using RemoteHop = std::function<void(sim::Tick when, Packet&& p)>;
-  void set_remote(RemoteHop hop) { remote_ = std::move(hop); }
-
   const std::string& name() const { return name_; }
   std::uint64_t bytes_transmitted() const { return bytes_; }
   std::uint64_t packets_transmitted() const { return packets_; }
@@ -89,7 +80,6 @@ class Link {
   sim::Bandwidth bandwidth_;
   sim::Tick propagation_;
   PacketFn downstream_;
-  RemoteHop remote_;
   FaultInjector* fault_ = nullptr;
   sim::Channel<Packet> queue_;
   obs::BusyTracker util_;

@@ -87,8 +87,8 @@ void replay_spools(std::vector<FlightSpool*> spools, FlightSink& sink) {
                std::make_move_iterator(e.end()));
     e.clear();
   }
-  // Per-node order (node, seq) is deterministic at every shard count; the
-  // stable global order interleaves nodes by recording time.
+  // Per-node order (node, seq) follows each node's event sequence; the
+  // global order interleaves nodes by recording time.
   std::sort(all.begin(), all.end(),
             [](const FlightSpool::Entry& a, const FlightSpool::Entry& b) {
               if (a.t_record != b.t_record) return a.t_record < b.t_record;

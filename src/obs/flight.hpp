@@ -104,9 +104,9 @@ struct WireParams {
 };
 
 /// Where a NIC offers delivered-message stamps. FlightRecorder implements
-/// it directly; under sharded (parallel DES) runs each node instead records
-/// into a per-node FlightSpool, replayed into the recorder after the run in
-/// a canonical order so the dump is bit-identical at every shard count.
+/// it directly; a Cluster records each node into a per-node FlightSpool
+/// instead and replays the spools into the recorder after the run, in the
+/// one canonical order the dump's op order follows.
 class FlightSink {
  public:
   virtual ~FlightSink() = default;
@@ -117,8 +117,8 @@ class FlightSink {
 /// Per-node staging buffer for flight legs. Recording stamps the node's
 /// simulated time, so a post-run replay can re-create one global order —
 /// (t_record, node, arrival seq) — that is a pure function of each node's
-/// (deterministic) event sequence, independent of how nodes are interleaved
-/// across shards or threads. Pure bookkeeping, like the recorder itself.
+/// (deterministic) event sequence, independent of how the nodes' events
+/// interleave within a tick. Pure bookkeeping, like the recorder itself.
 class FlightSpool : public FlightSink {
  public:
   explicit FlightSpool(const sim::Tick* now, int node)

@@ -96,22 +96,19 @@ struct Reactor {
 
 struct Workspace {
   Workspace(const cluster::SystemConfig& sys, const ServeConfig& cfg)
-      : engine(std::max(1, std::min(cfg.shards, cfg.clients + cfg.servers))),
-        cluster(engine, sys, cfg.clients + cfg.servers),
+      : cluster(sim, sys, cfg.clients + cfg.servers),
         config(cfg) {
     slot_bytes = (16 + cfg.value_bytes + 63) / 64 * 64;
     nslots = cfg.tenants * cfg.window;
     generate_schedule();
     build_memory();
     // Client-side machinery is per client node (reactor, traffic-release
-    // event, SLO reporter, error counter): under the sharded engine a
-    // client node's workers run on that node's shard, so every mutable
-    // client-side object must live with its node. The per-node SLO
-    // reporters are merged exactly (disjoint tenant sets) after the run.
+    // event, SLO reporter, error counter). The per-node SLO reporters are
+    // merged exactly (disjoint tenant sets) after the run.
     for (int c = 0; c < cfg.clients; ++c) {
       reactors.push_back(std::make_unique<Reactor>(
-          node_sim(c), cluster.node(c).memory()));
-      start.push_back(std::make_unique<sim::Event>(node_sim(c)));
+          sim, cluster.node(c).memory()));
+      start.push_back(std::make_unique<sim::Event>(sim));
       slo_node.push_back(std::make_unique<SloReporter>(cfg.tenants, cfg.slo));
     }
     errors_node.assign(static_cast<std::size_t>(cfg.clients), 0);
@@ -119,12 +116,9 @@ struct Workspace {
     nic::QpConfig qpc{cfg.qp_batch, cfg.qp_flush_timeout};
     for (int t = 0; t < cfg.tenants; ++t) {
       qps.push_back(std::make_unique<nic::Qp>(
-          node_sim(client_of(t)), cluster.node(client_of(t)).nic(), qpc));
+          sim, cluster.node(client_of(t)).nic(), qpc));
     }
   }
-
-  /// The simulator owning node `id` (all of them when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
 
   int client_of(int tenant) const { return tenant % config.clients; }
   int server_node(int s) const { return config.clients + s; }
@@ -269,7 +263,7 @@ struct Workspace {
   sim::Task<> wait_flag(int client_node, mem::Addr addr, std::uint64_t value) {
     auto& node = cluster.node(client_node);
     if (node.memory().load<std::uint64_t>(addr) >= value) co_return;
-    sim::Event ev(node_sim(client_node));
+    sim::Event ev(sim);
     auto& r = *reactors[static_cast<std::size_t>(client_node)];
     r.waiters.push_back({addr, value, &ev});
     // A parked scan reads the new flag from its next poll on.
@@ -280,7 +274,7 @@ struct Workspace {
     co_await ev.wait();
   }
 
-  sim::ShardEngine engine;
+  sim::Simulator sim;
   cluster::Cluster cluster;
   ServeConfig config;
   /// Traffic release after server setup, one latch per client node (all
@@ -296,10 +290,9 @@ struct Workspace {
   std::vector<std::unique_ptr<SloReporter>> slo_node; ///< per client node
   std::vector<std::unique_ptr<nic::Qp>> qps;          ///< per tenant
   std::vector<std::uint64_t> errors_node;             ///< per client node
-  /// Monotonic get op tag per tenant (tenant-qualified so it is
-  /// deterministic on every shard count — a tenant's requests issue in
-  /// node-local simulation order): pairs each get request with its reply
-  /// in the flight recorder.
+  /// Monotonic get op tag per tenant (tenant-qualified: a tenant's
+  /// requests issue in its client node's simulation order): pairs each get
+  /// request with its reply in the flight recorder.
   std::vector<std::uint64_t> get_tag;
 };
 
@@ -338,7 +331,7 @@ sim::Task<> client_worker(Workspace& w, int t, int wk) {
   const ServeConfig& cfg = w.config;
   const int cn = w.client_of(t);
   auto& node = w.cluster.node(cn);
-  auto& csim = w.node_sim(cn);
+  auto& csim = w.sim;
   auto& cpu = node.cpu();
   auto& memory = node.memory();
   const auto& reqs = w.sched[static_cast<std::size_t>(t)];
@@ -403,7 +396,7 @@ sim::Task<> cpu_server(Workspace& w, int s, sim::Tick& ready_at) {
   auto& cpu = node.cpu();
   auto& memory = node.memory();
   auto& st = w.srv[static_cast<std::size_t>(s)];
-  ready_at = w.node_sim(w.server_node(s)).now();
+  ready_at = w.sim.now();
   std::uint64_t remaining = 0;
   for (int slot : st.active) {
     remaining += st.expected[static_cast<std::size_t>(slot)];
@@ -438,7 +431,7 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
   auto& node = w.cluster.node(w.server_node(s));
   auto& st = w.srv[static_cast<std::size_t>(s)];
   if (st.active.empty()) {
-    ready_at = w.node_sim(w.server_node(s)).now();
+    ready_at = w.sim.now();
     co_return;
   }
 
@@ -512,7 +505,7 @@ sim::Task<> gputn_server(Workspace& w, int s, sim::Tick& ready_at) {
                                     w.response_put(s, slot, round));
     }
   }
-  ready_at = w.node_sim(w.server_node(s)).now();
+  ready_at = w.sim.now();
   co_await rec->done.wait();
 }
 
@@ -565,52 +558,30 @@ ServeResult run_serve(const ServeConfig& cfg,
   if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
 
   for (int c = 0; c < cfg.clients; ++c) {
-    w.node_sim(c).spawn(reactor_loop(w, c), "serve-reactor");
+    w.sim.spawn(reactor_loop(w, c), "serve-reactor");
   }
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  std::vector<sim::ProcessHandle> workers;
   std::vector<sim::Tick> ready(static_cast<std::size_t>(cfg.servers), -1);
   for (int s = 0; s < cfg.servers; ++s) {
-    int node = w.server_node(s);
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(node))].push_back(
-        w.node_sim(node).spawn(
-            cfg.strategy == workloads::Strategy::kGpuTn
-                ? gputn_server(w, s, ready[static_cast<std::size_t>(s)])
-                : cpu_server(w, s, ready[static_cast<std::size_t>(s)]),
-            "serve-server"));
+    workers.push_back(w.sim.spawn(
+        cfg.strategy == workloads::Strategy::kGpuTn
+            ? gputn_server(w, s, ready[static_cast<std::size_t>(s)])
+            : cpu_server(w, s, ready[static_cast<std::size_t>(s)]),
+        "serve-server"));
   }
   for (int t = 0; t < cfg.tenants; ++t) {
-    int node = w.client_of(t);
     for (int wk = 0; wk < cfg.window; ++wk) {
-      by_shard[static_cast<std::size_t>(w.cluster.node_shard(node))]
-          .push_back(w.node_sim(node).spawn(client_worker(w, t, wk),
-                                            "serve-client"));
+      workers.push_back(w.sim.spawn(client_worker(w, t, wk), "serve-client"));
     }
   }
-  // Per-shard completion monitors (see allreduce.cpp for rationale);
-  // reactors are excluded — they idle forever and are reaped at teardown.
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
+  // Completion monitor (see allreduce.cpp for rationale); reactors are
+  // excluded — they idle forever and are reaped at teardown.
+  sim::Tick finished_at = -1;
+  w.sim.spawn(sim::join_all_at(w.sim, std::move(workers), finished_at),
+              "monitor");
 
-  // Phase A — server setup, driven in single-tick windows so no shard
-  // clock overruns the traffic-release tick (a shard hosting both a server
-  // and clients would otherwise race past it on kernel-poll events).
-  // Server readiness ticks are node-local and deterministic, so the
-  // release tick max(ready) is identical at every shard count — and equal
-  // to the tick the sequential release coroutine fired at.
+  // Phase A — server setup, run tick by tick until every server is ready,
+  // so the clock stops at the traffic-release tick max(ready).
   auto all_ready = [&] {
     for (sim::Tick t : ready) {
       if (t < 0) return false;
@@ -618,33 +589,26 @@ ServeResult run_serve(const ServeConfig& cfg,
     return true;
   };
   while (!all_ready()) {
-    sim::Tick g = w.engine.next_time();
+    sim::Tick g = w.sim.next_pending_time();
     if (g >= sim::sec(10)) {
       throw std::runtime_error("serve: server setup never completed");
     }
-    w.engine.step(g);
+    w.sim.run_until(g);
   }
   sim::Tick t_rel = 0;
   for (sim::Tick t : ready) t_rel = std::max(t_rel, t);
   w.traffic_start = t_rel;
   // Phase B — release traffic: trigger every client node's start latch at
-  // the same tick. Phase A's single-tick windows guarantee every shard
-  // clock is <= t_rel, so the release is never in any shard's past; the
-  // first client send reaches any advanced server shard at least one wire
-  // latency (= the engine lookahead) later.
+  // the same tick.
   for (int c = 0; c < cfg.clients; ++c) {
     sim::Event* ev = w.start[static_cast<std::size_t>(c)].get();
-    w.node_sim(c).schedule_at(t_rel, [ev] { ev->trigger(); });
+    w.sim.schedule_at(t_rel, [ev] { ev->trigger(); });
   }
-  w.engine.run_until(sim::sec(10));
-  sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("serve: deadlocked (offered load "
-                               "unserviceable within the 10 s simulation "
-                               "budget)");
-    }
-    finished_at = std::max(finished_at, t);
+  w.sim.run_until(sim::sec(10));
+  if (finished_at < 0) {
+    throw std::runtime_error("serve: deadlocked (offered load "
+                             "unserviceable within the 10 s simulation "
+                             "budget)");
   }
   w.cluster.flush_flight();
 

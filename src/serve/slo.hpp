@@ -58,8 +58,8 @@ class SloReporter {
 
   /// Fold another reporter's samples into this one. Exact: histograms merge
   /// bucket-wise and counters sum, so absorbing per-client-node reporters
-  /// (disjoint tenant sets under the sharded engine) reproduces a single
-  /// reporter fed every sample. Requires identical tenant count and SLO.
+  /// (disjoint tenant sets) reproduces a single reporter fed every sample.
+  /// Requires identical tenant count and SLO.
   void absorb(const SloReporter& other);
 
   /// Fold per-tenant histograms and counters into `out`:

@@ -90,58 +90,14 @@ void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
   if (blk < overflow_min_blk_) overflow_min_blk_ = blk;
 }
 
-void Simulator::defer_event(Tick when, EventFn fn) {
-  assert(deferred_ != nullptr && emit_seq_ != nullptr &&
-         "deferral horizon armed without a sink");
-  deferred_->push_back(Deferred{when, now_, (*emit_seq_)++, std::move(fn)});
-}
-
-void Simulator::schedule_event(Tick when, EventFn fn) {
-  assert(when >= now_ && "cannot schedule events in the past");
-  next_seq_++;
-  pending_++;
-  if (when <= now_) {
-    fifo_.push_back(std::move(fn));
-    return;
-  }
-  std::uint64_t blk = block_of(when);
-  if (blk < cur_blk_ + kBuckets) {
-    insert_into_wheel(Item{when, next_seq_ - 1, std::move(fn)});
-  } else {
-    schedule_overflow(when, next_seq_ - 1, std::move(fn));
-  }
-}
-
 void Simulator::reserve_order(ReadOrder& o) {
   o.t0 = now_;
-  o.emit = emit_seq_ != nullptr ? (*emit_seq_)++ : 0;
   o.seq = next_seq_++;
-  if (horizon_ != kTickMax) {
-    // Inside a parallel-DES window: the barrier merge re-sequences this
-    // order among the deferred events it inserts (sim/shard.cpp).
-    o.slot = window_orders_.size();
-    window_orders_.push_back(&o);
-  }
-}
-
-void Simulator::release_order(ReadOrder& o) {
-  if (o.slot == ReadOrder::kNoSlot) return;
-  ReadOrder* last = window_orders_.back();
-  window_orders_[o.slot] = last;
-  last->slot = o.slot;
-  window_orders_.pop_back();
-  o.slot = ReadOrder::kNoSlot;
 }
 
 void Simulator::schedule_ordered(Tick when, const ReadOrder& o, EventFn fn) {
   assert((when > now_ || (when == now_ && yet_to_run(o))) &&
          "a spin-wait read must be scheduled after the running event");
-  if (when >= horizon_) {
-    // Merges at the order's place, as if scheduled at the wait's start,
-    // not at the store that armed it (ShardEngine::merge_barrier).
-    deferred_->push_back(Deferred{when, o.t0, o.emit, std::move(fn), &o});
-    return;
-  }
   pending_++;
   if (when == now_) {
     late_.push_back(Item{when, o.seq, std::move(fn)});

@@ -75,14 +75,6 @@ class Simulator {
     requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
   void schedule_at(Tick when, F&& fn) {
     assert(when >= now_ && "cannot schedule events in the past");
-    if (when >= horizon_) [[unlikely]] {
-      // Parallel-DES window in progress (sim/shard.hpp): events at or past
-      // the conservative horizon are diverted to the deferred buffer and
-      // re-inserted at the next barrier in deterministic merge order
-      // alongside cross-shard arrivals.
-      defer_event(when, EventFn(std::forward<F>(fn)));
-      return;
-    }
     next_seq_++;
     pending_++;
     if (when <= now_) {
@@ -128,68 +120,21 @@ class Simulator {
   /// Run all events with time <= `until`, then advance now() to `until`.
   std::uint64_t run_until(Tick until);
 
-  // --- Conservative-PDES hooks (driven by sim::ShardEngine) -------------
-
-  /// The place, within its tick, of every read of one spin-wait: each read
-  /// is ordered as if it had been scheduled when the wait began. `seq` is
-  /// the one sequence number reserved then; `t0` and `emit` key the wait in
-  /// the parallel engine's barrier merge, like a deferred event's t_sched
-  /// and emit counter.
-  struct ReadOrder {
-    Tick t0 = 0;
-    std::uint64_t emit = 0;
-    std::uint64_t seq = 0;
-    std::size_t slot = kNoSlot;  ///< index in window_orders_, if listed
-    static constexpr std::size_t kNoSlot = ~std::size_t{0};
-  };
-  /// An event diverted by the deferral horizon. `t_sched` is the clock at
-  /// scheduling time and `seq` the shard's emit counter; together with the
-  /// source shard id they form the deterministic cross-shard merge key.
-  struct Deferred {
-    Tick when;
-    Tick t_sched;
-    std::uint64_t seq;
-    EventFn fn;
-    /// Set for a spin-wait read (schedule_ordered): the merge inserts it
-    /// at its order's sequence number, not at a fresh one.
-    const ReadOrder* order = nullptr;
-  };
-
-  /// Arm the deferral machinery: schedules at `when >= horizon` land in
-  /// `*buf` (stamped from `*emit_seq`, shared with the engine's remote
-  /// mailbox path so local and cross-shard emissions at one tick keep
-  /// their relative order). Pass kTickMax to disarm. The buffers outlive
-  /// the window; only the engine's barrier drains them.
-  void set_defer_sink(std::vector<Deferred>* buf, std::uint64_t* emit_seq) {
-    deferred_ = buf;
-    emit_seq_ = emit_seq;
-  }
-  void set_horizon(Tick horizon) { horizon_ = horizon; }
-  Tick horizon() const { return horizon_; }
-
-  /// Insert an event at absolute `when` with a fresh sequence number,
-  /// bypassing the deferral horizon — the engine's barrier merge uses this
-  /// to re-insert deferred and cross-shard events in canonical order.
-  void schedule_event(Tick when, EventFn fn);
-
-  /// Bounded run for one conservative window: executes events with
-  /// when <= `limit` but — unlike run_until — neither parks now() at the
-  /// limit nor commits the wheel cursor past it, so the clock stays at the
-  /// last executed event and later windows behave exactly like one
-  /// uninterrupted run.
-  std::uint64_t run_window(Tick limit) { return run_loop<true>(limit); }
-
   /// Earliest pending timestamp (FIFO / drain / wheel / overflow), or
-  /// kTickMax when the calendar is empty. Deferred events are excluded:
-  /// the engine merges them back before asking.
+  /// kTickMax when the calendar is empty.
   Tick next_pending_time() const;
 
   // --- Spin-wait read order (mem::SpinWait, DESIGN.md §17) -------------
 
-  /// Reserve `o` at now(). `o` must stay put until release_order(o).
+  /// The place, within its tick, of every read of one spin-wait: each read
+  /// is ordered as if it had been scheduled when the wait began. `seq` is
+  /// the one sequence number reserved then, at time `t0`.
+  struct ReadOrder {
+    Tick t0 = 0;
+    std::uint64_t seq = 0;
+  };
+  /// Reserve `o` at now().
   void reserve_order(ReadOrder& o);
-  /// The wait ordered by `o` is over.
-  void release_order(ReadOrder& o);
   /// True when an event at now() in the place `o` gives it has yet to run,
   /// i.e. it is ordered after the running event. Outside an event batch
   /// (now-FIFO events, code between runs) every such place has passed.
@@ -198,16 +143,6 @@ class Simulator {
   /// when > now(), or when == now() and yet_to_run(o); a current-tick
   /// event joins the executing batch at its place in sequence order.
   void schedule_ordered(Tick when, const ReadOrder& o, EventFn fn);
-  /// Barrier merge: the orders reserved during the window just run, which
-  /// the merge re-sequences among the deferred events it inserts.
-  std::vector<ReadOrder*> take_window_orders() {
-    std::vector<ReadOrder*> out;
-    out.swap(window_orders_);
-    for (ReadOrder* o : out) o->slot = ReadOrder::kNoSlot;
-    return out;
-  }
-  /// Reserve a fresh sequence number for a re-sequenced order.
-  std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Awaitable that suspends the current coroutine for `d` picoseconds.
   auto delay(Tick d) {
@@ -293,8 +228,6 @@ class Simulator {
   /// Moves schedule_ordered's current-tick events into drain_ at their
   /// places. Runs between batch events, never while one executes.
   void merge_late();
-  /// Out-of-line slow path of schedule_at under an armed deferral horizon.
-  void defer_event(Tick when, EventFn fn);
   /// Moves bucket `blk`'s events into drain_ (an O(1) vector swap when
   /// drain_ is empty), sorts them if inserts dirtied the bucket, and sets
   /// now() to the earliest pending timestamp — leaving that batch on
@@ -320,12 +253,6 @@ class Simulator {
   void finish_process(std::shared_ptr<ProcessHandle::State> state);
 
   Tick now_ = 0;
-  // Deferral horizon for conservative-PDES windows; kTickMax (the reset
-  // value) keeps the hot schedule_at branch always-false in sequential
-  // runs. Armed only while the ShardEngine executes a window.
-  Tick horizon_ = kTickMax;
-  std::vector<Deferred>* deferred_ = nullptr;
-  std::uint64_t* emit_seq_ = nullptr;
   std::uint64_t cur_blk_ = 0;  // invariant: block_of(now_) <= cur_blk_
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_events_ = 0;
@@ -337,8 +264,6 @@ class Simulator {
   int live_processes_ = 0;
   // schedule_ordered's current-tick events, waiting for merge_late.
   std::vector<Item> late_;
-  // Orders reserved during a parallel-DES window (sim/shard.hpp).
-  std::vector<ReadOrder*> window_orders_;
 
   // Events at when == now(): executed front to back; appends during
   // execution keep sequence order because only current-time events land

@@ -272,4 +272,12 @@ inline Task<> join_all(std::vector<ProcessHandle> handles) {
   for (auto& h : handles) co_await h.join();
 }
 
+/// A run's completion monitor: join every handle in order, then record in
+/// `done` the tick the last one finished. `done` must outlive the process.
+inline Task<> join_all_at(Simulator& sim, std::vector<ProcessHandle> handles,
+                          Tick& done) {
+  co_await join_all(std::move(handles));
+  done = sim.now();
+}
+
 }  // namespace gputn::sim

@@ -33,8 +33,7 @@ struct NodeState {
 
 struct Workspace {
   Workspace(const cluster::SystemConfig& sys, const AllreduceConfig& cfg)
-      : engine(std::max(1, std::min(cfg.shards, cfg.nodes))),
-        cluster(engine, sys, cfg.nodes),
+      : cluster(sim, sys, cfg.nodes),
         config(cfg),
         states(cfg.nodes) {
     for (int r = 0; r < cfg.nodes; ++r) {
@@ -67,10 +66,7 @@ struct Workspace {
     return states[rank].plan.chunk_elems(chunk) * sizeof(float);
   }
 
-  /// The simulator owning rank `r` (all of them when --shards 1).
-  sim::Simulator& node_sim(int r) { return cluster.node_sim(r); }
-
-  sim::ShardEngine engine;
+  sim::Simulator sim;
   cluster::Cluster cluster;
   AllreduceConfig config;
   std::vector<NodeState> states;
@@ -104,11 +100,11 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
     mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
 
     std::vector<sim::ProcessHandle> ops;
-    ops.push_back(w.node_sim(r).spawn(
+    ops.push_back(w.sim.spawn(
         node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
                        w.chunk_bytes(r, snd.chunk), staging),
         "send"));
-    ops.push_back(w.node_sim(r).spawn(
+    ops.push_back(w.sim.spawn(
         node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk),
                        staging),
         "recv"));
@@ -139,11 +135,11 @@ sim::Task<> hdn_rank(Workspace& w, int r) {
     mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
 
     std::vector<sim::ProcessHandle> ops;
-    ops.push_back(w.node_sim(r).spawn(
+    ops.push_back(w.sim.spawn(
         node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
                        w.chunk_bytes(r, snd.chunk)),
         "send"));
-    ops.push_back(w.node_sim(r).spawn(
+    ops.push_back(w.sim.spawn(
         node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk)),
         "recv"));
     co_await sim::join_all(std::move(ops));
@@ -178,7 +174,7 @@ sim::Task<> gds_rank(Workspace& w, int r) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
   std::shared_ptr<gpu::KernelRecord> last;
-  sim::Event all_posted(w.node_sim(r));
+  sim::Event all_posted(w.sim);
 
   for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
     const auto& rd = st.schedule.rounds[round];
@@ -388,60 +384,40 @@ AllreduceResult run_allreduce(const AllreduceConfig& cfg,
   if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
   if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
   if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  std::vector<sim::ProcessHandle> ranks;
   for (int r = 0; r < cfg.nodes; ++r) {
     sim::ProcessHandle h;
     switch (cfg.strategy) {
       case Strategy::kCpu:
-        h = w.node_sim(r).spawn(cpu_rank(w, r, /*staging=*/true), "cpu_rank");
+        h = w.sim.spawn(cpu_rank(w, r, /*staging=*/true), "cpu_rank");
         break;
       case Strategy::kHdn:
-        h = w.node_sim(r).spawn(hdn_rank(w, r), "hdn_rank");
+        h = w.sim.spawn(hdn_rank(w, r), "hdn_rank");
         break;
       case Strategy::kGds:
-        h = w.node_sim(r).spawn(gds_rank(w, r), "gds_rank");
+        h = w.sim.spawn(gds_rank(w, r), "gds_rank");
         break;
       case Strategy::kGpuTn:
-        h = w.node_sim(r).spawn(gputn_rank(w, r), "gputn_rank");
+        h = w.sim.spawn(gputn_rank(w, r), "gputn_rank");
         break;
       case Strategy::kGhn:
       case Strategy::kGnn:
         throw std::invalid_argument(
             "allreduce: GHN/GNN are microbenchmark-only strategies");
     }
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(r))].push_back(h);
+    ranks.push_back(h);
   }
-  // Completion monitors + watchdog: a protocol bug that livelocks would
+  // Completion monitor + watchdog: a protocol bug that livelocks would
   // otherwise spin the event queue forever (a spin-wait whose flag never
   // arrives just leaves it empty, see mem/spin_wait.hpp); and run_until
-  // pads the clock, so the collective's end
-  // time is captured when the last rank finishes. One monitor per shard
-  // (each joins only shard-local ranks); the run's finish is their max,
-  // which equals the sequential single-join tick — the globally last
-  // rank's finish.
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
-  w.engine.run_until(sim::sec(10));
+  // pads the clock, so the collective's end time is captured when the
+  // last rank finishes.
   sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("allreduce: deadlocked (rank never finished)");
-    }
-    finished_at = std::max(finished_at, t);
+  w.sim.spawn(sim::join_all_at(w.sim, std::move(ranks), finished_at),
+              "monitor");
+  w.sim.run_until(sim::sec(10));
+  if (finished_at < 0) {
+    throw std::runtime_error("allreduce: deadlocked (rank never finished)");
   }
   w.cluster.flush_flight();
 

@@ -18,8 +18,7 @@ float pattern(std::size_t i) {
 
 struct Workspace {
   Workspace(const cluster::SystemConfig& sys, const BroadcastConfig& cfg)
-      : engine(std::max(1, std::min(cfg.shards, cfg.nodes))),
-        cluster(engine, sys, cfg.nodes),
+      : cluster(sim, sys, cfg.nodes),
         config(cfg) {
     elems = cfg.bytes / sizeof(float);
     chunk_elems = elems / cfg.chunks;
@@ -45,10 +44,7 @@ struct Workspace {
     return vec[node] + chunk_elems * static_cast<std::size_t>(c) * 4;
   }
 
-  /// The simulator owning node `id` (all of them when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
-
-  sim::ShardEngine engine;
+  sim::Simulator sim;
   cluster::Cluster cluster;
   BroadcastConfig config;
   std::size_t elems = 0;
@@ -163,47 +159,28 @@ BroadcastResult run_broadcast(const BroadcastConfig& cfg,
   if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
   if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
   if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  std::vector<sim::ProcessHandle> nodes;
   for (int n = 0; n < cfg.nodes; ++n) {
     sim::ProcessHandle h;
     switch (cfg.drive) {
       case BroadcastDrive::kHdn:
-        h = w.node_sim(n).spawn(hdn_node(w, n), "bcast");
+        h = w.sim.spawn(hdn_node(w, n), "bcast");
         break;
       case BroadcastDrive::kGpuTn:
-        h = w.node_sim(n).spawn(gputn_node(w, n, false), "bcast");
+        h = w.sim.spawn(gputn_node(w, n, false), "bcast");
         break;
       case BroadcastDrive::kNicChain:
-        h = w.node_sim(n).spawn(gputn_node(w, n, true), "bcast");
+        h = w.sim.spawn(gputn_node(w, n, true), "bcast");
         break;
     }
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(n))].push_back(h);
+    nodes.push_back(h);
   }
-  // Per-shard completion monitors (see allreduce.cpp for rationale).
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
-  w.engine.run_until(sim::sec(10));
+  // Completion monitor + watchdog (see allreduce.cpp for rationale).
   sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("broadcast: deadlocked");
-    }
-    finished_at = std::max(finished_at, t);
-  }
+  w.sim.spawn(sim::join_all_at(w.sim, std::move(nodes), finished_at),
+              "monitor");
+  w.sim.run_until(sim::sec(10));
+  if (finished_at < 0) throw std::runtime_error("broadcast: deadlocked");
   w.cluster.flush_flight();
 
   BroadcastResult res;

@@ -204,17 +204,14 @@ std::uint64_t pack_bytes(int n) {
 
 struct Workspace {
   explicit Workspace(const cluster::SystemConfig& sys, const JacobiConfig& cfg)
-      : engine(std::max(1, std::min(cfg.shards, kNodes))),
-        cluster(engine, sys, kNodes),
+      : cluster(sim, sys, kNodes),
         config(cfg) {
     for (int i = 0; i < kNodes; ++i) {
       data[i].alloc(cluster.node(i).memory(), cfg.n, i);
       data[i].init_values();
     }
   }
-  /// The simulator owning node `id` (all four when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
-  sim::ShardEngine engine;
+  sim::Simulator sim;
   cluster::Cluster cluster;
   JacobiConfig config;
   NodeData data[kNodes];
@@ -239,11 +236,11 @@ sim::Task<> cpu_node(Workspace& w, int id) {
     // Non-blocking sends/recvs (staging copies: pure-CPU eager protocol).
     std::vector<sim::ProcessHandle> ops;
     for (int s = 0; s < 4; ++s) {
-      ops.push_back(w.node_sim(id).spawn(
+      ops.push_back(w.sim.spawn(
           node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
                          d.tx[p][s], d.row_bytes(), /*host_staging=*/true),
           "send"));
-      ops.push_back(w.node_sim(id).spawn(
+      ops.push_back(w.sim.spawn(
           node.rt().recv(neighbor(id, s), halo_tag(k, s), d.rx[p][s],
                          d.row_bytes(), /*host_staging=*/true),
           "recv"));
@@ -291,11 +288,11 @@ sim::Task<> hdn_node(Workspace& w, int id) {
     // send/recv (GPUDirect: zero copy).
     std::vector<sim::ProcessHandle> ops;
     for (int s = 0; s < 4; ++s) {
-      ops.push_back(w.node_sim(id).spawn(
+      ops.push_back(w.sim.spawn(
           node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
                          d.tx[p][s], d.row_bytes()),
           "send"));
-      ops.push_back(w.node_sim(id).spawn(
+      ops.push_back(w.sim.spawn(
           node.rt().recv(neighbor(id, s), halo_tag(k, s), d.rx[p][s],
                          d.row_bytes()),
           "recv"));
@@ -473,56 +470,36 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
   if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
   if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
   if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<std::vector<sim::ProcessHandle>> by_shard(
-      static_cast<std::size_t>(w.engine.shards()));
+  std::vector<sim::ProcessHandle> nodes;
   for (int i = 0; i < kNodes; ++i) {
     sim::ProcessHandle h;
     switch (cfg.strategy) {
       case Strategy::kCpu:
-        h = w.node_sim(i).spawn(cpu_node(w, i), "cpu_node");
+        h = w.sim.spawn(cpu_node(w, i), "cpu_node");
         break;
       case Strategy::kHdn:
-        h = w.node_sim(i).spawn(hdn_node(w, i), "hdn_node");
+        h = w.sim.spawn(hdn_node(w, i), "hdn_node");
         break;
       case Strategy::kGds:
-        h = w.node_sim(i).spawn(gds_node(w, i), "gds_node");
+        h = w.sim.spawn(gds_node(w, i), "gds_node");
         break;
       case Strategy::kGpuTn:
-        h = w.node_sim(i).spawn(gputn_node(w, i), "gputn_node");
+        h = w.sim.spawn(gputn_node(w, i), "gputn_node");
         break;
       case Strategy::kGhn:
       case Strategy::kGnn:
         throw std::invalid_argument(
             "jacobi: GHN/GNN are microbenchmark-only strategies");
     }
-    by_shard[static_cast<std::size_t>(w.cluster.node_shard(i))].push_back(h);
+    nodes.push_back(h);
   }
-  // Per-shard completion monitors + watchdog (see allreduce.cpp for
-  // rationale). Each records the tick its last local node finishes; the
-  // run's finish time is their max, which equals the sequential monitor's
-  // single join tick (the globally last node's finish).
-  std::vector<sim::Tick> shard_done(by_shard.size(), -1);
-  for (std::size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) {
-      shard_done[s] = 0;
-      continue;
-    }
-    w.engine.shard(static_cast<int>(s)).spawn(
-        [](sim::Simulator& sh, std::vector<sim::ProcessHandle> hs,
-           sim::Tick& out) -> sim::Task<> {
-          co_await sim::join_all(std::move(hs));
-          out = sh.now();
-        }(w.engine.shard(static_cast<int>(s)), std::move(by_shard[s]),
-          shard_done[s]),
-        "monitor");
-  }
-  w.engine.run_until(sim::sec(10));
+  // Completion monitor + watchdog (see allreduce.cpp for rationale).
   sim::Tick finished_at = -1;
-  for (sim::Tick t : shard_done) {
-    if (t < 0) {
-      throw std::runtime_error("jacobi: deadlocked (node never finished)");
-    }
-    finished_at = std::max(finished_at, t);
+  w.sim.spawn(sim::join_all_at(w.sim, std::move(nodes), finished_at),
+              "monitor");
+  w.sim.run_until(sim::sec(10));
+  if (finished_at < 0) {
+    throw std::runtime_error("jacobi: deadlocked (node never finished)");
   }
   w.cluster.flush_flight();
 

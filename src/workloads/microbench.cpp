@@ -17,9 +17,8 @@ constexpr std::uint64_t kMagic = 0x5ca1ab1e;
 constexpr sim::Tick kCopyTime = sim::ns(380);
 
 struct Rig {
-  Rig(const cluster::SystemConfig& cfg, int shards)
-      : engine(std::max(1, std::min(shards, 2))),
-        cluster(engine, cfg, 2),
+  explicit Rig(const cluster::SystemConfig& cfg)
+      : cluster(sim, cfg, 2),
         initiator(cluster.node(0)),
         target(cluster.node(1)) {
     src = initiator.memory().alloc(kPayloadBytes);
@@ -39,10 +38,7 @@ struct Rig {
     return p;
   }
 
-  /// The simulator owning node `id` (both when --shards 1).
-  sim::Simulator& node_sim(int id) { return cluster.node_sim(id); }
-
-  sim::ShardEngine engine;
+  sim::Simulator sim;
   cluster::Cluster cluster;
   cluster::Node& initiator;
   cluster::Node& target;
@@ -55,7 +51,7 @@ struct Rig {
 /// Target-side observer: polls the completion flag on the host CPU.
 sim::Task<> target_poll(Rig& r, sim::Tick& completion) {
   co_await r.target.cpu().wait_value_ge(r.rflag, 1);
-  completion = r.node_sim(1).now();
+  completion = r.sim.now();
 }
 
 /// The kernel body shared by the GPU strategies: copy one cache line from
@@ -72,18 +68,18 @@ MicrobenchResult run_hdn(Rig& r) {
   res.strategy = Strategy::kHdn;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(
+  r.sim.spawn(
       [](Rig& rr, sim::Tick& out) -> sim::Task<> {
         // Two-sided target: post the receive, wait for the payload.
         co_await rr.target.rt().recv(0, /*tag=*/1, rr.dst, kPayloadBytes);
         rr.target.memory().store<std::uint64_t>(rr.rflag, 1);
-        out = rr.node_sim(1).now();
+        out = rr.sim.now();
       }(r, target_done),
       "target");
 
   std::shared_ptr<gpu::KernelRecord> rec;
   sim::Tick send_begin = -1, send_end = -1;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
          sim::Tick& sb, sim::Tick& se) -> sim::Task<> {
         gpu::KernelDesc k;
@@ -96,13 +92,13 @@ MicrobenchResult run_hdn(Rig& r) {
         auto rec = co_await rr.initiator.rt().launch(std::move(k));
         rec_out = rec;
         co_await rec->done.wait();  // host waits on the kernel boundary
-        sb = rr.node_sim(0).now();
+        sb = rr.sim.now();
         co_await rr.initiator.rt().send(1, /*tag=*/1, rr.src, kPayloadBytes);
-        se = rr.node_sim(0).now();
+        se = rr.sim.now();
       }(r, rec, send_begin, send_end),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"launch", rec->launch_begin, rec->exec_begin},
       {"kernel", rec->exec_begin, rec->exec_end},
@@ -119,11 +115,11 @@ MicrobenchResult run_gds(Rig& r) {
   res.strategy = Strategy::kGds;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(target_poll(r, target_done), "target");
+  r.sim.spawn(target_poll(r, target_done), "target");
 
   std::shared_ptr<gpu::KernelRecord> rec;
   sim::Tick host_done = -1;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
          sim::Tick& hd) -> sim::Task<> {
         gpu::KernelDesc k;
@@ -139,11 +135,11 @@ MicrobenchResult run_gds(Rig& r) {
         rec_out = rec;
         co_await rr.initiator.rt().gds_stream_put(rr.put_desc());
         co_await rec->done.wait();
-        hd = rr.node_sim(0).now();
+        hd = rr.sim.now();
       }(r, rec, host_done),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"launch", rec->launch_begin, rec->exec_begin},
       {"kernel", rec->exec_begin, rec->exec_end},
@@ -159,10 +155,10 @@ MicrobenchResult run_gputn(Rig& r) {
   res.strategy = Strategy::kGpuTn;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(target_poll(r, target_done), "target");
+  r.sim.spawn(target_poll(r, target_done), "target");
 
   std::shared_ptr<gpu::KernelRecord> rec;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out) -> sim::Task<> {
         // Figure 6: register the triggered put, then launch the kernel that
         // triggers it from inside (Figure 7c with one work-group).
@@ -184,7 +180,7 @@ MicrobenchResult run_gputn(Rig& r) {
       }(r, rec),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"launch", rec->launch_begin, rec->exec_begin},
       {"kernel", rec->exec_begin, rec->exec_end},
@@ -205,7 +201,7 @@ MicrobenchResult run_ghn(Rig& r) {
   res.strategy = Strategy::kGhn;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(target_poll(r, target_done), "target");
+  r.sim.spawn(target_poll(r, target_done), "target");
 
   mem::Addr bounce = r.initiator.memory().alloc(kPayloadBytes);
   mem::Addr request = r.initiator.rt().alloc_flag();
@@ -213,7 +209,7 @@ MicrobenchResult run_ghn(Rig& r) {
 
   // The helper thread: poll for GPU requests, service them.
   std::uint64_t polls = 0;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, mem::Addr bounce, mem::Addr request, mem::Addr stop,
          std::uint64_t& polls) -> sim::Task<> {
         auto& cpu = rr.initiator.cpu();
@@ -240,7 +236,7 @@ MicrobenchResult run_ghn(Rig& r) {
       "helper-thread");
 
   std::shared_ptr<gpu::KernelRecord> rec;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
          mem::Addr bounce, mem::Addr request, mem::Addr stop) -> sim::Task<> {
         gpu::KernelDesc k;
@@ -261,7 +257,7 @@ MicrobenchResult run_ghn(Rig& r) {
       }(r, rec, bounce, request, helper_stop),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"launch", rec->launch_begin, rec->exec_begin},
       {"kernel", rec->exec_begin, rec->exec_end},
@@ -283,7 +279,7 @@ MicrobenchResult run_gnn(Rig& r) {
   res.strategy = Strategy::kGnn;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(target_poll(r, target_done), "target");
+  r.sim.spawn(target_poll(r, target_done), "target");
 
   // In-kernel packet construction cost: serial pointer chasing through QP
   // state held in global memory; a single lane does the work while the
@@ -293,7 +289,7 @@ MicrobenchResult run_gnn(Rig& r) {
 
   std::shared_ptr<gpu::KernelRecord> rec;
   nic::PutDesc put = r.put_desc();
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
          nic::PutDesc put) -> sim::Task<> {
         gpu::KernelDesc k;
@@ -317,7 +313,7 @@ MicrobenchResult run_gnn(Rig& r) {
       }(r, rec, put),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"launch", rec->launch_begin, rec->exec_begin},
       {"kernel", rec->exec_begin, rec->exec_end},
@@ -333,30 +329,30 @@ MicrobenchResult run_cpu(Rig& r) {
   res.strategy = Strategy::kCpu;
 
   sim::Tick target_done = -1;
-  r.node_sim(1).spawn(
+  r.sim.spawn(
       [](Rig& rr, sim::Tick& out) -> sim::Task<> {
         co_await rr.target.rt().recv(0, 1, rr.dst, kPayloadBytes,
                                      /*host_staging=*/true);
         rr.target.memory().store<std::uint64_t>(rr.rflag, 1);
-        out = rr.node_sim(1).now();
+        out = rr.sim.now();
       }(r, target_done),
       "target");
 
   sim::Tick copy_begin = -1, send_begin = -1, send_end = -1;
-  r.node_sim(0).spawn(
+  r.sim.spawn(
       [](Rig& rr, sim::Tick& cb, sim::Tick& sb, sim::Tick& se) -> sim::Task<> {
-        cb = rr.node_sim(0).now();
+        cb = rr.sim.now();
         std::uint64_t v = rr.initiator.memory().load<std::uint64_t>(rr.input);
         rr.initiator.memory().store<std::uint64_t>(rr.src, v);
         co_await rr.initiator.cpu().compute(sim::ns(40));  // 64B copy
-        sb = rr.node_sim(0).now();
+        sb = rr.sim.now();
         co_await rr.initiator.rt().send(1, 1, rr.src, kPayloadBytes,
                                         /*host_staging=*/true);
-        se = rr.node_sim(0).now();
+        se = rr.sim.now();
       }(r, copy_begin, send_begin, send_end),
       "initiator");
 
-  r.engine.run();
+  r.sim.run();
   res.initiator_phases = {
       {"copy", copy_begin, send_begin},
       {"send", send_begin, send_end},
@@ -371,7 +367,7 @@ MicrobenchResult run_cpu(Rig& r) {
 MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
                                 const cluster::SystemConfig& config) {
   cluster::SystemConfig adjusted = with_fabric_overrides(cfg, config);
-  Rig r(adjusted, cfg.shards);
+  Rig r(adjusted);
   if (cfg.trace != nullptr) r.cluster.enable_tracing(*cfg.trace);
   if (cfg.timeseries != nullptr) r.cluster.attach_timeseries(*cfg.timeseries);
   if (cfg.flight != nullptr) r.cluster.attach_flight(*cfg.flight);

@@ -28,19 +28,10 @@ struct FlagRule {
 };
 
 constexpr FlagRule kFlagRules[] = {
-    {"--replicas", "--shards", false,
-     "replicas already run in parallel via --jobs; S*R threads would "
-     "oversubscribe the host"},
     {"--replicas", "--trace", false, "replicas share no trace recorder"},
     {"--replicas", "--timeseries", false, "replicas share no sampler"},
     {"--replicas", "--flight", true,
      "one private recorder per replica, dumps merged in plan order"},
-    {"--shards", "--trace", false,
-     "the trace recorder is unsynchronized across shard workers"},
-    {"--shards", "--timeseries", false,
-     "the sampler is unsynchronized across shard workers"},
-    {"--shards", "--flight", true,
-     "per-node spools, replayed in one canonical order after the run"},
     {"--trace", "--timeseries", true, "both are pure single-run observers"},
     {"--trace", "--flight", true, "both are pure single-run observers"},
     {"--timeseries", "--flight", true, "both are pure single-run observers"},
@@ -48,7 +39,6 @@ constexpr FlagRule kFlagRules[] = {
 
 bool flag_active(const ActiveFlags& f, const std::string& name) {
   if (name == "--replicas") return f.replicas;
-  if (name == "--shards") return f.shards;
   if (name == "--trace") return f.trace;
   if (name == "--timeseries") return f.timeseries;
   return f.flight;
@@ -68,10 +58,9 @@ std::string flag_conflict(const ActiveFlags& f) {
 }
 
 std::string flag_matrix() {
-  const char* flags[] = {"--replicas", "--shards", "--trace", "--timeseries",
-                         "--flight"};
+  const char* flags[] = {"--replicas", "--trace", "--timeseries", "--flight"};
   std::string out =
-      "Flag compatibility (pairwise; all five compose with --jobs):\n";
+      "Flag compatibility (pairwise; all four compose with --jobs):\n";
   char line[160];
   std::snprintf(line, sizeof(line), "  %-14s", "");
   out += line;

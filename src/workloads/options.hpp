@@ -62,15 +62,6 @@ struct RunOptions {
   /// points executed by the parallel runner, whose workers must not
   /// interleave prints; the driver reports from the merged results instead.
   bool quiet = false;
-  /// Intra-run parallel DES: partition the cluster over this many worker
-  /// threads (sim::ShardEngine), conservative-lookahead synchronized.
-  /// Results, checksums, stats exports and flight dumps are bit-identical
-  /// to --shards 1 at every value (the golden suite pins this). Runners
-  /// clamp to the node count. Composes with --flight and fault injection;
-  /// rejected (std::invalid_argument in make_config) with --trace or
-  /// --timeseries, whose recorders are unsynchronized by design — same
-  /// policy as --replicas.
-  int shards = 1;
   // -- fabric selection (net::TopologyFactory / net::RouterFactory) --------
   /// Topology spec, e.g. "star" | "fat-tree:k=8" | "torus:4x4x4" |
   /// "dragonfly:a=4,h=2,p=2". Empty keeps the SystemConfig's default
@@ -92,12 +83,10 @@ cluster::SystemConfig with_fabric_overrides(const RunOptions& opts,
                                             const cluster::SystemConfig& sys);
 
 /// Which multi-run / observer flags a command line activated. The pairwise
-/// accept/reject rules between them used to be hand-coded per flag at each
-/// call site (CLI replicas checks, make_config shard checks) and drifted;
-/// this is the one table both the driver and `gputn config` read.
+/// accept/reject rules between them live in one table that both the driver
+/// and `gputn config` read.
 struct ActiveFlags {
   bool replicas = false;    ///< --replicas > 1
-  bool shards = false;      ///< --shards > 1
   bool trace = false;       ///< --trace FILE
   bool timeseries = false;  ///< --timeseries FILE
   bool flight = false;      ///< --flight FILE
@@ -109,8 +98,8 @@ struct ActiveFlags {
 std::string flag_conflict(const ActiveFlags& f);
 
 /// The full pairwise compatibility matrix, rendered for `gputn config` and
-/// the docs. Covers every {--replicas, --shards, --trace, --timeseries,
-/// --flight} pair with the reason a pair is rejected or allowed.
+/// the docs. Covers every {--replicas, --trace, --timeseries, --flight}
+/// pair with the reason a pair is rejected or allowed.
 std::string flag_matrix();
 
 /// Result fields shared by every workload, plus the single report/export

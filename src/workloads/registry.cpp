@@ -15,12 +15,14 @@ namespace gputn::workloads {
 
 std::string WorkloadParams::get(const std::string& key,
                                 const std::string& dflt) const {
+  read_.insert(key);
   auto it = values_.find(key);
   return it != values_.end() && !it->second.empty() ? it->second : dflt;
 }
 
 long WorkloadParams::get_int(const std::string& key, long dflt, long min,
                              long max) const {
+  read_.insert(key);
   long v = dflt;
   auto it = values_.find(key);
   if (it != values_.end()) {
@@ -43,6 +45,7 @@ long WorkloadParams::get_int(const std::string& key, long dflt, long min,
 
 double WorkloadParams::get_double(const std::string& key, double dflt,
                                   double min, double max) const {
+  read_.insert(key);
   double v = dflt;
   auto it = values_.find(key);
   if (it != values_.end()) {
@@ -61,6 +64,15 @@ double WorkloadParams::get_double(const std::string& key, double dflt,
                                 std::to_string(max) + "]");
   }
   return v;
+}
+
+void WorkloadParams::reject_unread(const std::string& workload) const {
+  for (const auto& [key, value] : values_) {
+    if (read_.count(key) == 0) {
+      throw std::invalid_argument("unknown option --" + key + " for " +
+                                  workload);
+    }
+  }
 }
 
 void Registry::add(WorkloadEntry entry) { entries_.push_back(std::move(entry)); }
@@ -114,27 +126,6 @@ Cfg make_config(const RunOptions& opts, const WorkloadParams& p) {
   cfg.topology = opts.topology;
   cfg.routing = opts.routing;
   cfg.credits = opts.credits;
-  cfg.shards = opts.shards;
-  if (cfg.shards < 1) {
-    throw std::invalid_argument("--shards must be >= 1");
-  }
-  // Shard rejection policy, centralized so every workload behaves the
-  // same: the trace and time-series recorders are unsynchronized pure
-  // observers, and under parallel DES workers on different shards would
-  // interleave writes into them. Reject loudly — the same stance the CLI
-  // already takes for --trace with --replicas — instead of silently
-  // serializing or racing. --flight composes (per-node spools); faults
-  // compose (per-link deterministic RNGs).
-  if (cfg.shards > 1 && cfg.trace != nullptr) {
-    throw std::invalid_argument(
-        "--shards > 1 cannot be combined with --trace (the trace recorder "
-        "is unsynchronized; run the traced run with --shards 1)");
-  }
-  if (cfg.shards > 1 && cfg.timeseries != nullptr) {
-    throw std::invalid_argument(
-        "--shards > 1 cannot be combined with --timeseries (the sampler "
-        "is unsynchronized; run the sampled run with --shards 1)");
-  }
   return cfg;
 }
 
@@ -145,6 +136,7 @@ ResultBase run_microbench_entry(const RunOptions& opts,
   if (cfg.nodes != 2) {
     throw std::invalid_argument("microbench always pairs 2 nodes");
   }
+  p.reject_unread("microbench");
   MicrobenchResult res = run_microbench(cfg, sys);
   if (!opts.quiet) {
     std::printf("%s one-cache-line microbenchmark:\n",
@@ -168,6 +160,7 @@ ResultBase run_jacobi_entry(const RunOptions& opts, const WorkloadParams& p,
   cfg.n = static_cast<int>(p.get_int("n", 256, 1, kMaxN));
   cfg.iterations = static_cast<int>(p.get_int("iterations", 10, 1, 1 << 20));
   cfg.overlap = p.flag("overlap");
+  p.reject_unread("jacobi");
   JacobiResult res = run_jacobi(cfg, sys);
   if (!opts.quiet) {
     res.report();
@@ -185,6 +178,7 @@ ResultBase run_allreduce_entry(const RunOptions& opts, const WorkloadParams& p,
   cfg.elements = static_cast<std::size_t>(
       p.get_double("mb", 8.0, 1.0 / 1024, 4096.0) * 1024 * 1024 / 4);
   cfg.nic_offload_allgather = p.flag("offload");
+  p.reject_unread("allreduce");
   AllreduceResult res = run_allreduce(cfg, sys);
   if (!opts.quiet) {
     res.report();
@@ -205,6 +199,7 @@ ResultBase run_broadcast_entry(const RunOptions& opts, const WorkloadParams& p,
   cfg.bytes = static_cast<std::size_t>(
       p.get_double("mb", 1.0, 1.0 / 1024, 4096.0) * 1024 * 1024);
   cfg.chunks = static_cast<int>(p.get_int("chunks", 16, 1, 1 << 16));
+  p.reject_unread("broadcast");
   BroadcastResult res = run_broadcast(cfg, sys);
   if (!opts.quiet) res.report();
   return res;
@@ -239,6 +234,7 @@ ResultBase run_serve_entry(const RunOptions& opts, const WorkloadParams& p,
   // system config's fault seed; it is the request schedule's seed too.
   cfg.seed = static_cast<std::uint64_t>(
       p.get_int("seed", static_cast<long>(sys.fault.seed), 0, 1L << 62));
+  p.reject_unread("serve");
   serve::ServeResult res = run_serve(cfg, sys);
   return res;
 }

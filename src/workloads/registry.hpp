@@ -5,13 +5,15 @@
 // A runner takes the shared RunOptions (strategy / node count / trace
 // recorder), the workload-specific string parameters, and the system
 // config; it validates the parameters (throwing std::invalid_argument on
-// bad input so the driver can report a usage error instead of running with
-// garbage), executes the workload, prints its report, and returns the
-// sliced ResultBase for the driver's exit-code / stats-export plumbing.
+// bad input, or on a parameter it does not take, so the driver can report
+// a usage error instead of running with garbage), executes the workload,
+// prints its report, and returns the sliced ResultBase for the driver's
+// exit-code / stats-export plumbing.
 #pragma once
 
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -24,13 +26,19 @@ namespace gputn::workloads {
 /// Unlike raw atol/atof, the typed getters reject non-numeric text and
 /// enforce range bounds at parse time (throwing std::invalid_argument),
 /// so e.g. `--iterations banana` or `--chunks 0` fail before the
-/// simulation starts.
+/// simulation starts. Every getter records the key it looks up, so a
+/// runner can refuse the keys it never read (reject_unread): a typo or a
+/// flag the workload does not take fails instead of being ignored. The
+/// record makes an object single-threaded; exp::Plan copies one per point.
 class WorkloadParams {
  public:
   void set(std::string key, std::string value) {
     values_[std::move(key)] = std::move(value);
   }
-  bool has(const std::string& key) const { return values_.count(key) > 0; }
+  bool has(const std::string& key) const {
+    read_.insert(key);
+    return values_.count(key) > 0;
+  }
 
   /// Boolean flag: present (with or without a value) means true.
   bool flag(const std::string& key) const { return has(key); }
@@ -45,8 +53,14 @@ class WorkloadParams {
   double get_double(const std::string& key, double dflt, double min,
                     double max) const;
 
+  /// Throws std::invalid_argument("unknown option --<key> for <workload>")
+  /// for the first key, in key order, that no getter has read. Runners
+  /// call it after reading their knobs and before building anything.
+  void reject_unread(const std::string& workload) const;
+
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  ///< keys looked up so far
 };
 
 /// Runs one workload and returns the common slice of its result.

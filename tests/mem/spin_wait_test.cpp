@@ -6,11 +6,11 @@
 // scheduled in the place the wait reserved at its start
 // (sim::Simulator::ReadOrder). Randomized schedules run both side by side
 // for the GPU work-group wait, the host CPU wait (with its busy ledger) and
-// the GDS front-end wait, sequentially and on a 2-shard engine, and must
-// agree on every wake tick, on the order of everything that runs within a
-// tick, and on the ledger. The multi-word wait (MultiSpinWait) runs the same
-// way against the two scans it replaced in serve: the GPU kernel's
-// round-robin slot scan and the client completion reactor.
+// the GDS front-end wait, and must agree on every wake tick, on the order
+// of everything that runs within a tick, and on the ledger. The multi-word
+// wait (MultiSpinWait) runs the same way against the two scans it replaced
+// in serve: the GPU kernel's round-robin slot scan and the client
+// completion reactor.
 #include "mem/spin_wait.hpp"
 
 #include <gtest/gtest.h>
@@ -30,7 +30,6 @@
 #include "mem/dma.hpp"
 #include "mem/memory.hpp"
 #include "obs/busy.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/units.hpp"
@@ -102,7 +101,6 @@ class PollingWait {
                              [this] { read(); });
       return;
     }
-    sim_->release_order(order_);
     finish();
     begin();
   }
@@ -206,7 +204,6 @@ sim::Task<> polling_scan(sim::Simulator& sim, Memory& memory,
         break;
       }
     }
-    sim.release_order(order);
     std::size_t p = live[k];
     log.push_back({sim.now(), win_code(id, k)});
     log.push_back({sim.now(), served_code(id, p, done[p]++)});
@@ -310,7 +307,6 @@ sim::Task<> polling_reactor(sim::Simulator& sim, Memory& memory, Reactor& r,
         ++win;
       }
     }
-    sim.release_order(order);
     log.push_back({sim.now(), win_code(id, win)});
     r.trigger(memory, sim.now(), log);
   }
@@ -355,7 +351,8 @@ struct CopySpec {
   int flag;
   std::uint64_t value;
 };
-/// A store posted from the other shard at `at`, landing at `lands`.
+/// A store sent at `at` that lands at `lands`, at least kWireDelay later, as
+/// a remote node's deposit would.
 struct RemoteSpec {
   Tick at;
   Tick lands;
@@ -381,8 +378,8 @@ struct Schedule {
   int flags = kFlags;
 };
 
-constexpr Tick kLookahead = ns(50);
-constexpr Tick kQuantum = ns(10);  // every home-shard tick is a multiple
+constexpr Tick kWireDelay = ns(50);
+constexpr Tick kQuantum = ns(10);  // every local tick is a multiple
 constexpr Tick kEnd = ns(5000);    // every flag is raised past all targets
 
 struct Outcome {
@@ -412,12 +409,9 @@ std::string first_difference(const Outcome& a, const Outcome& b) {
   return os.str();
 }
 
-/// Runs `s` on a `shards`-shard engine: memory, waiters and their stores on
-/// shard 0, the remote stores' senders on the last shard.
-Outcome run_schedule(const Schedule& s, bool elided, int shards) {
-  sim::ShardEngine eng(shards);
-  eng.set_lookahead(kLookahead);
-  sim::Simulator& home = eng.shard(0);
+/// Runs `s` with polling waits, or with the elided waits they model.
+Outcome run_schedule(const Schedule& s, bool elided) {
+  sim::Simulator home;
   Memory memory(1 << 16);
   // 1 byte/ns and 2 ns startup: an 8-byte copy lands on a multiple of 10 ns.
   DmaEngine dma(home, memory, sim::Bandwidth::bytes_per_sec(1e9), ns(2));
@@ -497,14 +491,9 @@ Outcome run_schedule(const Schedule& s, bool elided, int shards) {
     });
   }
   for (const RemoteSpec& r : s.remotes) {
-    sim::Simulator& from = eng.shard(shards - 1);
-    from.schedule_at(r.at, [&eng, &home, shards, lands = r.lands,
+    home.schedule_at(r.at, [&home, lands = r.lands,
                             fn = store(r.flag, r.value)] {
-      if (shards == 1) {
-        home.schedule_at(lands, fn);
-      } else {
-        eng.post(shards - 1, 0, lands, fn);
-      }
+      home.schedule_at(lands, fn);
     });
   }
   for (std::size_t i = 0; i < s.noise.size(); ++i) {
@@ -515,12 +504,12 @@ Outcome run_schedule(const Schedule& s, bool elided, int shards) {
   }
   for (int f = 0; f < s.flags; ++f) home.schedule_at(kEnd, store(f, 100));
 
-  eng.run();
+  home.run();
   EXPECT_EQ(home.live_processes(), 0);
   out.busy_ps = core.busy_ps(home.now());
   out.ops = core.ops();
   out.in_use_max = core.in_use_max();
-  eng.reap_processes();
+  home.reap_processes();
   return out;
 }
 
@@ -577,11 +566,11 @@ Schedule random_schedule(std::uint64_t seed) {
   }
   for (int i = 0; i < 10; ++i) {
     RemoteSpec r;
-    r.at = quantum(400) + 5;  // never a home-shard tick
+    r.at = quantum(400) + 5;  // never a local tick
     const WaiterSpec& w = s.waiters[rng() % s.waiters.size()];
     r.lands = grid_tick(rng, w);
-    if (r.lands < r.at + kLookahead) {
-      r.lands = (r.at + kLookahead + kQuantum - 1) / kQuantum * kQuantum;
+    if (r.lands < r.at + kWireDelay) {
+      r.lands = (r.at + kWireDelay + kQuantum - 1) / kQuantum * kQuantum;
     }
     r.flag = w.flag;
     r.value = value();
@@ -591,7 +580,7 @@ Schedule random_schedule(std::uint64_t seed) {
     const WaiterSpec& w = s.waiters[rng() % s.waiters.size()];
     NoiseSpec n;
     n.at = grid_tick(rng, w);
-    // Often scheduled more than a lookahead ahead: a deferred event.
+    // Often scheduled well ahead of its tick.
     n.sched = std::max<Tick>(0, n.at - quantum(40));
     s.noise.push_back(n);
   }
@@ -604,18 +593,10 @@ TEST(SpinWait, ElidedMatchesPollingReferenceOnRandomSchedules) {
     Schedule s = random_schedule(seed);
     std::size_t entries = s.noise.size();
     for (const WaiterSpec& w : s.waiters) entries += w.targets.size();
-    Outcome ref = run_schedule(s, false, 1);
+    Outcome ref = run_schedule(s, false);
     ASSERT_EQ(ref.log.size(), entries);
-    Outcome elided = run_schedule(s, true, 1);
+    Outcome elided = run_schedule(s, true);
     EXPECT_TRUE(elided == ref) << first_difference(elided, ref);
-    // A 2-shard window (50 ns) is shorter than every poll period, so most
-    // wakes land past the horizon they were armed in.
-    for (bool elide : {false, true}) {
-      Outcome sharded = run_schedule(s, elide, 2);
-      EXPECT_TRUE(sharded == ref)
-          << "2 shards, elided " << elide << ": "
-          << first_difference(sharded, ref);
-    }
   }
 }
 
@@ -699,11 +680,11 @@ Schedule random_scan_schedule(std::uint64_t seed) {
   }
   for (int i = 0; i < 10; ++i) {
     RemoteSpec r;
-    r.at = quantum(400) + 5;  // never a home-shard tick
+    r.at = quantum(400) + 5;  // never a local tick
     r.lands = i % 2 == 0 ? scan_tick(s.scans[rng() % s.scans.size()])
                          : reactor_tick();
-    if (r.lands < r.at + kLookahead) {
-      r.lands = (r.at + kLookahead + kQuantum - 1) / kQuantum * kQuantum;
+    if (r.lands < r.at + kWireDelay) {
+      r.lands = (r.at + kWireDelay + kQuantum - 1) / kQuantum * kQuantum;
     }
     r.flag = static_cast<int>(rng() % 8);
     r.value = value();
@@ -727,22 +708,16 @@ TEST(MultiSpinWait, ElidedMatchesPollingScansOnRandomSchedules) {
     for (const ScanSpec& sc : s.scans) {
       for (const auto& t : sc.targets) entries += 2 * t.size();
     }
-    Outcome ref = run_schedule(s, false, 1);
+    Outcome ref = run_schedule(s, false);
     // Every join is triggered, by a wake of its own or a shared one.
     ASSERT_GE(ref.log.size(), entries - s.reactors[0].joins.size());
     ASSERT_LE(ref.log.size(), entries);
-    Outcome elided = run_schedule(s, true, 1);
+    Outcome elided = run_schedule(s, true);
     EXPECT_TRUE(elided == ref) << first_difference(elided, ref);
-    for (bool elide : {false, true}) {
-      Outcome sharded = run_schedule(s, elide, 2);
-      EXPECT_TRUE(sharded == ref)
-          << "2 shards, elided " << elide << ": "
-          << first_difference(sharded, ref);
-    }
   }
 }
 
-TEST(SpinWait, ForcedCasesMatchOnOneAndTwoShards) {
+TEST(SpinWait, ForcedCasesMatchThePollingReference) {
   Schedule s;
   // GPU wait, reads at 120, 340, 560 ns: the flag is raised at 200 and
   // lowered at 300, before the read at 340 that its rise armed; raised
@@ -758,22 +733,17 @@ TEST(SpinWait, ForcedCasesMatchOnOneAndTwoShards) {
   s.waiters.push_back({2, 2, ns(2000), {0}});
   const Log want = {{ns(560), 0}, {ns(1180), 8}, {ns(1180), 16},
                     {ns(2000), 24}};
-  // On 2 shards every wake here is armed less than a poll period ahead,
-  // past the 50 ns window horizon.
-  for (int shards : {1, 2}) {
-    for (bool elided : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << shards << " shards, elided "
-                                        << elided);
-      Outcome o = run_schedule(s, elided, shards);
-      EXPECT_EQ(o.log, want);
-      EXPECT_EQ(o.busy_ps, 2 * static_cast<std::uint64_t>(ns(180)));
-      EXPECT_EQ(o.ops, 6u);  // reads at 1000, 1060, 1120 fail, per waiter
-      EXPECT_EQ(o.in_use_max, 2);
-    }
+  for (bool elided : {false, true}) {
+    SCOPED_TRACE(elided);
+    Outcome o = run_schedule(s, elided);
+    EXPECT_EQ(o.log, want);
+    EXPECT_EQ(o.busy_ps, 2 * static_cast<std::uint64_t>(ns(180)));
+    EXPECT_EQ(o.ops, 6u);  // reads at 1000, 1060, 1120 fail, per waiter
+    EXPECT_EQ(o.in_use_max, 2);
   }
 }
 
-TEST(MultiSpinWait, ForcedCasesMatchOnOneAndTwoShards) {
+TEST(MultiSpinWait, ForcedCasesMatchThePollingScans) {
   Schedule s;
   s.flags = 8;
   // Scan 0, slots on flags 0 and 1: reads at 120, 360, ... and 240, 480,
@@ -816,17 +786,14 @@ TEST(MultiSpinWait, ForcedCasesMatchOnOneAndTwoShards) {
       {ns(3180), win_code(10, 0)},   {ns(3180), join_code(10, 0)},
       {ns(3180), join_code(10, 2)},  {ns(3460), win_code(10, 0)},
       {ns(3460), join_code(10, 3)}};
-  for (int shards : {1, 2}) {
-    for (bool elided : {false, true}) {
-      SCOPED_TRACE(::testing::Message() << shards << " shards, elided "
-                                        << elided);
-      Outcome o = run_schedule(s, elided, shards);
-      EXPECT_EQ(o.log, want);
-      // The reactor's core: 3000-3120, 3120-3180 and 3400-3460.
-      EXPECT_EQ(o.busy_ps, static_cast<std::uint64_t>(ns(240)));
-      EXPECT_EQ(o.ops, 4u);
-      EXPECT_EQ(o.in_use_max, 1);
-    }
+  for (bool elided : {false, true}) {
+    SCOPED_TRACE(elided);
+    Outcome o = run_schedule(s, elided);
+    EXPECT_EQ(o.log, want);
+    // The reactor's core: 3000-3120, 3120-3180 and 3400-3460.
+    EXPECT_EQ(o.busy_ps, static_cast<std::uint64_t>(ns(240)));
+    EXPECT_EQ(o.ops, 4u);
+    EXPECT_EQ(o.in_use_max, 1);
   }
 }
 
@@ -835,32 +802,26 @@ TEST(MultiSpinWait, LosingReadOutlivesTheWaitThatArmedIt) {
   // at 20 arms word 0's read at 100; the later store at 30 arms word 1's
   // earlier one at 50, which wins. The waiter's frame, and the handle in
   // it, are gone by 100: the losing read returns at once on state its
-  // closure still owns. On 2 shards it is deferred past a window horizon
-  // first.
-  for (int shards : {1, 2}) {
-    SCOPED_TRACE(shards);
-    sim::ShardEngine eng(shards);
-    eng.set_lookahead(ns(20));
-    sim::Simulator& sim = eng.shard(0);
-    Memory memory(1 << 12);
-    Addr a = memory.alloc(8);
-    Addr b = memory.alloc(8);
-    Log log;
-    auto waiter = [&]() -> sim::Task<> {
-      MultiSpinWait scan(sim, memory);
-      scan.add(a, 1, ns(100));
-      scan.add(b, 1, ns(50));
-      std::size_t i = co_await scan.wait(ns(100));
-      log.push_back({sim.now(), static_cast<int>(i)});
-    };
-    sim.spawn(waiter());
-    sim.schedule_at(ns(20), [&] { memory.store<std::uint64_t>(a, 1); });
-    sim.schedule_at(ns(30), [&] { memory.store<std::uint64_t>(b, 1); });
-    sim.schedule_at(ns(100), [&] { log.push_back({sim.now(), -1}); });
-    eng.run();
-    EXPECT_EQ(log, (Log{{ns(50), 1}, {ns(100), -1}}));
-    EXPECT_EQ(sim.live_processes(), 0);
-  }
+  // closure still owns.
+  sim::Simulator sim;
+  Memory memory(1 << 12);
+  Addr a = memory.alloc(8);
+  Addr b = memory.alloc(8);
+  Log log;
+  auto waiter = [&]() -> sim::Task<> {
+    MultiSpinWait scan(sim, memory);
+    scan.add(a, 1, ns(100));
+    scan.add(b, 1, ns(50));
+    std::size_t i = co_await scan.wait(ns(100));
+    log.push_back({sim.now(), static_cast<int>(i)});
+  };
+  sim.spawn(waiter());
+  sim.schedule_at(ns(20), [&] { memory.store<std::uint64_t>(a, 1); });
+  sim.schedule_at(ns(30), [&] { memory.store<std::uint64_t>(b, 1); });
+  sim.schedule_at(ns(100), [&] { log.push_back({sim.now(), -1}); });
+  sim.run();
+  EXPECT_EQ(log, (Log{{ns(50), 1}, {ns(100), -1}}));
+  EXPECT_EQ(sim.live_processes(), 0);
 }
 
 /// Wake tick of one wait on `flag >= 1`, started at 0, with a store of 1 at

@@ -12,7 +12,8 @@
 //   gputn <workload> [workload options]
 //
 // Workloads come from workloads::Registry (microbench, jacobi, allreduce,
-// broadcast); `gputn` with no arguments lists them. Shared options:
+// broadcast, serve); `gputn` with no arguments lists them. An option the
+// workload does not take is a usage error (exit 2). Shared options:
 //   --strategy S   driving strategy where the workload takes one
 //   --nodes N      node count where the workload is size-flexible
 //
@@ -31,13 +32,6 @@
 //                  bit-identical for every jobs value.
 // `gputn sweep` runs the built-in fig09+fig10+ablation mini-sweep through
 // the same engine (the plan bench/micro_sweep measures).
-//
-// Intra-run parallel DES:
-//   --shards S     partition one run's cluster across S worker threads
-//                  (sim::ShardEngine, conservative lookahead). Every result,
-//                  checksum, stat and flight dump is bit-identical to
-//                  --shards 1. Single-run only: rejected with --replicas,
-//                  --trace and --timeseries.
 //
 // Every workload also accepts observability flags:
 //   --trace FILE       write a Chrome-trace (Perfetto) JSON timeline with
@@ -148,9 +142,6 @@ namespace {
       "  fault injection (jacobi/allreduce/broadcast): --loss <rate> "
       "--seed <s> (serve: the request-schedule seed)\n"
       "  replication (any workload): --replicas <r> --jobs <n>\n"
-      "  parallel DES (any workload): --shards <s> worker threads inside "
-      "one run, bit-identical output; excludes "
-      "--replicas/--trace/--timeseries\n"
       "  observability (any workload): --trace <file> --stats-json <file> "
       "--timeseries <file> --sample-interval <ns> "
       "--flight <file> --flight-sample <p> --flight-capacity <n> "
@@ -212,7 +203,6 @@ bool is_driver_key(const std::string& k) {
   return k == "nodes" || k == "trace" || k == "stats-json" ||
          k == "timeseries" || k == "sample-interval" || k == "log-level" ||
          k == "loss" || k == "seed" || k == "jobs" || k == "replicas" ||
-         k == "shards" ||
          k == "flight" || k == "flight-sample" || k == "flight-capacity" ||
          k == "flight-exemplars" || k == "topology" || k == "routing" ||
          k == "credits";
@@ -469,13 +459,10 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
 
   long replicas = driver_int(args, "replicas", 1, 1, 1 << 20);
   int jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
-  int shards = static_cast<int>(driver_int(args, "shards", 1, 1, 4096));
   // Pairwise multi-run / observer flag rules come from the one shared table
-  // (workloads::kFlagRules — also printed by `gputn config`), so the driver
-  // cannot drift from make_config's own rejections.
+  // (workloads::kFlagRules — also printed by `gputn config`).
   ActiveFlags active;
   active.replicas = replicas > 1;
-  active.shards = shards > 1;
   active.trace = args.has("trace");
   active.timeseries = args.has("timeseries");
   active.flight = args.has("flight");
@@ -508,7 +495,6 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
   opts.trace = obs.trace();
   opts.timeseries = obs.timeseries();
   opts.flight = obs.flight();
-  opts.shards = shards;  // --trace/--timeseries conflicts rejected downstream
   cluster::SystemConfig sys = cluster::SystemConfig::table2_with_loss(
       loss, static_cast<std::uint64_t>(seed));
 
@@ -519,9 +505,9 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
 
 /// `gputn sweep`: the built-in mini-sweep on the parallel engine.
 int run_sweep(const Args& args) {
-  if (args.has("trace") || args.has("timeseries") || args.has("shards")) {
+  if (args.has("trace") || args.has("timeseries")) {
     std::fprintf(stderr,
-                 "gputn: --trace/--timeseries/--shards are single-run only; "
+                 "gputn: --trace/--timeseries are single-run only; "
                  "the sweep runs its points in parallel\n");
     return 2;
   }
@@ -691,9 +677,9 @@ int run_whatif_cmd(int argc, char** argv) {
   // The profiler owns its own plan, recorders and parallelism; the
   // single-run observer and multi-run flags do not compose with it.
   static const char* kRejected[] = {
-      "trace",           "timeseries",      "flight",        "shards",
-      "replicas",        "stats-json",      "flight-sample",
-      "flight-capacity", "flight-exemplars", "sample-interval"};
+      "trace",           "timeseries",       "flight",         "replicas",
+      "stats-json",      "flight-sample",    "flight-capacity",
+      "flight-exemplars", "sample-interval"};
   for (const char* k : kRejected) {
     if (args.has(k)) {
       std::fprintf(stderr,
@@ -850,16 +836,6 @@ int main(int argc, char** argv) {
           fault.get_double("loss", 0.0, 0.0, 1.0),
           static_cast<std::uint64_t>(fault.get_int("seed", 1, 0, LONG_MAX)));
       std::printf("%s", sys.describe().c_str());
-      // The DES engine a run with these parameters would use: --shards
-      // workers with the conservative lookahead the fabric derives (the
-      // minimum cross-shard wire propagation = link latency on every
-      // built-in topology).
-      long shards = driver_int(args, "shards", 1, 1, 4096);
-      std::printf("Engine:   %ld shard%s (%s DES), lookahead %.0f ns "
-                  "(min cross-shard wire latency)\n",
-                  shards, shards == 1 ? "" : "s",
-                  shards == 1 ? "sequential" : "conservative parallel",
-                  sim::to_ns(sys.fabric.link_latency));
       std::printf("\n%s", flag_matrix().c_str());
       std::printf("\nWhatif knobs (gputn whatif --knobs ...):\n");
       for (const obs::Knob& k : obs::knob_registry()) {
