@@ -55,7 +55,9 @@ class ProcessHandle {
 /// startup and the log level is an atomic), so exp::Runner may execute any
 /// number of Simulators concurrently, one per run point, and their results
 /// are bit-identical to serial execution. Anything a run mutates must be
-/// owned by (or reachable only from) its own Simulator/Cluster.
+/// owned by (or reachable only from) its own Simulator/Cluster. A run may
+/// start a helper thread only for work that touches none of this world and
+/// is joined before its result is read (run_jacobi's scalar reference).
 class Simulator {
  public:
   Simulator();

@@ -1,6 +1,7 @@
 #include "workloads/allreduce.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -18,8 +19,11 @@ namespace {
 
 /// Small integer inputs keep fp32 ring sums exact, so verification against
 /// the sequential reduction is bit-accurate regardless of combine order.
+/// A rank's inputs repeat every kInputPeriod elements.
+constexpr std::size_t kInputPeriod = 31;
 float initial_value(int rank, std::size_t i) {
-  return static_cast<float>(static_cast<int>((rank * 7 + i * 13) % 31) - 15);
+  return static_cast<float>(
+      static_cast<int>((rank * 7 + i * 13) % kInputPeriod) - 15);
 }
 
 struct NodeState {
@@ -51,9 +55,16 @@ struct Workspace {
           st.slice_flag[p].push_back(node.rt().alloc_flag());
         }
       }
+      // Stage one period through initial_value, then copy it along the
+      // vector.
+      std::array<float, kInputPeriod> period{};
+      for (std::size_t i = 0; i < kInputPeriod; ++i) {
+        period[i] = initial_value(r, i);
+      }
       auto v = node.memory().typed<float>(st.vec, cfg.elements);
-      for (std::size_t i = 0; i < cfg.elements; ++i) {
-        v[i] = initial_value(r, i);
+      for (std::size_t i = 0; i < cfg.elements; i += kInputPeriod) {
+        std::size_t len = std::min(kInputPeriod, cfg.elements - i);
+        std::copy_n(period.begin(), len, v.subspan(i, len).begin());
       }
     }
   }

@@ -17,7 +17,10 @@
 //            NIC-written flags.
 //
 // The numerics are real: every strategy computes the same doubles, verified
-// against a scalar reference of the global torus.
+// bit for bit against a scalar reference of the global torus. run_jacobi
+// computes the reference on a helper thread while the simulation runs; it
+// shares nothing with the simulated world, and a run that throws stops and
+// joins it.
 #pragma once
 
 #include "cluster/config.hpp"

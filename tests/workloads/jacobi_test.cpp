@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <stdexcept>
 
 #include "../support/max_rss.hpp"
@@ -61,6 +62,31 @@ TEST(Jacobi, SingleIterationWorks) {
     JacobiResult res = run_jacobi(small(s, 12, 1));
     EXPECT_TRUE(res.correct) << strategy_name(s);
   }
+}
+
+TEST(Jacobi, ZeroIterationsIsCorrectForEveryStrategy) {
+  // The initial grid stands: every strategy verifies, and node 0's checksum
+  // is the sum of its initial block, in the checksum's row-major order.
+  constexpr int n = 16;
+  double initial = 0.0;
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) initial += ((i * 31 + j * 17) % 97) / 97.0;
+  }
+  for (Strategy s : kAllStrategies) {
+    JacobiResult res = run_jacobi(small(s, n, 0));
+    EXPECT_TRUE(res.correct) << strategy_name(s);
+    EXPECT_EQ(res.checksum, initial) << strategy_name(s);
+  }
+}
+
+TEST(Jacobi, ThrowingRunStopsItsReference) {
+  // GHN is microbenchmark-only: run_jacobi throws after the cluster is built
+  // and the reference thread has started. Unwinding must stop the reference
+  // within an iteration, not wait out 20,000 of them (tens of seconds).
+  auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(run_jacobi(small(Strategy::kGhn, 512, 20000)),
+               std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
 }
 
 TEST(Jacobi, GpuTnFasterThanHdnOnMediumGrids) {

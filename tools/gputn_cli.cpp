@@ -138,7 +138,8 @@ namespace {
       stderr,
       "\n  fabric (any workload): --topology "
       "star|fat-tree:k=8|torus:4x4x4|dragonfly:a=4,h=2,p=2 "
-      "--routing deterministic|adaptive --credits <n per switch port>\n"
+      "--routing deterministic|adaptive "
+      "--credits <n per switch port, 0 = unlimited>\n"
       "  fault injection (jacobi/allreduce/broadcast): --loss <rate> "
       "--seed <s> (serve: the request-schedule seed)\n"
       "  replication (any workload): --replicas <r> --jobs <n>\n"
@@ -443,12 +444,13 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
 
   RunOptions opts;  // nodes stays 0 (= workload default) without --nodes
   opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  // Fabric selection; empty / -1 keep the Table 2 defaults (star,
-  // deterministic routing, unlimited credits). Spec strings are validated
-  // by the topology/router factories when the fabric is finalized.
+  // Fabric selection; an absent flag keeps the Table 2 default (star,
+  // deterministic routing, unlimited credits), and --credits 0 asks for
+  // unlimited explicitly. Spec strings are validated by the topology/router
+  // factories when the fabric is finalized.
   opts.topology = args.get("topology", "");
   opts.routing = args.get("routing", "");
-  opts.credits = static_cast<int>(driver_int(args, "credits", -1, -1, 1 << 20));
+  opts.credits = static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
 
   // Table 2, plus --loss/--seed fault injection when requested. Validated
   // through WorkloadParams so `--loss lots` is a usage error, not 0.0.
@@ -737,8 +739,7 @@ int run_whatif_cmd(int argc, char** argv) {
   opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
   opts.topology = args.get("topology", "");
   opts.routing = args.get("routing", "");
-  opts.credits =
-      static_cast<int>(driver_int(args, "credits", -1, -1, 1 << 20));
+  opts.credits = static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
 
   WorkloadParams fault;
   if (args.has("loss")) fault.set("loss", args.get("loss", ""));
