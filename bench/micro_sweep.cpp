@@ -12,6 +12,9 @@
 // phases hit both modes alike, and the reported speedup is the MEDIAN of
 // per-pair ratios — adjacent-in-time pairs move together under a phase
 // shift instead of skewing the result (same protocol as micro_events).
+// One serial pass takes only ~0.15 s, so there are enough repetitions for
+// the serial side to total ~2 s: with 3, single noisy pairs swung the
+// median from 2.3x to 4.0x on a 4-thread host.
 //
 // Also profiles per-run construction cost: building a fresh 4-node Table 2
 // Cluster, the setup the engine pays at every run point. Node DRAM is
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strncmp(argv[1], "--", 2) != 0) out_path = argv[1];
   const int hw = exp::Runner::hardware_jobs();
   const int jobs = exp::jobs_from_args(argc, argv, /*dflt=*/hw);
-  const int reps = 3;
+  const int reps = 15;
 
   exp::Plan plan = exp::mini_sweep_plan();
   std::printf("micro_sweep: %zu run points, jobs=1 vs jobs=%d (hw=%d), "

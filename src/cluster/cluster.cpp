@@ -77,14 +77,7 @@ void Cluster::export_net_stats(sim::StatRegistry& out, sim::Tick window) const {
 }
 
 void Cluster::attach_flight(obs::FlightRecorder& flight) {
-  obs::WireParams wire;
-  wire.bytes_per_sec = config_.fabric.bandwidth.bytes_per_second();
-  wire.link_latency_ps = config_.fabric.link_latency;
-  wire.switch_latency_ps = config_.fabric.switch_latency;
-  wire.mtu_bytes = config_.fabric.mtu_bytes;
-  wire.header_bytes = config_.fabric.header_bytes;
-  wire.per_packet_overhead = config_.fabric.per_packet_overhead;
-  flight.set_wire(wire);
+  flight.set_wire(fabric_.wire());
   flight_ = &flight;
   spools_.clear();
   for (int i = 0; i < size(); ++i) {

@@ -147,24 +147,6 @@ Plan serve_load_plan(const std::vector<double>& offered_loads,
   return plan;
 }
 
-Plan serve_skew_plan(const std::vector<double>& skews,
-                     serve::ServeConfig base) {
-  Plan plan;
-  for (double skew : skews) {
-    for (Strategy s : {Strategy::kCpu, Strategy::kGpuTn}) {
-      serve::ServeConfig cfg = base;
-      cfg.strategy = s;
-      cfg.zipf = skew;
-      cfg.quiet = true;
-      char tag[32];
-      std::snprintf(tag, sizeof(tag), "%g", skew);
-      plan.add("serve-skew/" + std::string(tag) + "/" + strategy_name(s),
-               [cfg] { return serve::run_serve(cfg); });
-    }
-  }
-  return plan;
-}
-
 Plan fabric_scale_plan(const std::vector<int>& node_counts,
                        const std::vector<std::string>& topologies,
                        std::size_t elements, const std::string& routing) {

@@ -18,7 +18,6 @@
 //   broadcast_plan:      for each node count, {HDN, GPU-TN, NIC-chain}.
 //   serve_load_plan:     for each offered load (req/s per tenant),
 //                        {CPU, GPU-TN}.
-//   serve_skew_plan:     for each Zipf skew, {CPU, GPU-TN}.
 //   fabric_scale_plan:   for each node count, for each topology spec,
 //                        {CPU, GPU-TN}.
 #pragma once
@@ -63,10 +62,6 @@ Plan broadcast_plan(const std::vector<int>& node_counts, std::size_t bytes,
 /// req/s per tenant). `base` carries the fixed knobs (tenants, mix, skew);
 /// its strategy/offered_load fields are overwritten per point.
 Plan serve_load_plan(const std::vector<double>& offered_loads,
-                     serve::ServeConfig base = {});
-
-/// Serving: CPU vs GPU-TN per Zipf skew at a fixed offered load.
-Plan serve_skew_plan(const std::vector<double>& skews,
                      serve::ServeConfig base = {});
 
 /// Scale-out fabric: ring allreduce strong scaling per node count x

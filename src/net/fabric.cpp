@@ -262,35 +262,13 @@ void Fabric::send(Message&& msg) {
   for (auto& p : pkts) up->submit(std::move(p));
 }
 
-sim::Tick Fabric::ideal_latency(std::uint64_t payload_bytes) const {
-  std::uint64_t wire = config_.header_bytes + payload_bytes;
-  // Total serialization on one link (packets pipeline across hops), plus the
-  // first packet's serialization on the second link, plus per-hop latencies.
-  std::uint64_t first_pkt =
-      std::min<std::uint64_t>(wire, config_.mtu_bytes) + config_.per_packet_overhead;
-  std::uint64_t packets = (wire + config_.mtu_bytes - 1) / config_.mtu_bytes;
-  std::uint64_t total_wire = wire + packets * config_.per_packet_overhead;
-  return config_.bandwidth.serialize(total_wire) +
-         config_.bandwidth.serialize(first_pkt) + 2 * config_.link_latency +
-         config_.switch_latency;
-}
-
-sim::Tick Fabric::ideal_latency(std::uint64_t payload_bytes, NodeId src,
-                                NodeId dst) {
-  finalize();
-  std::int64_t h = topo_->hop_count(src, dst);
-  std::uint64_t wire = config_.header_bytes + payload_bytes;
-  std::uint64_t first_pkt =
-      std::min<std::uint64_t>(wire, config_.mtu_bytes) +
-      config_.per_packet_overhead;
-  std::uint64_t packets = (wire + config_.mtu_bytes - 1) / config_.mtu_bytes;
-  std::uint64_t total_wire = wire + packets * config_.per_packet_overhead;
-  // The message's total serialization is paid once (hops pipeline), every
-  // later link adds only the lead packet's serialization; h switches mean
-  // h + 1 links and h crossbar latencies. h == 1 reduces to the star form.
-  return config_.bandwidth.serialize(total_wire) +
-         h * config_.bandwidth.serialize(first_pkt) +
-         (h + 1) * config_.link_latency + h * config_.switch_latency;
+WireParams Fabric::wire() const {
+  return WireParams{config_.bandwidth.bytes_per_second(),
+                    config_.link_latency,
+                    config_.switch_latency,
+                    config_.mtu_bytes,
+                    config_.header_bytes,
+                    config_.per_packet_overhead};
 }
 
 }  // namespace gputn::net

@@ -12,7 +12,8 @@
 // one path, so per-flow FIFO ordering holds by construction; the adaptive
 // router may spread a pair across paths and reorder *messages*, but a
 // single message always survives intact (delivery counts packets, not
-// arrival order).
+// arrival order). The fabric keeps no latency formula of its own: a lone
+// message's idle latency is net::ideal_wire (net/wire.hpp) on wire().
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include "net/routing_api.hpp"
 #include "net/switch.hpp"
 #include "net/topology_api.hpp"
+#include "net/wire.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
@@ -99,15 +101,10 @@ class Fabric {
   /// modelled by the link itself.
   void send(Message&& msg);
 
-  /// Wire latency of a `bytes`-byte message crossing one switch with an
-  /// idle network — the star reference figure (useful to sanity-check
-  /// calibration in tests, and replicated by obs::ideal_wire_ps for the
-  /// analyzer's blame split).
-  sim::Tick ideal_latency(std::uint64_t payload_bytes) const;
-
-  /// Hop-count-aware ideal latency src -> dst on this fabric's topology
-  /// (equals the 1-arg form on a star). Finalizes on first use.
-  sim::Tick ideal_latency(std::uint64_t payload_bytes, NodeId src, NodeId dst);
+  /// This fabric's parameters for the ideal wire model: a lone message's
+  /// idle latency src -> dst is ideal_wire(wire(), bytes, hop_count(src,
+  /// dst)).total() (net/wire.hpp).
+  WireParams wire() const;
 
   std::uint64_t messages_sent() const { return messages_; }
   std::uint64_t bytes_sent() const { return bytes_; }

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/flight.hpp"
-
 namespace gputn::nic {
 
 Nic::Nic(sim::Simulator& sim, mem::Memory& memory, net::Fabric& fabric,
@@ -110,8 +108,33 @@ void Nic::stamp_tx(net::Message& msg, const QueuedCmd& qc) {
   stamp_tx(msg, qc.enqueued, qc.trigger, qc.trigger_mmio);
 }
 
+Nic::RxStamps Nic::RxStamps::from(const net::Message& m) {
+  RxStamps s;
+  s.leg.flow = m.flow;
+  s.leg.src = m.src;
+  s.leg.dst = m.dst;
+  s.leg.kind = m.kind;
+  s.leg.bytes = m.payload_bytes();
+  s.leg.retransmits = m.retransmits;
+  s.leg.hops = m.hops;
+  s.leg.t_trigger = m.t_trigger;
+  s.leg.t_post = m.t_post;
+  s.leg.t_ring = m.t_ring;
+  s.leg.t_cmd = m.t_cmd;
+  s.leg.t_pop = m.t_pop;
+  s.leg.t_admit = m.t_admit;
+  s.leg.t_wire_first = m.t_wire_first;
+  s.leg.t_wire = m.t_wire;
+  s.leg.t_switch = m.t_switch;
+  s.leg.t_rx = m.t_rx;
+  s.op_tag = m.op_tag;
+  s.tenant = m.tenant;
+  return s;
+}
+
 void Nic::record_delivery(const RxStamps& s) {
   sim::Tick now = sim_->now();
+  const obs::FlightLeg& l = s.leg;
   // Stage deltas in nanoseconds, pow2-bucketed. Recording is pure
   // bookkeeping (no simulator interaction), so it cannot perturb timing;
   // it is always on, which is what lets every run report a Figure-8-style
@@ -121,37 +144,20 @@ void Nic::record_delivery(const RxStamps& s) {
     stats_.histogram(name).add(static_cast<std::uint64_t>((to - from) /
                                                           1000));
   };
-  if (s.t_trigger >= 0) rec("lat.trigger_to_fire", s.t_trigger, s.t_cmd);
-  rec("lat.tx_queue", s.t_cmd, s.t_wire);
-  rec("lat.wire", s.t_wire, s.t_rx);
-  rec("lat.rx_to_deposit", s.t_rx, now);
-  rec("lat.end_to_end", s.t_trigger >= 0 ? s.t_trigger : s.t_cmd, now);
-  if (trace_ != nullptr && s.flow != 0) {
-    trace_->flow_end(trace_lane_, "msg", "flow", now, s.flow);
+  if (l.t_trigger >= 0) rec("lat.trigger_to_fire", l.t_trigger, l.t_cmd);
+  rec("lat.tx_queue", l.t_cmd, l.t_wire);
+  rec("lat.wire", l.t_wire, l.t_rx);
+  rec("lat.rx_to_deposit", l.t_rx, now);
+  rec("lat.end_to_end", l.t_trigger >= 0 ? l.t_trigger : l.t_cmd, now);
+  if (trace_ != nullptr && l.flow != 0) {
+    trace_->flow_end(trace_lane_, "msg", "flow", now, l.flow);
   }
   record_flight(s, now);
 }
 
 void Nic::record_flight(const RxStamps& s, sim::Tick t_deposit) {
   if (flight_ == nullptr) return;
-  obs::FlightLeg leg;
-  leg.flow = s.flow;
-  leg.src = s.src;
-  leg.dst = s.dst;
-  leg.kind = s.kind;
-  leg.bytes = s.bytes;
-  leg.retransmits = s.retransmits;
-  leg.hops = s.hops;
-  leg.t_trigger = s.t_trigger;
-  leg.t_post = s.t_post;
-  leg.t_ring = s.t_ring;
-  leg.t_cmd = s.t_cmd;
-  leg.t_pop = s.t_pop;
-  leg.t_admit = s.t_admit;
-  leg.t_wire_first = s.t_wire_first;
-  leg.t_wire = s.t_wire;
-  leg.t_switch = s.t_switch;
-  leg.t_rx = s.t_rx;
+  obs::FlightLeg leg = s.leg;
   leg.t_deposit = t_deposit;
   flight_->record(leg, s.op_tag, s.tenant);
 }

@@ -27,13 +27,10 @@
 #include "net/fabric.hpp"
 #include "nic/token_bucket.hpp"
 #include "obs/busy.hpp"
+#include "obs/flight.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/sync.hpp"
-
-namespace gputn::obs {
-class FlightSink;
-}  // namespace gputn::obs
 
 namespace gputn::nic {
 
@@ -279,38 +276,14 @@ class Nic : public net::MessageSink {
     sim::Tick popped = -1;    ///< TX engine popped it off the queue
     sim::Tick admitted = -1;  ///< token bucket admitted (== popped unpaced)
   };
-  /// Stamps captured off a delivered message before its payload is moved,
-  /// so latency recording can happen after the deposit DMA completes.
+  /// A delivered message's flight leg, captured before its payload is
+  /// moved out for the deposit DMA (t_deposit is filled at record time),
+  /// plus the op pairing the leg does not carry.
   struct RxStamps {
-    std::uint64_t flow = 0;
+    obs::FlightLeg leg;
     std::uint64_t op_tag = 0;
     std::int32_t tenant = -1;
-    net::NodeId src = -1;
-    net::NodeId dst = -1;
-    std::uint32_t kind = 0;
-    std::uint64_t bytes = 0;
-    std::uint32_t retransmits = 0;
-    std::uint32_t hops = 1;
-    sim::Tick t_trigger = -1;
-    sim::Tick t_post = -1;
-    sim::Tick t_ring = -1;
-    sim::Tick t_cmd = -1;
-    sim::Tick t_pop = -1;
-    sim::Tick t_admit = -1;
-    sim::Tick t_wire_first = -1;
-    sim::Tick t_wire = -1;
-    sim::Tick t_switch = -1;
-    sim::Tick t_rx = -1;
-    /// Capture every observability field (payload size included) before the
-    /// payload vector is moved out for the deposit DMA.
-    static RxStamps from(const net::Message& m) {
-      return RxStamps{m.flow,      m.op_tag,       m.tenant,   m.src,
-                      m.dst,       m.kind,         m.payload_bytes(),
-                      m.retransmits, m.hops,
-                      m.t_trigger, m.t_post,       m.t_ring,   m.t_cmd,
-                      m.t_pop,     m.t_admit,      m.t_wire_first,
-                      m.t_wire,    m.t_switch,     m.t_rx};
-    }
+    static RxStamps from(const net::Message& m);
   };
 
   sim::Task<> tx_loop();

@@ -4,8 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
+#include "net/wire.hpp"
 #include "sim/json.hpp"
 #include "sim/trace.hpp"
 
@@ -34,24 +36,46 @@ std::int64_t seg(std::int64_t from, std::int64_t to) {
   return (from >= 0 && to > from) ? to - from : 0;
 }
 
-void blame_leg(const FlightLeg& l, const WireParams& w,
-               std::map<std::string, std::int64_t>& out) {
-  out["trigger_wait"] += seg(l.t_trigger, l.t_cmd);
-  out["qp_batch"] += seg(l.t_post, l.t_ring);
-  out["doorbell"] += seg(l.t_ring, l.t_cmd);
-  out["cmd_queue"] += seg(l.t_cmd, l.t_pop);
-  out["throttle"] += seg(l.t_pop, l.t_admit);
+/// The exemplar-trace lane a blame segment is drawn on.
+enum class Lane { kSource, kNet, kDest };
+
+/// One blame segment of a leg: `category` owns the time [from, to).
+struct Segment {
+  const char* category;
+  std::int64_t from;
+  std::int64_t to;
+  Lane lane;
+};
+
+/// A leg's blame segments in chain order: the one list blame_leg sums and
+/// the exemplar trace draws. Measured wire time [t_wire, t_rx) splits into
+/// the ideal wire model's share (capped at the measurement) and the switch
+/// queueing beyond it; a leg with no measured wire time has neither.
+template <class F>
+void for_each_segment(const FlightLeg& l, const net::WireParams& w, F&& f) {
   std::int64_t first = l.t_wire_first >= 0 ? l.t_wire_first : l.t_wire;
-  out["tx_proc"] += seg(l.t_admit, first);
-  out["retransmit"] += seg(first, l.t_wire);
-  std::int64_t wire_meas = seg(l.t_wire, l.t_rx);
-  if (wire_meas > 0) {
-    std::int64_t ideal = ideal_wire_ps(w, l.bytes, l.hops);
-    std::int64_t wire = std::min(wire_meas, ideal);
-    out["wire"] += wire;
-    out["switch_queue"] += wire_meas - wire;
+  f(Segment{"trigger_wait", l.t_trigger, l.t_cmd, Lane::kSource});
+  f(Segment{"qp_batch", l.t_post, l.t_ring, Lane::kSource});
+  f(Segment{"doorbell", l.t_ring, l.t_cmd, Lane::kSource});
+  f(Segment{"cmd_queue", l.t_cmd, l.t_pop, Lane::kSource});
+  f(Segment{"throttle", l.t_pop, l.t_admit, Lane::kSource});
+  f(Segment{"tx_proc", l.t_admit, first, Lane::kSource});
+  f(Segment{"retransmit", first, l.t_wire, Lane::kSource});
+  if (seg(l.t_wire, l.t_rx) > 0) {
+    std::int64_t ideal_end =
+        l.t_wire + std::min(net::ideal_wire(w, l.bytes, l.hops).total(),
+                            l.t_rx - l.t_wire);
+    f(Segment{"wire", l.t_wire, ideal_end, Lane::kNet});
+    f(Segment{"switch_queue", ideal_end, l.t_rx, Lane::kNet});
   }
-  out["deposit"] += seg(l.t_rx, l.t_deposit);
+  f(Segment{"deposit", l.t_rx, l.t_deposit, Lane::kDest});
+}
+
+void blame_leg(const FlightLeg& l, const net::WireParams& w,
+               std::map<std::string, std::int64_t>& out) {
+  for_each_segment(l, w, [&](const Segment& s) {
+    out[s.category] += seg(s.from, s.to);
+  });
 }
 
 // ---- dump parsing ---------------------------------------------------------
@@ -231,31 +255,8 @@ std::string fmt(const char* f, double v) {
 
 }  // namespace
 
-std::int64_t ideal_wire_ps(const WireParams& w, std::uint64_t payload_bytes,
-                           std::uint32_t hops) {
-  auto ser = [&](std::uint64_t bytes) -> std::int64_t {
-    if (bytes == 0 || w.bytes_per_sec <= 0.0) return 0;
-    // Replicates sim::Bandwidth::serialize (same double math, same
-    // rounding) so an uncongested leg's switch_queue comes out zero.
-    return static_cast<std::int64_t>(
-        static_cast<double>(bytes) / w.bytes_per_sec * 1e12 + 0.5);
-  };
-  std::int64_t h = hops > 0 ? static_cast<std::int64_t>(hops) : 1;
-  std::uint64_t wire = w.header_bytes + payload_bytes;
-  std::uint64_t mtu = w.mtu_bytes > 0 ? w.mtu_bytes : wire;
-  if (mtu == 0) mtu = 1;
-  std::uint64_t first_pkt = std::min(wire, mtu) + w.per_packet_overhead;
-  std::uint64_t packets = (wire + mtu - 1) / mtu;
-  std::uint64_t total_wire = wire + packets * w.per_packet_overhead;
-  // Total serialization pipelines across hops; each of the h crossbars and
-  // h + 1 links re-adds the lead packet's serialization and its fixed
-  // latency (mirrors Fabric::ideal_latency's hop-aware overload).
-  return ser(total_wire) + h * ser(first_pkt) +
-         (h + 1) * w.link_latency_ps + h * w.switch_latency_ps;
-}
-
 std::map<std::string, std::int64_t> blame_op(const OpRecord& op,
-                                             const WireParams& wire) {
+                                             const net::WireParams& wire) {
   std::map<std::string, std::int64_t> out;
   blame_leg(op.req, wire, out);
   if (op.has_resp()) {
@@ -456,32 +457,24 @@ bool dump_exemplar_trace(const AnalyzedRun& run, std::uint64_t selector,
   if (found == nullptr) return false;
 
   sim::TraceRecorder tr;
+  const std::string net_lane = "net";
   auto leg_spans = [&](const FlightLeg& l, const std::string& src_lane,
                        const std::string& dst_lane) {
-    auto span = [&](const char* name, std::int64_t a, std::int64_t b,
-                    const std::string& lane) {
-      if (a >= 0 && b > a) tr.span(lane, name, "blame", a, b);
-    };
-    span("trigger_wait", l.t_trigger, l.t_cmd, src_lane);
-    span("qp_batch", l.t_post, l.t_ring, src_lane);
-    span("doorbell", l.t_ring, l.t_cmd, src_lane);
-    span("cmd_queue", l.t_cmd, l.t_pop, src_lane);
-    span("throttle", l.t_pop, l.t_admit, src_lane);
-    std::int64_t first = l.t_wire_first >= 0 ? l.t_wire_first : l.t_wire;
-    span("tx_proc", l.t_admit, first, src_lane);
-    span("retransmit", first, l.t_wire, src_lane);
-    if (l.t_wire >= 0 && l.t_rx > l.t_wire) {
-      std::int64_t ideal =
-          std::min(ideal_wire_ps(run.wire, l.bytes, l.hops),
-                   l.t_rx - l.t_wire);
-      tr.span("net", "wire", "blame", l.t_wire, l.t_wire + ideal,
-              "{\"bytes\":" + std::to_string(l.bytes) + "}");
-      if (l.t_wire + ideal < l.t_rx) {
-        tr.span("net", "switch_queue", "blame", l.t_wire + ideal, l.t_rx);
+    for_each_segment(l, run.wire, [&](const Segment& s) {
+      if (s.lane == Lane::kDest && l.t_switch >= 0) {
+        tr.instant(net_lane, "at-switch", "blame", l.t_switch);
       }
-    }
-    if (l.t_switch >= 0) tr.instant("net", "at-switch", "blame", l.t_switch);
-    span("deposit", l.t_rx, l.t_deposit, dst_lane);
+      const std::string& lane = s.lane == Lane::kSource ? src_lane
+                                : s.lane == Lane::kNet  ? net_lane
+                                                        : dst_lane;
+      if (s.category == std::string_view("wire")) {
+        // Drawn even when empty, labelled with the leg's size.
+        tr.span(lane, s.category, "blame", s.from, s.to,
+                "{\"bytes\":" + std::to_string(l.bytes) + "}");
+      } else if (s.from >= 0 && s.to > s.from) {
+        tr.span(lane, s.category, "blame", s.from, s.to);
+      }
+    });
   };
   leg_spans(found->req, "initiator", found->has_resp() ? "server"
                                                        : "target");

@@ -20,12 +20,14 @@
 //
 // The stage chain is contiguous, so the categories sum exactly to the op's
 // end-to-end latency (stamps that did not occur contribute zero). `wire` is
-// recomputed from the wire parameters embedded in the dump, replicating
-// net::Fabric::ideal_latency; the remainder of measured wire time is
-// switch_queue. Ops are grouped by path — "put" (a paired request/response
-// put round trip), "get" (get request/reply), "oneway" (everything else) —
-// which is what separates the CPU proxy's put-path blame (server_proc /
-// cmd_queue heavy) from GPU-TN's.
+// net::ideal_wire (net/wire.hpp) evaluated on the wire parameters embedded
+// in the dump, the same function the simulator's fabric is checked
+// against; the remainder of measured wire time is switch_queue. One list
+// of (category, from-stamp, to-stamp) segments feeds both the blame tables
+// and the exemplar trace. Ops are grouped by path — "put" (a paired
+// request/response put round trip), "get" (get request/reply), "oneway"
+// (everything else) — which is what separates the CPU proxy's put-path
+// blame (server_proc / cmd_queue heavy) from GPU-TN's.
 //
 // All functions are pure (string -> struct -> string) and deterministic, so
 // analyzer output over the same dump is byte-identical regardless of how
@@ -37,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "net/wire.hpp"
 #include "obs/flight.hpp"
 #include "sim/stats.hpp"
 
@@ -72,25 +75,17 @@ struct PathTable {
   std::vector<CategoryRow> rows;  ///< ranked by total_ps desc, name tiebreak
 };
 
-/// A per-op blame breakdown (category -> picoseconds); used by tests and
-/// the exemplar trace dump.
+/// A per-op blame breakdown (category -> picoseconds); used by tests, the
+/// tail-exemplar list and whatif's blame predictions.
 std::map<std::string, std::int64_t> blame_op(const OpRecord& op,
-                                             const WireParams& wire);
-
-/// The ideal (uncongested) wire latency of a `payload_bytes` message
-/// crossing `hops` switches under `wire` — a replica of
-/// net::Fabric::ideal_latency so the analyzer can split measured wire time
-/// without access to the simulator. `hops` == 1 is the star fabric.
-std::int64_t ideal_wire_ps(const WireParams& wire,
-                           std::uint64_t payload_bytes,
-                           std::uint32_t hops = 1);
+                                             const net::WireParams& wire);
 
 /// One run's (one dump's) analysis.
 struct AnalyzedRun {
   std::string id;  ///< sweep point id; empty for a single-run dump
   std::string workload;
   std::string mode;
-  WireParams wire;
+  net::WireParams wire;
   std::uint64_t offered = 0;
   std::uint64_t recorded = 0;
   std::vector<OpRecord> ops;  ///< the sampled ring, completion order

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "net/wire.hpp"
 #include "sim/units.hpp"
 
 namespace gputn::obs {
@@ -89,18 +90,6 @@ struct FlightConfig {
   std::uint64_t seed = 1;
   /// Slowest ops always retained per tenant, sampling notwithstanding.
   int exemplars_per_tenant = 4;
-};
-
-/// Wire parameters embedded in the dump so the analyzer can compute the
-/// ideal (uncongested) wire latency of each leg and split measured wire
-/// time into serialization vs switch queueing.
-struct WireParams {
-  double bytes_per_sec = 0.0;
-  std::int64_t link_latency_ps = 0;
-  std::int64_t switch_latency_ps = 0;
-  std::uint32_t mtu_bytes = 0;
-  std::uint32_t header_bytes = 0;
-  std::uint32_t per_packet_overhead = 0;
 };
 
 /// Where a NIC offers delivered-message stamps. FlightRecorder implements
@@ -167,7 +156,9 @@ class FlightRecorder : public FlightSink {
   void record(const FlightLeg& leg, std::uint64_t op_tag,
               std::int32_t tenant) override;
 
-  void set_wire(const WireParams& wire) { wire_ = wire; }
+  /// Wire parameters embedded in the dump, so the analyzer can evaluate
+  /// the ideal wire model (net/wire.hpp) on each leg.
+  void set_wire(const net::WireParams& wire) { wire_ = wire; }
   /// Run labels written into the dump header (workload name, strategy).
   void set_run_info(std::string label, std::string mode) {
     label_ = std::move(label);
@@ -199,7 +190,7 @@ class FlightRecorder : public FlightSink {
   void flush_pending();
 
   FlightConfig cfg_;
-  WireParams wire_;
+  net::WireParams wire_;
   std::string label_;
   std::string mode_;
   std::map<std::uint64_t, Pending> pending_;  ///< first legs by op_tag

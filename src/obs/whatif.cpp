@@ -10,6 +10,7 @@
 
 #include "exp/plan.hpp"
 #include "exp/runner.hpp"
+#include "net/wire.hpp"
 #include "obs/critical.hpp"
 #include "obs/flight.hpp"
 #include "sim/json.hpp"
@@ -238,49 +239,32 @@ namespace {
 // ---- baseline attribution --------------------------------------------------
 
 /// Blame totals over the baseline's recorded ops: per-category sums plus
-/// the per-leg split of the blamed wire time into the three wire-knob
-/// slices (serialization / link propagation / switch crossbar).
+/// the blamed wire time split into the three wire-knob slices
+/// (serialization / link propagation / switch crossbar).
 struct BlameTotals {
   std::map<std::string, std::int64_t> cats;
-  std::int64_t wire_ser = 0;
-  std::int64_t wire_link = 0;
-  std::int64_t wire_switch = 0;
+  net::IdealWire wire;
 };
 
-/// Split one leg's blamed wire time. The three parts are computed with the
-/// identical arithmetic as critical.cpp's ideal_wire_ps, so on an
+/// Split one leg's blamed wire time into net::ideal_wire's parts. On an
 /// uncongested fabric (blamed == ideal) they are exact; when congestion
 /// clamps the blamed wire below ideal, the parts are scaled proportionally
 /// and still sum to the blamed time.
-void leg_wire_parts(const FlightLeg& l, const WireParams& w, BlameTotals& bt) {
+void leg_wire_parts(const FlightLeg& l, const net::WireParams& w,
+                    BlameTotals& bt) {
   if (l.t_wire < 0 || l.t_rx <= l.t_wire) return;
-  std::int64_t wire_meas = l.t_rx - l.t_wire;
-  auto ser = [&](std::uint64_t bytes) -> std::int64_t {
-    if (bytes == 0 || w.bytes_per_sec <= 0.0) return 0;
-    return static_cast<std::int64_t>(
-        static_cast<double>(bytes) / w.bytes_per_sec * 1e12 + 0.5);
-  };
-  std::int64_t h = l.hops > 0 ? static_cast<std::int64_t>(l.hops) : 1;
-  std::uint64_t wire = w.header_bytes + l.bytes;
-  std::uint64_t mtu = w.mtu_bytes > 0 ? w.mtu_bytes : wire;
-  if (mtu == 0) mtu = 1;
-  std::uint64_t first_pkt = std::min(wire, mtu) + w.per_packet_overhead;
-  std::uint64_t packets = (wire + mtu - 1) / mtu;
-  std::uint64_t total_wire = wire + packets * w.per_packet_overhead;
-  std::int64_t ser_part = ser(total_wire) + h * ser(first_pkt);
-  std::int64_t link_part = (h + 1) * w.link_latency_ps;
-  std::int64_t switch_part = h * w.switch_latency_ps;
-  std::int64_t ideal = ser_part + link_part + switch_part;
-  std::int64_t blamed = std::min(wire_meas, ideal);
+  net::IdealWire p = net::ideal_wire(w, l.bytes, l.hops);
+  std::int64_t ideal = p.total();
+  std::int64_t blamed = std::min(l.t_rx - l.t_wire, ideal);
   if (ideal > 0 && blamed < ideal) {
     double f = static_cast<double>(blamed) / static_cast<double>(ideal);
-    ser_part = std::llround(static_cast<double>(ser_part) * f);
-    link_part = std::llround(static_cast<double>(link_part) * f);
-    switch_part = blamed - ser_part - link_part;
+    p.serialization = std::llround(static_cast<double>(p.serialization) * f);
+    p.link = std::llround(static_cast<double>(p.link) * f);
+    p.switching = blamed - p.serialization - p.link;
   }
-  bt.wire_ser += ser_part;
-  bt.wire_link += link_part;
-  bt.wire_switch += switch_part;
+  bt.wire.serialization += p.serialization;
+  bt.wire.link += p.link;
+  bt.wire.switching += p.switching;
 }
 
 BlameTotals blame_totals(const AnalyzedRun& run) {
@@ -302,9 +286,9 @@ std::int64_t knob_blame_ps(const Knob& k, const BlameTotals& bt,
     if (it != bt.cats.end()) ps += it->second;
   }
   switch (k.wire_part) {
-    case WirePart::kSerialization: ps += bt.wire_ser; break;
-    case WirePart::kLinkLatency: ps += bt.wire_link; break;
-    case WirePart::kSwitchLatency: ps += bt.wire_switch; break;
+    case WirePart::kSerialization: ps += bt.wire.serialization; break;
+    case WirePart::kLinkLatency: ps += bt.wire.link; break;
+    case WirePart::kSwitchLatency: ps += bt.wire.switching; break;
     case WirePart::kNone: break;
   }
   if (sample_factor > 1.0) {

@@ -25,9 +25,10 @@
 // improvement at 2x speed is compared against two predictions derived from
 // the baseline run alone —
 //
-//   * blame model (PR 7): the knob's attributed critical-path picoseconds
-//     (its blame categories plus its slice of the ideal wire model),
-//     scaled by (1 - 1/s);
+//   * blame model: the knob's attributed critical-path picoseconds (its
+//     blame categories plus its part of the ideal wire model,
+//     net::ideal_wire, which the blame split itself uses), scaled by
+//     (1 - 1/s);
 //   * busy fractions (PR 5): the busiest matching util.* resource's
 //     effective busy time, scaled the same way;
 //
@@ -60,8 +61,8 @@ namespace gputn::obs {
 inline constexpr double kInfiniteSpeed =
     std::numeric_limits<double>::infinity();
 
-/// Which slice of the ideal wire model (critical.cpp's ideal_wire_ps) a
-/// knob scales; used to split per-leg wire blame between the wire knobs.
+/// Which part of the ideal wire model (net::ideal_wire) a knob scales; used
+/// to split per-leg wire blame between the wire knobs.
 enum class WirePart { kNone, kSerialization, kLinkLatency, kSwitchLatency };
 
 /// One named hardware knob.

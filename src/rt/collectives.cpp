@@ -60,16 +60,4 @@ std::size_t RingAllreducePlan::max_chunk_elems() const {
   return std::max(base_chunk_, chunk_elems(nranks_ - 1));
 }
 
-CollSchedule build_ring_allreduce_schedule(const RingAllreducePlan& plan) {
-  CollSchedule sched;
-  for (const RingStep& st : plan.steps()) {
-    CollRound round;
-    round.sends.push_back(CollSend{st.to, st.send_chunk});
-    round.recvs.push_back(CollRecv{st.from, st.recv_chunk});
-    if (st.reduce) round.reduces.push_back(CollReduce{st.recv_chunk});
-    sched.rounds.push_back(std::move(round));
-  }
-  return sched;
-}
-
 }  // namespace gputn::rt

@@ -2,12 +2,13 @@
 //
 // "When a collective application is called, libNBC creates a schedule of
 // subtasks that completely define all operations and dependencies" — we
-// reproduce that structure: a Schedule is an ordered list of rounds; ops
-// within a round are independent; a round starts when the previous round's
-// ops complete. Strategy executors (workloads/allreduce.cpp) interpret the
-// same schedule with CPU send/recv, kernel-boundary messaging, GDS streams,
-// or GPU-TN triggered operations — which is exactly why "schedule creation
-// in libNBC maps perfectly to the triggered operation semantics".
+// reproduce that structure: RingAllreducePlan::steps() is the schedule, an
+// ordered list of ring steps; each step's send and receive are independent,
+// and a step starts when the previous step's ops complete. All four
+// strategy executors (workloads/allreduce.cpp) interpret the same steps,
+// with CPU send/recv, kernel-boundary messaging, GDS streams, or GPU-TN
+// triggered operations — which is exactly why "schedule creation in libNBC
+// maps perfectly to the triggered operation semantics".
 #pragma once
 
 #include <cstdint>
@@ -53,31 +54,5 @@ class RingAllreducePlan {
   std::size_t base_chunk_;
   std::vector<RingStep> steps_;
 };
-
-/// libNBC-style schedule ops, interpreted by strategy executors.
-struct CollSend {
-  int peer;
-  int chunk;
-};
-struct CollRecv {
-  int peer;
-  int chunk;
-};
-struct CollReduce {
-  int chunk;  ///< combine received data into the local vector chunk
-};
-
-struct CollRound {
-  std::vector<CollSend> sends;
-  std::vector<CollRecv> recvs;
-  std::vector<CollReduce> reduces;
-};
-
-struct CollSchedule {
-  std::vector<CollRound> rounds;
-};
-
-/// Build the ring-allreduce schedule for one rank (one round per ring step).
-CollSchedule build_ring_allreduce_schedule(const RingAllreducePlan& plan);
 
 }  // namespace gputn::rt

@@ -198,75 +198,6 @@ class Semaphore {
   std::deque<std::coroutine_handle<>> waiters_;
 };
 
-/// RAII guard: acquire on construction (via `lock`), release on destruction.
-class SemaphoreGuard {
- public:
-  static Task<SemaphoreGuard> lock(Semaphore& s) {
-    co_await s.acquire();
-    co_return SemaphoreGuard(&s);
-  }
-  SemaphoreGuard(SemaphoreGuard&& o) noexcept
-      : sem_(std::exchange(o.sem_, nullptr)) {}
-  SemaphoreGuard& operator=(SemaphoreGuard&& o) noexcept {
-    if (this != &o) {
-      reset();
-      sem_ = std::exchange(o.sem_, nullptr);
-    }
-    return *this;
-  }
-  SemaphoreGuard(const SemaphoreGuard&) = delete;
-  SemaphoreGuard& operator=(const SemaphoreGuard&) = delete;
-  ~SemaphoreGuard() { reset(); }
-
- private:
-  explicit SemaphoreGuard(Semaphore* s) : sem_(s) {}
-  void reset() {
-    if (sem_ != nullptr) {
-      sem_->release();
-      sem_ = nullptr;
-    }
-  }
-  Semaphore* sem_;
-};
-
-/// Reusable rendezvous barrier for `parties` processes. The last arriver
-/// releases everyone; the barrier then resets for the next round.
-class Barrier {
- public:
-  Barrier(Simulator& sim, int parties) : sim_(&sim), parties_(parties) {
-    if (parties <= 0) throw std::invalid_argument("barrier parties <= 0");
-  }
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  Task<> arrive_and_wait() {
-    ++arrived_;
-    if (arrived_ == parties_) {
-      arrived_ = 0;
-      for (auto h : waiters_) {
-        sim_->wake(h);
-      }
-      waiters_.clear();
-      co_return;
-    }
-    struct Awaiter {
-      Barrier* b;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        b->waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    co_await Awaiter{this};
-  }
-
- private:
-  Simulator* sim_;
-  int parties_;
-  int arrived_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
-};
-
 /// Await completion of a set of process handles (fork/join helper).
 inline Task<> join_all(std::vector<ProcessHandle> handles) {
   for (auto& h : handles) co_await h.join();

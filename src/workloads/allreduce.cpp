@@ -32,7 +32,6 @@ struct NodeState {
   mem::Addr step_flag = 0;         // chunk-level arrival flag, value = step+1
   std::vector<mem::Addr> slice_flag[2];  // GPU-TN per-slice arrival flags
   rt::RingAllreducePlan plan{0, 2, 2};
-  rt::CollSchedule schedule;
 };
 
 struct Workspace {
@@ -44,7 +43,6 @@ struct Workspace {
       auto& node = cluster.node(r);
       auto& st = states[r];
       st.plan = rt::RingAllreducePlan(r, cfg.nodes, cfg.elements);
-      st.schedule = rt::build_ring_allreduce_schedule(st.plan);
       st.vec = node.memory().alloc(cfg.elements * sizeof(float));
       std::size_t stage = st.plan.max_chunk_elems() * sizeof(float);
       st.rx[0] = node.memory().alloc(stage);
@@ -102,31 +100,29 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
   auto& m = node.memory();
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
-    int p = static_cast<int>(round % 2);
-    mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
+  for (const rt::RingStep& step : st.plan.steps()) {
+    const auto tag = static_cast<std::uint64_t>(step.index);
+    int p = step.index % 2;
+    mem::Addr land =
+        step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
     std::vector<sim::ProcessHandle> ops;
     ops.push_back(w.sim.spawn(
-        node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
-                       w.chunk_bytes(r, snd.chunk), staging),
+        node.rt().send(step.to, tag, w.chunk_addr(r, step.send_chunk),
+                       w.chunk_bytes(r, step.send_chunk), staging),
         "send"));
     ops.push_back(w.sim.spawn(
-        node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk),
-                       staging),
+        node.rt().recv(step.from, tag, land,
+                       w.chunk_bytes(r, step.recv_chunk), staging),
         "recv"));
     co_await sim::join_all(std::move(ops));
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      combine(m, w.chunk_addr(r, rcv.chunk), land, elems);
+    if (step.reduce) {
+      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
+      combine(m, w.chunk_addr(r, step.recv_chunk), land, elems);
       co_await node.cpu().compute_parallel(
           static_cast<double>(elems),
-          cpu_reduce_traffic(w.chunk_bytes(r, rcv.chunk)));
+          cpu_reduce_traffic(w.chunk_bytes(r, step.recv_chunk)));
     }
   }
 }
@@ -137,28 +133,27 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
 sim::Task<> hdn_rank(Workspace& w, int r) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
-    int p = static_cast<int>(round % 2);
-    mem::Addr land = reduce ? st.rx[p] : w.chunk_addr(r, rcv.chunk);
+  for (const rt::RingStep& step : st.plan.steps()) {
+    const auto tag = static_cast<std::uint64_t>(step.index);
+    int p = step.index % 2;
+    mem::Addr land =
+        step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
     std::vector<sim::ProcessHandle> ops;
     ops.push_back(w.sim.spawn(
-        node.rt().send(snd.peer, round, w.chunk_addr(r, snd.chunk),
-                       w.chunk_bytes(r, snd.chunk)),
+        node.rt().send(step.to, tag, w.chunk_addr(r, step.send_chunk),
+                       w.chunk_bytes(r, step.send_chunk)),
         "send"));
     ops.push_back(w.sim.spawn(
-        node.rt().recv(rcv.peer, round, land, w.chunk_bytes(r, rcv.chunk)),
+        node.rt().recv(step.from, tag, land,
+                       w.chunk_bytes(r, step.recv_chunk)),
         "recv"));
     co_await sim::join_all(std::move(ops));
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      mem::Addr dst = w.chunk_addr(r, rcv.chunk);
-      std::uint64_t bytes = w.chunk_bytes(r, rcv.chunk);
+    if (step.reduce) {
+      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
+      mem::Addr dst = w.chunk_addr(r, step.recv_chunk);
+      std::uint64_t bytes = w.chunk_bytes(r, step.recv_chunk);
       gpu::KernelDesc k;
       k.name = "reduce";
       k.num_wgs = w.config.num_wgs;
@@ -187,33 +182,30 @@ sim::Task<> gds_rank(Workspace& w, int r) {
   std::shared_ptr<gpu::KernelRecord> last;
   sim::Event all_posted(w.sim);
 
-  for (std::size_t round = 0; round < st.schedule.rounds.size(); ++round) {
-    const auto& rd = st.schedule.rounds[round];
-    const rt::CollSend& snd = rd.sends[0];
-    const rt::CollRecv& rcv = rd.recvs[0];
-    const bool reduce = !rd.reduces.empty();
-    int p = static_cast<int>(round % 2);
-    auto& peer = w.states[snd.peer];
+  for (const rt::RingStep& step : st.plan.steps()) {
+    const auto round = static_cast<std::uint64_t>(step.index);
+    int p = step.index % 2;
+    auto& peer = w.states[step.to];
     // Where my chunk lands at the receiver: staging (reduce phase) or final
     // position (allgather phase). Static scheme, known at post time (§3.4).
-    mem::Addr remote =
-        reduce ? peer.rx[p] : w.chunk_addr(snd.peer, snd.chunk);
+    mem::Addr remote = step.reduce ? peer.rx[p]
+                                   : w.chunk_addr(step.to, step.send_chunk);
 
     nic::PutDesc put;
-    put.target = snd.peer;
-    put.local_addr = w.chunk_addr(r, snd.chunk);
-    put.bytes = w.chunk_bytes(r, snd.chunk);
+    put.target = step.to;
+    put.local_addr = w.chunk_addr(r, step.send_chunk);
+    put.bytes = w.chunk_bytes(r, step.send_chunk);
     put.remote_addr = remote;
     put.remote_flag = peer.step_flag;
     put.flag_value = round + 1;
     co_await node.rt().gds_stream_put(put);
     node.rt().gds_stream_wait(st.step_flag, round + 1);
 
-    if (reduce) {
-      std::size_t elems = st.plan.chunk_elems(rcv.chunk);
-      mem::Addr dst = w.chunk_addr(r, rcv.chunk);
+    if (step.reduce) {
+      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
+      mem::Addr dst = w.chunk_addr(r, step.recv_chunk);
       mem::Addr land = st.rx[p];
-      std::uint64_t bytes = w.chunk_bytes(r, rcv.chunk);
+      std::uint64_t bytes = w.chunk_bytes(r, step.recv_chunk);
       gpu::KernelDesc k;
       k.name = "reduce";
       k.num_wgs = w.config.num_wgs;
@@ -231,8 +223,7 @@ sim::Task<> gds_rank(Workspace& w, int r) {
     }
   }
   // Allgather rounds end with a wait; ensure the final round's data arrived.
-  co_await node.cpu().wait_value_ge(st.step_flag,
-                                    st.schedule.rounds.size());
+  co_await node.cpu().wait_value_ge(st.step_flag, st.plan.steps().size());
   if (last) co_await last->done.wait();
 }
 

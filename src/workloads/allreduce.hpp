@@ -1,7 +1,8 @@
 // MPI Allreduce over a chunked ring (§5.4.1, Figure 10).
 //
-// An 8 MB single-precision sum-allreduce executed with the libNBC-style
-// schedule (rt/collectives.hpp) under each strategy:
+// An 8 MB single-precision sum-allreduce. Every strategy interprets the
+// same libNBC-style schedule, rt::RingAllreducePlan::steps()
+// (rt/collectives.hpp), one ring step at a time:
 //
 //   CPU    — host reduce + two-sided send/recv with eager staging copies.
 //   HDN    — per-step reduce kernel at kernel boundaries; host send/recv

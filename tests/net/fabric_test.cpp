@@ -66,7 +66,7 @@ TEST(Fabric, SmallMessageLatencyIsWireDominated) {
   // ser(144)*2 + 2*link + switch = 11.52*2 + 300 = ~323 ns.
   sim::Tick t = f.sinks[1]->arrival_times[0];
   EXPECT_NEAR(sim::to_ns(t), 323.0, 1.0);
-  EXPECT_EQ(t, f.fabric.ideal_latency(64));
+  EXPECT_EQ(t, net::ideal_wire(f.fabric.wire(), 64, 1).total());
 }
 
 TEST(Fabric, PayloadArrivesIntact) {
@@ -146,7 +146,7 @@ TEST(Fabric, OutputContentionSerializesOnDownlink) {
   f.fabric.send(make_msg(1, 2, bytes));
   f.sim.run();
   ASSERT_EQ(f.sinks[2]->arrival_times.size(), 2u);
-  sim::Tick solo = f.fabric.ideal_latency(bytes);
+  sim::Tick solo = net::ideal_wire(f.fabric.wire(), bytes, 1).total();
   sim::Tick second = f.sinks[2]->arrival_times[1];
   // The second message shares the downlink: it needs ~2x the serialization.
   EXPECT_GT(second, solo + test_config().bandwidth.serialize(bytes) / 2);

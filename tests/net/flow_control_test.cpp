@@ -4,7 +4,7 @@
 // between wire-submit and downstream-dequeue than its credit pool; credit
 // exhaustion throttles but never deadlocks (the event queue always drains);
 // an idle multi-hop fabric is *exact* — a lone message arrives at precisely
-// Fabric::ideal_latency, which is what keeps the flight recorder's
+// net::ideal_wire's total, which is what keeps the flight recorder's
 // wire-vs-switch_queue blame split honest; and sustained incast pressure
 // surfaces as a SATURATED util.sw.* resource in `gputn report`.
 #include <gtest/gtest.h>
@@ -14,7 +14,7 @@
 
 #include "net/fabric.hpp"
 #include "net/switch.hpp"
-#include "obs/critical.hpp"
+#include "net/wire.hpp"
 #include "obs/report.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -147,8 +147,8 @@ TEST(FlowControl, AdaptiveRoutingUnderCreditsIsRunToRunIdentical) {
 
 TEST(FlowControl, IdleMultiHopFabricIsExactlyIdeal) {
   // One message, empty fabric: measured latency must equal the hop-aware
-  // ideal to the picosecond, and the analyzer's replica of that formula
-  // must agree — this pins switch_queue == 0 on an idle fat-tree.
+  // ideal to the picosecond, on the parameters the flight dump carries —
+  // this pins switch_queue == 0 on an idle fat-tree.
   Fixture f(16, config_for("fat-tree:k=4", /*credits=*/0));
   const std::size_t bytes = 10000;
   EXPECT_EQ(f.fabric.hop_count(0, 15), 5);
@@ -156,19 +156,22 @@ TEST(FlowControl, IdleMultiHopFabricIsExactlyIdeal) {
   f.sim.run();
   ASSERT_EQ(f.sinks[15]->arrival_times.size(), 1u);
   sim::Tick got = f.sinks[15]->arrival_times[0];
-  EXPECT_EQ(got, f.fabric.ideal_latency(bytes, 0, 15));
+  EXPECT_EQ(got, net::ideal_wire(f.fabric.wire(), bytes, 5).total());
 
-  obs::WireParams w;
+  net::WireParams w;
   w.bytes_per_sec = sim::Bandwidth::gbps(100).bytes_per_second();
   w.link_latency_ps = sim::ns(100);
   w.switch_latency_ps = sim::ns(100);
   w.mtu_bytes = 4096;
   w.header_bytes = 64;
   w.per_packet_overhead = 16;
-  EXPECT_EQ(got, obs::ideal_wire_ps(w, bytes, /*hops=*/5));
-  // And the star short-circuit still matches the seed's one-arg formula.
-  EXPECT_EQ(obs::ideal_wire_ps(w, bytes, 1),
-            Fixture(2, config_for("star", 0)).fabric.ideal_latency(bytes));
+  EXPECT_EQ(f.fabric.wire(), w);
+  EXPECT_EQ(got, net::ideal_wire(w, bytes, /*hops=*/5).total());
+  // And the star fabric's one-hop figure is the same function at hops = 1.
+  Fixture star(2, config_for("star", 0));
+  EXPECT_EQ(star.fabric.hop_count(0, 1), 1);
+  EXPECT_EQ(net::ideal_wire(w, bytes, 1).total(),
+            net::ideal_wire(star.fabric.wire(), bytes, 1).total());
   f.sim.reap_processes();
 }
 

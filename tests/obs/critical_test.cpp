@@ -54,8 +54,8 @@ TEST(CriticalPath, BlameSumsExactlyToOpLatency) {
 
 TEST(CriticalPath, IdealWireMatchesFabricForUncongestedLegs) {
   // On an idle fabric the measured wire time IS the ideal: switch_queue
-  // must come out zero, proving the analyzer's replica of
-  // Fabric::ideal_latency agrees with the simulator's own arithmetic.
+  // must come out zero, proving net::ideal_wire on the dump's wire
+  // parameters agrees with the simulator's own arithmetic.
   FlightRecorder rec(FlightConfig{});
   serve::ServeConfig cfg = mini_serve(workloads::Strategy::kGpuTn, &rec);
   cfg.requests = 20;  // light load: no fabric queueing

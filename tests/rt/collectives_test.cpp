@@ -114,21 +114,5 @@ TEST(RingPlan, RejectsBadArguments) {
   EXPECT_THROW(RingAllreducePlan(0, 8, 4), std::invalid_argument);
 }
 
-TEST(Schedule, MirrorsThePlan) {
-  RingAllreducePlan plan(2, 4, 400);
-  CollSchedule sched = build_ring_allreduce_schedule(plan);
-  ASSERT_EQ(sched.rounds.size(), 6u);
-  for (std::size_t i = 0; i < sched.rounds.size(); ++i) {
-    const auto& round = sched.rounds[i];
-    const auto& step = plan.steps()[i];
-    ASSERT_EQ(round.sends.size(), 1u);
-    ASSERT_EQ(round.recvs.size(), 1u);
-    EXPECT_EQ(round.sends[0].peer, step.to);
-    EXPECT_EQ(round.sends[0].chunk, step.send_chunk);
-    EXPECT_EQ(round.recvs[0].chunk, step.recv_chunk);
-    EXPECT_EQ(round.reduces.size(), step.reduce ? 1u : 0u);
-  }
-}
-
 }  // namespace
 }  // namespace gputn::rt

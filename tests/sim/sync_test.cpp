@@ -157,64 +157,6 @@ TEST(Semaphore, LimitsConcurrency) {
   EXPECT_EQ(sem.available(), 2);
 }
 
-TEST(Semaphore, GuardReleasesOnScopeExit) {
-  Simulator sim;
-  Semaphore sem(sim, 1);
-  sim.spawn(
-      [](Simulator& s, Semaphore& se) -> Task<> {
-        {
-          auto guard = co_await SemaphoreGuard::lock(se);
-          co_await s.delay(us(1));
-        }
-        co_return;
-      }(sim, sem),
-      "guarded");
-  sim.run();
-  EXPECT_EQ(sem.available(), 1);
-}
-
-TEST(Barrier, ReleasesAllAtLastArrival) {
-  Simulator sim;
-  Barrier bar(sim, 3);
-  std::vector<Tick> woke;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(
-        [](Simulator& s, Barrier& b, int delay_us,
-           std::vector<Tick>& out) -> Task<> {
-          co_await s.delay(us(delay_us));
-          co_await b.arrive_and_wait();
-          out.push_back(s.now());
-        }(sim, bar, i + 1, woke),
-        "party");
-  }
-  sim.run();
-  ASSERT_EQ(woke.size(), 3u);
-  for (Tick t : woke) EXPECT_EQ(t, us(3));
-}
-
-TEST(Barrier, IsReusableAcrossRounds) {
-  Simulator sim;
-  Barrier bar(sim, 2);
-  std::vector<Tick> times;
-  for (int i = 0; i < 2; ++i) {
-    sim.spawn(
-        [](Simulator& s, Barrier& b, int id, std::vector<Tick>& out)
-            -> Task<> {
-          for (int round = 0; round < 3; ++round) {
-            co_await s.delay(us(id + 1));
-            co_await b.arrive_and_wait();
-            if (id == 0) out.push_back(s.now());
-          }
-        }(sim, bar, i, times),
-        "party");
-  }
-  sim.run();
-  ASSERT_EQ(times.size(), 3u);
-  EXPECT_EQ(times[0], us(2));
-  EXPECT_EQ(times[1], us(4));
-  EXPECT_EQ(times[2], us(6));
-}
-
 TEST(JoinAll, WaitsForEveryHandle) {
   Simulator sim;
   std::vector<ProcessHandle> handles;

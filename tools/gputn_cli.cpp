@@ -73,16 +73,27 @@
 // --json writes a deterministic report; --baseline diffs against a previous
 // report and exits nonzero past --threshold, like `gputn report`.
 //
-// Exit code is nonzero on verification failure or bad arguments.
+// report, analyze and whatif parse --baseline/--threshold/--top alike:
+// --threshold takes [0, 1e6] (defaults: report and whatif 5, analyze 10)
+// and --top [0, 2^20].
+//
+// Exit code is 1 on verification failure, a regression past --threshold,
+// or an unreadable input or artifact; 2 on bad arguments (naming the flag).
+#include <algorithm>
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "exp/plan.hpp"
@@ -151,13 +162,17 @@ namespace {
   std::exit(2);
 }
 
-/// Tiny flag parser: --key value and boolean --key.
+/// Tiny flag parser: --key value, boolean --key, and bare operands (the
+/// FILE list of report and analyze; every other command refuses them).
 class Args {
  public:
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) usage();
+      if (key.rfind("--", 0) != 0) {
+        operands_.push_back(std::move(key));
+        continue;
+      }
       key = key.substr(2);
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[++i];
@@ -172,9 +187,11 @@ class Args {
     return it != values_.end() && !it->second.empty() ? it->second : dflt;
   }
   const std::map<std::string, std::string>& all() const { return values_; }
+  const std::vector<std::string>& operands() const { return operands_; }
 
  private:
   std::map<std::string, std::string> values_;
+  std::vector<std::string> operands_;
 };
 
 void apply_log_level(const Args& args) {
@@ -218,13 +235,97 @@ long driver_int(const Args& args, const std::string& key, long dflt, long min,
   return p.get_int(key, dflt, min, max);
 }
 
-/// Same, floating point (whatif's --tolerance / --threshold).
+/// Same, floating point (--loss, --threshold, whatif's --tolerance).
 double driver_double(const Args& args, const std::string& key, double dflt,
                      double min, double max) {
   if (!args.has(key)) return dflt;
   WorkloadParams p;
   p.set(key, args.get(key, ""));
   return p.get_double(key, dflt, min, max);
+}
+
+/// The run flags every workload command (and whatif) shares.
+struct RunFlags {
+  RunOptions opts;  ///< --nodes and the fabric selection
+  double loss = 0.0;
+  long seed = 1;
+
+  /// Table 2, plus --loss/--seed fault injection when requested.
+  cluster::SystemConfig system() const {
+    return cluster::SystemConfig::table2_with_loss(
+        loss, static_cast<std::uint64_t>(seed));
+  }
+};
+
+RunFlags run_flags(const Args& args) {
+  RunFlags f;  // nodes stays 0 (= workload default) without --nodes
+  f.opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
+  // Fabric selection; an absent flag keeps the Table 2 default (star,
+  // deterministic routing, unlimited credits), and --credits 0 asks for
+  // unlimited explicitly. Spec strings are validated by the topology/router
+  // factories when the fabric is finalized.
+  f.opts.topology = args.get("topology", "");
+  f.opts.routing = args.get("routing", "");
+  f.opts.credits =
+      static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
+  // Validated, so `--loss lots` is a usage error, not 0.0.
+  f.loss = driver_double(args, "loss", 0.0, 0.0, 1.0);
+  f.seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
+  return f;
+}
+
+/// The diff-gate flags report, analyze and whatif share, into `opt`:
+/// --threshold PCT (growth past it regresses; each command's options carry
+/// its own default) and --top N (rows rendered). Returns --baseline's file,
+/// or "" without the flag.
+template <class Options>
+std::string gate_flags(const Args& args, Options& opt) {
+  opt.threshold_pct =
+      driver_double(args, "threshold", opt.threshold_pct, 0.0, 1e6);
+  opt.top = static_cast<int>(driver_int(args, "top", opt.top, 0, 1 << 20));
+  std::string baseline = args.get("baseline", "");
+  if (args.has("baseline") && baseline.empty()) {
+    throw std::invalid_argument("--baseline: expected a file");
+  }
+  return baseline;
+}
+
+/// report and analyze take FILE operands, the diff gate and `extra` flags;
+/// any other flag is a usage error that names it.
+void check_file_command(const Args& args, const std::string& cmd,
+                        std::initializer_list<std::string_view> extra) {
+  if (args.operands().empty()) usage();
+  for (const auto& [key, value] : args.all()) {
+    if (key == "baseline" || key == "threshold" || key == "top" ||
+        std::find(extra.begin(), extra.end(), key) != extra.end()) {
+      continue;
+    }
+    throw std::invalid_argument("unknown option --" + key + " for " + cmd);
+  }
+}
+
+/// Write one artifact: `body` into `path`, flushed before the check, so
+/// bytes that fail at close time (disk full, dead mount) surface here and
+/// not in a destructor nobody checks. An unwritable artifact fails the run
+/// (these files gate CI): returns 1 after naming `what` on stderr, else 0
+/// after printing "  <label>: <path><detail()>".
+int write_artifact(const std::string& path, const char* label,
+                   const char* what,
+                   const std::function<void(std::ostream&)>& body,
+                   const std::function<std::string()>& detail = nullptr) {
+  std::ofstream out(path);
+  if (out) {
+    body(out);
+    out << std::flush;
+  }
+  if (!out.good()) {
+    std::fprintf(stderr, "gputn: cannot write %s to '%s'\n", what,
+                 path.c_str());
+    return 1;
+  }
+  std::printf("  %s: %s%s\n", label, path.c_str(),
+              detail ? detail().c_str() : "");
+  return 0;
 }
 
 /// The --flight-* knobs as a recorder config (shared by single runs and the
@@ -280,66 +381,46 @@ class ObservabilityFlags {
   int finish(const ResultBase& res) {
     int rc = 0;
     if (!trace_path_.empty()) {
-      if (recorder_.write_json(trace_path_)) {
-        std::printf("  trace: %s (%zu events)\n", trace_path_.c_str(),
-                    recorder_.event_count());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write trace to '%s'\n",
-                     trace_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(
+          trace_path_, "trace", "trace",
+          [&](std::ostream& out) { recorder_.write_json(out); },
+          [&] {
+            return " (" + std::to_string(recorder_.event_count()) +
+                   " events)";
+          });
     }
     if (!stats_path_.empty()) {
-      // Flush before checking: buffered bytes that fail at close time (disk
-      // full, dead mount) must surface here, not in a destructor nobody
-      // checks.
-      std::ofstream out(stats_path_);
-      if (out) out << res.stats_json() << "\n" << std::flush;
-      if (out.good()) {
-        std::printf("  stats: %s\n", stats_path_.c_str());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write stats to '%s'\n",
-                     stats_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(stats_path_, "stats", "stats",
+                           [&](std::ostream& out) {
+                             out << res.stats_json() << "\n";
+                           });
     }
     if (ts_ != nullptr) {
-      std::ofstream out(ts_path_);
-      if (out) {
-        bool csv = ts_path_.size() >= 4 &&
-                   ts_path_.compare(ts_path_.size() - 4, 4, ".csv") == 0;
-        if (csv) {
-          ts_->write_csv(out);
-        } else {
-          ts_->write_json(out);
-        }
-        out << std::flush;
-      }
-      if (out.good()) {
-        std::printf("  timeseries: %s (%zu samples)\n", ts_path_.c_str(),
-                    ts_->rows());
-      } else {
-        std::fprintf(stderr, "gputn: cannot write timeseries to '%s'\n",
-                     ts_path_.c_str());
-        rc = 1;
-      }
+      bool csv = ts_path_.size() >= 4 &&
+                 ts_path_.compare(ts_path_.size() - 4, 4, ".csv") == 0;
+      rc |= write_artifact(
+          ts_path_, "timeseries", "timeseries",
+          [&](std::ostream& out) {
+            if (csv) {
+              ts_->write_csv(out);
+            } else {
+              ts_->write_json(out);
+            }
+          },
+          [&] { return " (" + std::to_string(ts_->rows()) + " samples)"; });
     }
     if (flight_ != nullptr) {
       flight_->set_run_info(res.label, !res.mode.empty()
                                            ? res.mode
                                            : strategy_name(res.strategy));
-      std::ofstream out(flight_path_);
-      if (out) out << flight_->json() << "\n" << std::flush;
-      if (out.good()) {
-        std::printf("  flight: %s (%llu ops offered, %llu recorded)\n",
-                    flight_path_.c_str(),
-                    static_cast<unsigned long long>(flight_->offered()),
-                    static_cast<unsigned long long>(flight_->recorded()));
-      } else {
-        std::fprintf(stderr, "gputn: cannot write flight dump to '%s'\n",
-                     flight_path_.c_str());
-        rc = 1;
-      }
+      rc |= write_artifact(
+          flight_path_, "flight", "flight dump",
+          [&](std::ostream& out) { out << flight_->json() << "\n"; },
+          [&] {
+            return " (" + std::to_string(flight_->offered()) +
+                   " ops offered, " + std::to_string(flight_->recorded()) +
+                   " recorded)";
+          });
     }
     return rc;
   }
@@ -358,14 +439,9 @@ class ObservabilityFlags {
 int write_sweep_json(const Args& args, const gputn::exp::RunSummary& summary) {
   std::string path = args.get("stats-json", "");
   if (path.empty()) return 0;
-  std::ofstream out(path);
-  if (out) out << gputn::exp::results_json(summary) << "\n" << std::flush;
-  if (!out.good()) {
-    std::fprintf(stderr, "gputn: cannot write stats to '%s'\n", path.c_str());
-    return 1;
-  }
-  std::printf("  stats: %s\n", path.c_str());
-  return 0;
+  return write_artifact(path, "stats", "stats", [&](std::ostream& out) {
+    out << gputn::exp::results_json(summary) << "\n";
+  });
 }
 
 /// Report a completed multi-point run in plan order; returns the exit code.
@@ -423,17 +499,12 @@ int write_merged_flight(
     }
     points.emplace_back(r.id, flights[i].get());
   }
-  std::string path = args.get("flight", "");
-  std::ofstream out(path);
-  if (out) out << obs::merged_flight_json(std::move(points)) << "\n"
-               << std::flush;
-  if (!out.good()) {
-    std::fprintf(stderr, "gputn: cannot write flight dump to '%s'\n",
-                 path.c_str());
-    return 1;
-  }
-  std::printf("  flight: %s (%zu points)\n", path.c_str(), flights.size());
-  return 0;
+  return write_artifact(
+      args.get("flight", ""), "flight", "flight dump",
+      [&](std::ostream& out) {
+        out << obs::merged_flight_json(std::move(points)) << "\n";
+      },
+      [&] { return " (" + std::to_string(flights.size()) + " points)"; });
 }
 
 int run_workload(const WorkloadEntry& entry, const Args& args) {
@@ -442,23 +513,7 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     if (!is_driver_key(k)) params.set(k, v);
   }
 
-  RunOptions opts;  // nodes stays 0 (= workload default) without --nodes
-  opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  // Fabric selection; an absent flag keeps the Table 2 default (star,
-  // deterministic routing, unlimited credits), and --credits 0 asks for
-  // unlimited explicitly. Spec strings are validated by the topology/router
-  // factories when the fabric is finalized.
-  opts.topology = args.get("topology", "");
-  opts.routing = args.get("routing", "");
-  opts.credits = static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
-
-  // Table 2, plus --loss/--seed fault injection when requested. Validated
-  // through WorkloadParams so `--loss lots` is a usage error, not 0.0.
-  WorkloadParams fault;
-  if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-  double loss = fault.get_double("loss", 0.0, 0.0, 1.0);
-  long seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
-
+  RunFlags run = run_flags(args);
   long replicas = driver_int(args, "replicas", 1, 1, 1 << 20);
   int jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
   // Pairwise multi-run / observer flag rules come from the one shared table
@@ -480,12 +535,12 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     if (args.has("flight")) {
       for (long r = 0; r < replicas; ++r) {
         flights.push_back(std::make_unique<obs::FlightRecorder>(
-            flight_config(args, seed + r)));
+            flight_config(args, run.seed + r)));
       }
     }
     gputn::exp::Runner runner(jobs);
-    gputn::exp::RunSummary summary = runner.run(
-        replica_plan(entry, opts, params, loss, seed, replicas, flights));
+    gputn::exp::RunSummary summary = runner.run(replica_plan(
+        entry, run.opts, params, run.loss, run.seed, replicas, flights));
     int rc = report_sweep(summary, runner.jobs());
     int io_rc = write_sweep_json(args, summary);
     int fl_rc = write_merged_flight(args, summary, flights);
@@ -493,14 +548,12 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
     return io_rc != 0 ? io_rc : fl_rc;
   }
 
-  ObservabilityFlags obs(args, seed);
-  opts.trace = obs.trace();
-  opts.timeseries = obs.timeseries();
-  opts.flight = obs.flight();
-  cluster::SystemConfig sys = cluster::SystemConfig::table2_with_loss(
-      loss, static_cast<std::uint64_t>(seed));
+  ObservabilityFlags obs(args, run.seed);
+  run.opts.trace = obs.trace();
+  run.opts.timeseries = obs.timeseries();
+  run.opts.flight = obs.flight();
 
-  ResultBase res = entry.run(opts, params, sys);
+  ResultBase res = entry.run(run.opts, params, run.system());
   int obs_rc = obs.finish(res);
   return res.correct ? obs_rc : 1;
 }
@@ -530,42 +583,16 @@ std::string slurp(const std::string& path) {
 }
 
 /// `gputn report FILE... [--baseline FILE] [--threshold PCT] [--top N]`.
-/// Parsed by hand: report takes positional file arguments, which the
-/// --key-only Args parser rejects.
-int run_report(int argc, char** argv) {
+int run_report(const Args& args) {
+  check_file_command(args, "report", {});
   obs::ReportOptions opt;
-  std::vector<std::string> files;
-  std::string baseline;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (a == "--baseline") {
-      baseline = value();
-    } else if (a == "--threshold") {
-      char* end = nullptr;
-      opt.threshold_pct = std::strtod(value(), &end);
-      if (end == nullptr || *end != '\0' || opt.threshold_pct < 0.0) usage();
-    } else if (a == "--top") {
-      char* end = nullptr;
-      long n = std::strtol(value(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) usage();
-      opt.top = static_cast<int>(n);
-    } else if (a.rfind("--", 0) == 0) {
-      usage();
-    } else {
-      files.push_back(a);
-    }
-  }
-  if (files.empty()) usage();
+  std::string baseline = gate_flags(args, opt);
   obs::Report base;
   if (!baseline.empty()) {
     base = obs::parse_report(slurp(baseline), baseline);
   }
   int rc = 0;
-  for (const std::string& f : files) {
+  for (const std::string& f : args.operands()) {
     obs::Report rep = obs::parse_report(slurp(f), f);
     std::fputs(obs::render_report(rep, opt).c_str(), stdout);
     if (!baseline.empty()) {
@@ -578,52 +605,35 @@ int run_report(int argc, char** argv) {
 }
 
 /// `gputn analyze FILE... [--baseline FILE] [--threshold PCT] [--top N]
-///  [--exemplar ID --trace OUT]`. Hand-parsed for the same reason as
-/// `report`: positional file arguments.
-int run_analyze(int argc, char** argv) {
+///  [--exemplar ID --trace OUT]`.
+int run_analyze(const Args& args) {
+  check_file_command(args, "analyze", {"exemplar", "trace"});
   obs::AnalyzeOptions opt;
-  std::vector<std::string> files;
-  std::string baseline;
-  std::string trace_out;
-  bool want_exemplar = false;
+  std::string baseline = gate_flags(args, opt);
+  std::string trace_out = args.get("trace", "");
+  bool want_exemplar = args.has("exemplar");
+  if (want_exemplar == trace_out.empty()) {
+    throw std::invalid_argument("--exemplar ID and --trace OUT go together");
+  }
+  // Op ids use all 64 bits (serve's put tags set bit 63), past
+  // driver_int's long.
   std::uint64_t exemplar = 0;
-  for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) usage();
-      return argv[++i];
-    };
-    if (a == "--baseline") {
-      baseline = value();
-    } else if (a == "--threshold") {
-      char* end = nullptr;
-      opt.threshold_pct = std::strtod(value(), &end);
-      if (end == nullptr || *end != '\0' || opt.threshold_pct < 0.0) usage();
-    } else if (a == "--top") {
-      char* end = nullptr;
-      long n = std::strtol(value(), &end, 10);
-      if (end == nullptr || *end != '\0' || n < 0) usage();
-      opt.top = static_cast<int>(n);
-    } else if (a == "--exemplar") {
-      char* end = nullptr;
-      exemplar = std::strtoull(value(), &end, 10);
-      if (end == nullptr || *end != '\0') usage();
-      want_exemplar = true;
-    } else if (a == "--trace") {
-      trace_out = value();
-    } else if (a.rfind("--", 0) == 0) {
-      usage();
-    } else {
-      files.push_back(a);
+  if (want_exemplar) {
+    std::string id = args.get("exemplar", "");
+    char* end = nullptr;
+    errno = 0;
+    exemplar = std::strtoull(id.c_str(), &end, 10);
+    if (id.empty() || *end != '\0' || errno == ERANGE) {
+      throw std::invalid_argument("--exemplar: expected an op id, got '" +
+                                  id + "'");
     }
   }
-  if (files.empty() || (want_exemplar != !trace_out.empty())) usage();
   obs::Analysis base;
   if (!baseline.empty()) {
     base = obs::analyze_flight(slurp(baseline), baseline);
   }
   int rc = 0;
-  for (const std::string& f : files) {
+  for (const std::string& f : args.operands()) {
     obs::Analysis a = obs::analyze_flight(slurp(f), f);
     std::fputs(obs::render_analysis(a, opt).c_str(), stdout);
     if (!baseline.empty()) {
@@ -674,6 +684,7 @@ int run_whatif_cmd(int argc, char** argv) {
   if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) usage();
   std::string workload = argv[2];
   Args args(argc, argv, 3);
+  if (!args.operands().empty()) usage();
   apply_log_level(args);
 
   // The profiler owns its own plan, recorders and parallelism; the
@@ -704,9 +715,9 @@ int run_whatif_cmd(int argc, char** argv) {
 
   obs::WhatifOptions opt;
   opt.jobs = static_cast<int>(driver_int(args, "jobs", 0, 0, 4096));
-  opt.tolerance_pct = driver_double(args, "tolerance", 2.0, 0.0, 100.0);
-  opt.threshold_pct = driver_double(args, "threshold", 5.0, 0.0, 1e6);
-  opt.top = static_cast<int>(driver_int(args, "top", 0, 0, 1 << 20));
+  opt.tolerance_pct =
+      driver_double(args, "tolerance", opt.tolerance_pct, 0.0, 100.0);
+  std::string baseline = gate_flags(args, opt);
   opt.curve = !args.has("no-curve");
   opt.knobs = split_csv(args.get("knobs", ""));
   opt.strategies.clear();
@@ -735,27 +746,15 @@ int run_whatif_cmd(int argc, char** argv) {
     opt.scales.push_back(p.get_double("scale", 0.0, 1e-6, 1e12));
   }
 
-  RunOptions opts;
-  opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  opts.topology = args.get("topology", "");
-  opts.routing = args.get("routing", "");
-  opts.credits = static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
-
-  WorkloadParams fault;
-  if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-  double loss = fault.get_double("loss", 0.0, 0.0, 1.0);
-  long seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
-  cluster::SystemConfig sys = cluster::SystemConfig::table2_with_loss(
-      loss, static_cast<std::uint64_t>(seed));
+  RunFlags run = run_flags(args);
 
   // Parse the baseline before burning the matrix: a corrupt file fails in
   // milliseconds, not after the full counterfactual sweep.
-  std::string baseline = args.get("baseline", "");
   obs::WhatifReport base;
   if (!baseline.empty()) base = obs::parse_whatif(slurp(baseline), baseline);
 
   obs::WhatifReport rep = obs::run_whatif(Registry::instance(), workload,
-                                          params, opts, sys, opt);
+                                          params, run.opts, run.system(), opt);
   std::fputs(obs::render_whatif(rep, opt).c_str(), stdout);
 
   int rc = 0;
@@ -764,15 +763,10 @@ int run_whatif_cmd(int argc, char** argv) {
   }
   std::string json_path = args.get("json", "");
   if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (out) out << obs::whatif_json(rep) << std::flush;
-    if (out.good()) {
-      std::printf("  whatif: %s\n", json_path.c_str());
-    } else {
-      std::fprintf(stderr, "gputn: cannot write whatif report to '%s'\n",
-                   json_path.c_str());
-      rc = 1;
-    }
+    rc |= write_artifact(json_path, "whatif", "whatif report",
+                         [&](std::ostream& out) {
+                           out << obs::whatif_json(rep);
+                         });
   }
   if (!baseline.empty()) {
     obs::WhatifDiff d = obs::diff_whatif(rep, base, opt.threshold_pct);
@@ -788,47 +782,19 @@ int main(int argc, char** argv) {
   register_builtin_workloads(Registry::instance());
   if (argc < 2) usage();
   std::string cmd = argv[1];
-  if (cmd == "report") {
-    // Positional file arguments: dispatched before the Args parser, which
-    // only understands --flags. Unreadable / malformed input surfaces as a
-    // runtime_error -> exit 1; regressions against --baseline also exit 1.
-    try {
-      return run_report(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "analyze") {
-    // Same contract as report: unreadable / malformed dumps exit 1, blame
-    // regressions against --baseline exit 1, a self-diff exits 0.
-    try {
-      return run_analyze(argc, argv);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (cmd == "whatif") {
-    // Positional workload argument, so dispatched before the Args parser.
-    // Usage errors (unknown workload / knob / strategy) exit 2; runtime
-    // failures (unreadable or malformed --baseline) exit 1, like report.
-    try {
-      return run_whatif_cmd(argc, argv);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 2;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "gputn: %s\n", e.what());
-      return 1;
-    }
-  }
-  Args args(argc, argv, 2);
-  apply_log_level(args);
-  // Bad parameters and simulation failures (deadlock watchdog, reliability
-  // giving up under a pathological loss rate) surface as exceptions; report
-  // them as a normal CLI error instead of an abort.
+  // Bad flags and values throw std::invalid_argument: exit 2, naming the
+  // flag. Unreadable or malformed input files and simulation failures
+  // (deadlock watchdog, reliability giving up under a pathological loss
+  // rate) surface as other exceptions: exit 1, like a regression past a
+  // --baseline gate. A self-diff exits 0.
   try {
+    // Positional workload argument, so dispatched before the Args parser.
+    if (cmd == "whatif") return run_whatif_cmd(argc, argv);
+    Args args(argc, argv, 2);
+    if (cmd == "report") return run_report(args);
+    if (cmd == "analyze") return run_analyze(args);
+    if (!args.operands().empty()) usage();
+    apply_log_level(args);
     if (cmd == "config") {
       WorkloadParams fault;
       if (args.has("loss")) fault.set("loss", args.get("loss", ""));
