@@ -71,10 +71,6 @@ class Cluster {
   Node& node(int i) { return *nodes_.at(i); }
   rt::NodeRuntime& rt(int i) { return node(i).rt(); }
 
-  /// The fault model driving this cluster's links, or nullptr when the
-  /// config has fault injection disabled.
-  fault::FaultModel* fault_model() { return fault_.get(); }
-
   /// Merge fabric counters (net.*), injected-fault counters (fault.*),
   /// every node's reliability counters (rel.*, summed across nodes), the
   /// per-stage latency histograms (lat.*, exact bucket-wise merge), and

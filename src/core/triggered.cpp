@@ -19,7 +19,6 @@ TriggeredNic::TriggeredNic(sim::Simulator& sim, nic::Nic& nic,
   // matching FIFO as GPU trigger stores.
   nic_->set_rx_trigger_hook([this](std::uint64_t tag) {
     ++triggers_received_;
-    ++nic_->stats().counter("trig.events");
     fifo_.push(TriggerEvent{tag, false, sim_->now(), false});
   });
   sim_->spawn(match_loop(), log_.component() + ".match");
@@ -32,12 +31,7 @@ void TriggeredNic::register_dynamic_put(Tag tag, nic::PutDesc put) {
 
 void TriggeredNic::register_put(Tag tag, std::uint64_t threshold,
                                 nic::PutDesc put) {
-  register_command(tag, threshold, nic::Command(put));
-}
-
-void TriggeredNic::register_command(Tag tag, std::uint64_t threshold,
-                                    nic::Command cmd) {
-  register_op(tag, threshold, std::move(cmd), {});
+  register_op(tag, threshold, nic::Command(put), {});
 }
 
 void TriggeredNic::register_op(Tag tag, std::uint64_t threshold,
@@ -66,19 +60,13 @@ void TriggeredNic::on_mmio_store(mem::Addr addr, std::uint64_t value) {
     throw std::logic_error("triggered NIC: store to unexpected MMIO address");
   }
   ++triggers_received_;
-  ++nic_->stats().counter("trig.events");
   fifo_.push(TriggerEvent{value, addr == dyn_trigger_addr_, sim_->now(),
                           true});
   fifo_high_water_ = std::max(fifo_high_water_, fifo_.size());
-  if (config_.fault_on_fifo_overflow &&
-      fifo_.size() > static_cast<std::size_t>(config_.fifo_depth)) {
-    throw std::runtime_error("trigger FIFO overflow");
-  }
 }
 
 void TriggeredNic::fire(std::vector<nic::Command>&& cmds, int dynamic_target,
                         sim::Tick trigger_at, bool trigger_mmio) {
-  nic_->stats().counter("trig.fires") += cmds.size();
   for (auto& cmd : cmds) {
     if (auto* put = std::get_if<nic::PutDesc>(&cmd); put != nullptr &&
         put->target < 0) {

@@ -16,6 +16,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "core/trigger_table.hpp"
 #include "mem/memory.hpp"
@@ -33,11 +35,6 @@ struct TriggeredNicConfig {
   sim::Tick update_cost = sim::ns(4);
   /// Extra decode + command-patch cost for dynamic trigger events (§3.4).
   sim::Tick dynamic_decode_cost = sim::ns(4);
-  /// Depth of the trigger FIFO; stores beyond this backpressure the GPU in
-  /// real hardware. The model tracks the high-water mark and (optionally)
-  /// faults on overflow to surface undersized configurations.
-  int fifo_depth = 1024;
-  bool fault_on_fifo_overflow = false;
 };
 
 /// Encode a dynamic trigger store: the low 32 bits carry the tag, the high
@@ -76,14 +73,11 @@ class TriggeredNic : public mem::MmioHandler {
   /// caller; the host runtime models its own posting cost.
   void register_put(Tag tag, std::uint64_t threshold, nic::PutDesc put);
 
-  /// Generalized triggered operation: any NIC command (put, get, or
-  /// two-sided send) may be staged behind a counter — Portals 4 offers the
-  /// same family of triggered operations.
-  void register_command(Tag tag, std::uint64_t threshold, nic::Command cmd);
-
-  /// Fully general registration: an optional command plus chained counter
-  /// increments fired together (triggered CTInc). Pure chains (no command)
-  /// let the NIC sequence multi-step schedules by itself.
+  /// Fully general registration: an optional NIC command (put, get, or
+  /// two-sided send — Portals 4 offers the same family of triggered
+  /// operations) plus chained counter increments fired together (triggered
+  /// CTInc). Pure chains (no command) let the NIC sequence multi-step
+  /// schedules by itself.
   void register_op(Tag tag, std::uint64_t threshold,
                    std::optional<nic::Command> cmd, std::vector<Tag> chain);
 
@@ -102,6 +96,8 @@ class TriggeredNic : public mem::MmioHandler {
   }
 
   std::uint64_t triggers_received() const { return triggers_received_; }
+  /// Deepest the trigger FIFO has been after an MMIO store; stores beyond
+  /// a real FIFO's depth would backpressure the GPU.
   std::uint64_t fifo_high_water() const { return fifo_high_water_; }
 
  private:

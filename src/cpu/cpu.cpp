@@ -48,7 +48,6 @@ sim::Task<> Cpu::compute_parallel(double flops, std::uint64_t bytes) {
 }
 
 mem::SpinWait Cpu::wait_value_ge(mem::Addr addr, std::uint64_t value) {
-  ++stats_.counter("flag_waits");
   return mem::SpinWait(*sim_, *mem_, addr, value, {0, config_.poll_interval},
                        &util_);
 }

@@ -11,7 +11,6 @@
 #include "mem/memory.hpp"
 #include "mem/spin_wait.hpp"
 #include "obs/busy.hpp"
-#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/trace.hpp"
 
@@ -103,8 +102,6 @@ class Cpu {
   sim::Task<> staging_copy(std::uint64_t bytes);
   sim::Tick staging_copy_time(std::uint64_t bytes) const;
 
-  sim::StatRegistry& stats() { return stats_; }
-
   /// Core-occupancy ledger over `cores` units. Flag-poll spins count as
   /// busy (wait_value_ge charges one core from its first failed read to the
   /// wake, and one op per failed read, as a compute(poll_interval) loop
@@ -135,7 +132,6 @@ class Cpu {
   mem::Memory* mem_;
   CpuConfig config_;
   obs::BusyTracker util_;
-  sim::StatRegistry stats_;
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;
 };

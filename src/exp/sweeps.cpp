@@ -153,15 +153,16 @@ Plan fabric_scale_plan(const std::vector<int>& node_counts,
   Plan plan;
   for (int nodes : node_counts) {
     for (const std::string& topo : topologies) {
+      cluster::SystemConfig sys = cluster::SystemConfig::table2();
+      sys.fabric.topology = topo;
+      if (!routing.empty()) sys.fabric.routing = routing;
       for (Strategy s : {Strategy::kCpu, Strategy::kGpuTn}) {
         AllreduceConfig cfg;
         cfg.strategy = s;
         cfg.nodes = nodes;
         cfg.elements = elements;
-        cfg.topology = topo;
-        cfg.routing = routing;
         plan.add("fabric/p" + num(nodes) + "/" + topo + "/" + strategy_name(s),
-                 [cfg] { return workloads::run_allreduce(cfg); });
+                 [cfg, sys] { return workloads::run_allreduce(cfg, sys); });
       }
     }
   }

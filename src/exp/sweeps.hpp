@@ -65,7 +65,7 @@ Plan serve_load_plan(const std::vector<double>& offered_loads,
                      serve::ServeConfig base = {});
 
 /// Scale-out fabric: ring allreduce strong scaling per node count x
-/// topology spec (net::TopologyFactory strings, e.g. "star",
+/// topology spec (net::make_topology strings, e.g. "star",
 /// "fat-tree:k=16") x {CPU, GPU-TN}. Point ids are
 /// "fabric/p<nodes>/<topology>/<strategy>". `routing` applies to every
 /// point ("" = config default).

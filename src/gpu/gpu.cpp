@@ -34,7 +34,6 @@ sim::Task<> WorkGroupCtx::barrier() {
 
 sim::Task<> WorkGroupCtx::diverged(int paths, sim::Tick per_path) {
   if (paths < 1) paths = 1;
-  ++gpu_->stats().counter("divergent_regions");
   co_await compute(static_cast<sim::Tick>(paths) * per_path);
 }
 
@@ -86,13 +85,11 @@ std::shared_ptr<KernelRecord> Gpu::enqueue_kernel(KernelDesc desc) {
   if (desc.num_wgs <= 0) throw std::invalid_argument("num_wgs <= 0");
   auto record = std::make_shared<KernelRecord>(*sim_);
   record->enqueue_time = sim_->now();
-  ++stats_.counter("kernels_enqueued");
   stream_.push(KernelOp{std::move(desc), record});
   return record;
 }
 
 void Gpu::enqueue_gds_put(nic::Nic& nic, nic::Command cmd) {
-  ++stats_.counter("gds_puts_enqueued");
   stream_.push(GdsPutOp{&nic, std::move(cmd)});
 }
 
@@ -115,7 +112,6 @@ sim::Task<> Gpu::front_end_loop() {
       // when the stream reaches this entry (GDS model, §1/§5.1).
       co_await sim_->delay(config_.gds_doorbell_latency);
       p->nic->ring_doorbell(std::move(p->cmd));
-      ++stats_.counter("gds_doorbells");
     } else if (auto* w = std::get_if<GdsWaitOp>(&op)) {
       co_await mem::SpinWait(*sim_, *mem_, w->addr, w->value,
                              {0, config_.poll_interval});
@@ -131,7 +127,6 @@ sim::Task<> Gpu::execute_kernel(KernelOp op) {
   int visible = 1 + static_cast<int>(stream_.size());
   co_await sim_->delay(launch_model_->launch_cost(visible));
   record.exec_begin = sim_->now();
-  ++stats_.counter("kernels_launched");
 
   if (op.desc.fn) {
     sim::Event all_done(*sim_);
@@ -146,7 +141,6 @@ sim::Task<> Gpu::execute_kernel(KernelOp op) {
   record.exec_end = sim_->now();
   co_await sim_->delay(config_.teardown_latency);
   record.done_time = sim_->now();
-  ++stats_.counter("kernels_completed");
   if (trace_ != nullptr) {
     trace_->span(trace_lane_, op.desc.name + ":launch", "gpu",
                  record.launch_begin, record.exec_begin);

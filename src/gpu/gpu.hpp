@@ -31,7 +31,6 @@
 #include "mem/spin_wait.hpp"
 #include "nic/nic.hpp"
 #include "obs/busy.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/sync.hpp"
 
@@ -184,7 +183,6 @@ class Gpu {
   /// flag at `addr` is >= `value`.
   void enqueue_gds_wait(mem::Addr addr, std::uint64_t value);
 
-  sim::StatRegistry& stats() { return stats_; }
   std::uint64_t memory_model_hazards() const { return hazards_; }
 
   /// Work-group slot ledger over cu_count * max_wgs_per_cu units: a slot is
@@ -230,7 +228,6 @@ class Gpu {
   sim::Channel<StreamOp> stream_;
   sim::Semaphore cus_;
   obs::BusyTracker cu_util_;
-  sim::StatRegistry stats_;
   std::uint64_t hazards_ = 0;
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;

@@ -32,8 +32,8 @@ NodeId Fabric::add_node(MessageSink* sink) {
 
 void Fabric::finalize() {
   if (topo_ != nullptr) return;
-  topo_ = TopologyFactory::instance().make(config_.topology, node_count());
-  router_ = RouterFactory::instance().make(config_.routing);
+  topo_ = make_topology(config_.topology, node_count());
+  router_ = make_router(config_.routing);
   int nsw = topo_->switch_count();
   switches_.reserve(static_cast<std::size_t>(nsw));
   for (int s = 0; s < nsw; ++s) {

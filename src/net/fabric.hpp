@@ -1,7 +1,7 @@
 // Network fabric: ties NICs, links, switches, topology and routing together.
 //
 // The fabric's shape is pluggable (FabricConfig::topology, a spec string
-// resolved through net::TopologyFactory): the default "star" reproduces the
+// built by net::make_topology): the default "star" reproduces the
 // paper's Table 2 single-switch network exactly, while "fat-tree:k=8",
 // "torus:4x4x4" and "dragonfly:a=4,h=2,p=2" build multi-switch fabrics with
 // inter-switch trunk links and per-port credit-based flow control
@@ -41,10 +41,10 @@ struct FabricConfig {
   std::uint32_t mtu_bytes = 4096;
   std::uint32_t header_bytes = 64;  ///< wire overhead per message header
   std::uint32_t per_packet_overhead = 16;
-  /// Topology spec resolved through TopologyFactory at finalize():
+  /// Topology spec built by make_topology at finalize():
   /// "star" | "fat-tree:k=8" | "torus:4x4x4" | "dragonfly:a=4,h=2,p=2".
   std::string topology = "star";
-  /// Routing policy resolved through RouterFactory ("deterministic" |
+  /// Routing policy built by make_router at finalize() ("deterministic" |
   /// "adaptive").
   std::string routing = "deterministic";
   /// Switch output-port credits (0 = unlimited, the seed's idealized

@@ -36,9 +36,9 @@ struct Message {
   NodeId dst = -1;
   std::uint32_t kind = 0;  ///< NIC-defined opcode.
   /// NIC-defined header words (e.g. remote address, completion flag
-  /// address, match tag, byte count). Six words cover the largest control
+  /// address, match tag, byte count). Five words cover the largest control
   /// message (the rendezvous pull request).
-  std::uint64_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0, h5 = 0;
+  std::uint64_t h0 = 0, h1 = 0, h2 = 0, h3 = 0, h4 = 0;
 
   // -- Reliability sub-header (fault/reliability.hpp) ----------------------
   Ctrl ctrl = Ctrl::kData;

@@ -5,41 +5,6 @@
 
 namespace gputn::net {
 
-RouterFactory& RouterFactory::instance() {
-  static RouterFactory factory;
-  return factory;
-}
-
-void RouterFactory::add(std::string name, Builder builder) {
-  builders_[std::move(name)] = std::move(builder);
-}
-
-std::unique_ptr<Router> RouterFactory::make(const std::string& name) const {
-  detail::link_builtin_routers();
-  auto it = builders_.find(name);
-  if (it == builders_.end()) {
-    std::string known;
-    for (const auto& [k, b] : builders_) {
-      if (!known.empty()) known += "|";
-      known += k;
-    }
-    throw std::invalid_argument("unknown routing policy '" + name + "' (" +
-                                known + ")");
-  }
-  return it->second();
-}
-
-std::vector<std::string> RouterFactory::names() const {
-  std::vector<std::string> out;
-  for (const auto& [k, b] : builders_) out.push_back(k);
-  return out;
-}
-
-RouterRegistrar::RouterRegistrar(const char* name,
-                                 RouterFactory::Builder builder) {
-  RouterFactory::instance().add(name, std::move(builder));
-}
-
 namespace {
 
 class DeterministicRouter final : public Router {
@@ -93,15 +58,13 @@ class AdaptiveRouter final : public Router {
   }
 };
 
-const RouterRegistrar kDeterministic{
-    "deterministic", [] { return std::make_unique<DeterministicRouter>(); }};
-const RouterRegistrar kAdaptive{
-    "adaptive", [] { return std::make_unique<AdaptiveRouter>(); }};
-
 }  // namespace
 
-namespace detail {
-void link_builtin_routers() {}
-}  // namespace detail
+std::unique_ptr<Router> make_router(const std::string& name) {
+  if (name == "deterministic") return std::make_unique<DeterministicRouter>();
+  if (name == "adaptive") return std::make_unique<AdaptiveRouter>();
+  throw std::invalid_argument("unknown routing policy '" + name +
+                              "' (adaptive|deterministic)");
+}
 
 }  // namespace gputn::net

@@ -1,8 +1,9 @@
 // Router contract: pick one output port among a topology's candidates.
 //
 // The Topology (topology_api.hpp) supplies the legal minimal output ports
-// for (switch, dst); the Router's only job is the choice among them. Both
-// built-in policies are deterministic functions of their inputs:
+// for (switch, dst); the Router's only job is the choice among them.
+// make_router builds the two built-in policies by name; both are
+// deterministic functions of their inputs:
 //
 //   "deterministic"  always the first candidate. On a fat-tree the
 //                    candidate rotation makes this d-mod-k ECMP up-routing;
@@ -44,30 +45,8 @@ class Router {
                      std::vector<int>& scratch) const = 0;
 };
 
-/// Self-registering name -> Router registry (mirrors TopologyFactory).
-class RouterFactory {
- public:
-  using Builder = std::function<std::unique_ptr<Router>()>;
-
-  static RouterFactory& instance();
-
-  void add(std::string name, Builder builder);
-  /// Throws std::invalid_argument on an unknown policy name.
-  std::unique_ptr<Router> make(const std::string& name) const;
-  std::vector<std::string> names() const;
-
- private:
-  std::map<std::string, Builder> builders_;
-};
-
-struct RouterRegistrar {
-  RouterRegistrar(const char* name, RouterFactory::Builder builder);
-};
-
-namespace detail {
-/// Anchor referenced by the factory so the static library member holding
-/// the built-in routers (routing.cpp) is always linked in.
-void link_builtin_routers();
-}  // namespace detail
+/// The built-in policy named `name` ("deterministic" | "adaptive");
+/// throws std::invalid_argument on an unknown name.
+std::unique_ptr<Router> make_router(const std::string& name);
 
 }  // namespace gputn::net

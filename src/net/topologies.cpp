@@ -2,17 +2,15 @@
 //
 // Each builder is a pure function of its spec: all wiring below is closed
 // form (no tables proportional to nodes x switches), so even large
-// instances cost only their id arithmetic. See topology_api.hpp for the
-// determinism and minimality rules the candidate orders obey.
+// instances cost only their id arithmetic. make_topology at the end maps a
+// spec's kind to its builder. See topology_api.hpp for the determinism and
+// minimality rules the candidate orders obey.
 #include <stdexcept>
 
 #include "net/topology_api.hpp"
 
 namespace gputn::net {
 namespace {
-
-#define GPUTN_REGISTER_TOPOLOGY(kind, fn) \
-  const TopologyRegistrar kReg_##fn { kind, fn }
 
 // ---- star -----------------------------------------------------------------
 // The seed fabric: one switch, port i <-> node i. Every route is one hop.
@@ -40,13 +38,6 @@ class StarTopology final : public Topology {
  private:
   int nodes_;
 };
-
-std::unique_ptr<Topology> make_star(const TopologySpec& spec, int nodes) {
-  (void)spec;
-  return std::make_unique<StarTopology>(nodes);
-}
-
-GPUTN_REGISTER_TOPOLOGY("star", make_star);
 
 // ---- fat-tree(k) ----------------------------------------------------------
 // Standard three-tier k-ary fat-tree: k pods of k/2 edge + k/2 aggregation
@@ -138,8 +129,7 @@ class FatTreeTopology final : public Topology {
   std::string name_;
 };
 
-std::unique_ptr<Topology> make_fat_tree(const TopologySpec& spec, int nodes) {
-  (void)nodes;
+std::unique_ptr<Topology> make_fat_tree(const TopologySpec& spec) {
   int k = static_cast<int>(spec.get_int("k", 4, 2, 64));
   if (k % 2 != 0) {
     throw std::invalid_argument("topology spec '" + spec.text +
@@ -148,8 +138,6 @@ std::unique_ptr<Topology> make_fat_tree(const TopologySpec& spec, int nodes) {
   return std::make_unique<FatTreeTopology>(k, "fat-tree:k=" +
                                                   std::to_string(k));
 }
-
-GPUTN_REGISTER_TOPOLOGY("fat-tree", make_fat_tree);
 
 // ---- torus (2D/3D) --------------------------------------------------------
 // One host per switch; each switch has a +/- port per dimension with wrap
@@ -225,8 +213,7 @@ class TorusTopology final : public Topology {
   std::string name_;
 };
 
-std::unique_ptr<Topology> make_torus(const TopologySpec& spec, int nodes) {
-  (void)nodes;
+std::unique_ptr<Topology> make_torus(const TopologySpec& spec) {
   std::string dims_text = spec.get("", spec.get("dims", ""));
   if (dims_text.empty()) {
     throw std::invalid_argument("topology spec '" + spec.text +
@@ -263,8 +250,6 @@ std::unique_ptr<Topology> make_torus(const TopologySpec& spec, int nodes) {
   return std::make_unique<TorusTopology>(std::move(dims),
                                          "torus:" + dims_text);
 }
-
-GPUTN_REGISTER_TOPOLOGY("torus", make_torus);
 
 // ---- dragonfly(a, h, p) ---------------------------------------------------
 // Canonical balanced dragonfly: g = a*h + 1 groups of `a` routers; each
@@ -338,8 +323,7 @@ class DragonflyTopology final : public Topology {
   std::string name_;
 };
 
-std::unique_ptr<Topology> make_dragonfly(const TopologySpec& spec, int nodes) {
-  (void)nodes;
+std::unique_ptr<Topology> make_dragonfly(const TopologySpec& spec) {
   int a = static_cast<int>(spec.get_int("a", 4, 1, 64));
   int h = static_cast<int>(spec.get_int("h", 2, 1, 64));
   int p = static_cast<int>(spec.get_int("p", h, 1, 64));
@@ -354,12 +338,30 @@ std::unique_ptr<Topology> make_dragonfly(const TopologySpec& spec, int nodes) {
           ",p=" + std::to_string(p));
 }
 
-GPUTN_REGISTER_TOPOLOGY("dragonfly", make_dragonfly);
-
 }  // namespace
 
-namespace detail {
-void link_builtin_topologies() {}
-}  // namespace detail
+std::unique_ptr<Topology> make_topology(const std::string& spec, int nodes) {
+  TopologySpec parsed = TopologySpec::parse(spec);
+  std::unique_ptr<Topology> topo;
+  if (parsed.kind == "star") {
+    topo = std::make_unique<StarTopology>(nodes);
+  } else if (parsed.kind == "fat-tree") {
+    topo = make_fat_tree(parsed);
+  } else if (parsed.kind == "torus") {
+    topo = make_torus(parsed);
+  } else if (parsed.kind == "dragonfly") {
+    topo = make_dragonfly(parsed);
+  } else {
+    throw std::invalid_argument("unknown topology '" + parsed.kind +
+                                "' (dragonfly|fat-tree|star|torus)");
+  }
+  if (topo->node_count() < nodes) {
+    throw std::invalid_argument(
+        "topology '" + spec + "' has capacity for " +
+        std::to_string(topo->node_count()) + " nodes, run needs " +
+        std::to_string(nodes));
+  }
+  return topo;
+}
 
 }  // namespace gputn::net

@@ -114,48 +114,4 @@ long TopologySpec::get_int(const std::string& key, long dflt, long min,
   return v;
 }
 
-TopologyFactory& TopologyFactory::instance() {
-  static TopologyFactory factory;
-  return factory;
-}
-
-void TopologyFactory::add(std::string kind, Builder builder) {
-  builders_[std::move(kind)] = std::move(builder);
-}
-
-std::unique_ptr<Topology> TopologyFactory::make(const std::string& spec,
-                                                int nodes) const {
-  detail::link_builtin_topologies();
-  TopologySpec parsed = TopologySpec::parse(spec);
-  auto it = builders_.find(parsed.kind);
-  if (it == builders_.end()) {
-    std::string known;
-    for (const auto& [k, b] : builders_) {
-      if (!known.empty()) known += "|";
-      known += k;
-    }
-    throw std::invalid_argument("unknown topology '" + parsed.kind + "' (" +
-                                known + ")");
-  }
-  std::unique_ptr<Topology> topo = it->second(parsed, nodes);
-  if (topo->node_count() < nodes) {
-    throw std::invalid_argument(
-        "topology '" + spec + "' has capacity for " +
-        std::to_string(topo->node_count()) + " nodes, run needs " +
-        std::to_string(nodes));
-  }
-  return topo;
-}
-
-std::vector<std::string> TopologyFactory::kinds() const {
-  std::vector<std::string> out;
-  for (const auto& [k, b] : builders_) out.push_back(k);
-  return out;
-}
-
-TopologyRegistrar::TopologyRegistrar(const char* kind,
-                                     TopologyFactory::Builder builder) {
-  TopologyFactory::instance().add(kind, std::move(builder));
-}
-
 }  // namespace gputn::net

@@ -7,7 +7,8 @@
 // destination. It owns no simulator state: the Fabric instantiates links
 // and switches from it, and a Router (routing_api.hpp) picks among its
 // candidate ports. Keeping the contract this narrow is what lets a new
-// topology land as one self-registered builder with zero fabric changes.
+// topology land as one builder plus one branch in make_topology, with zero
+// fabric changes.
 //
 // Determinism rules every implementation must obey:
 //   * candidates() returns ports in a fixed preference order that depends
@@ -21,7 +22,6 @@
 //     wire-vs-switch_queue blame split relies on.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -52,8 +52,8 @@ class Topology {
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
 
-  /// Canonical spec string, e.g. "fat-tree:k=8" (round-trips through the
-  /// factory and appears in describe() output — stable across runs).
+  /// Canonical spec string, e.g. "fat-tree:k=8" (round-trips through
+  /// make_topology and appears in describe() output — stable across runs).
   virtual const std::string& name() const = 0;
 
   /// Endpoint capacity. Runs may attach fewer nodes (ids [0, n) in order);
@@ -97,37 +97,10 @@ struct TopologySpec {
   long get_int(const std::string& key, long dflt, long min, long max) const;
 };
 
-/// Self-registering builder registry, keyed by the spec's kind. Builders
-/// receive the parsed spec plus the number of nodes the run attaches and
-/// must either return a topology with node_count() >= nodes or throw
-/// std::invalid_argument.
-class TopologyFactory {
- public:
-  using Builder =
-      std::function<std::unique_ptr<Topology>(const TopologySpec&, int nodes)>;
-
-  static TopologyFactory& instance();
-
-  void add(std::string kind, Builder builder);
-  /// Parse `spec` and build; throws std::invalid_argument on an unknown
-  /// kind, malformed spec, or insufficient endpoint capacity.
-  std::unique_ptr<Topology> make(const std::string& spec, int nodes) const;
-  std::vector<std::string> kinds() const;
-
- private:
-  std::map<std::string, Builder> builders_;
-};
-
-/// One static instance per builder translation unit registers the kind at
-/// load time (see GPUTN_REGISTER_TOPOLOGY in topologies.cpp).
-struct TopologyRegistrar {
-  TopologyRegistrar(const char* kind, TopologyFactory::Builder builder);
-};
-
-namespace detail {
-/// Anchor referenced by the factory so the static library member holding
-/// the built-in builders (topologies.cpp) is always linked in.
-void link_builtin_topologies();
-}  // namespace detail
+/// Parse `spec` and build the built-in topology it names (topologies.cpp:
+/// star, fat-tree, torus, dragonfly) for a run that attaches `nodes`
+/// endpoints. Throws std::invalid_argument on an unknown kind, a malformed
+/// spec, or a topology with fewer than `nodes` host slots.
+std::unique_ptr<Topology> make_topology(const std::string& spec, int nodes);
 
 }  // namespace gputn::net

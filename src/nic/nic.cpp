@@ -17,7 +17,6 @@ Nic::Nic(sim::Simulator& sim, mem::Memory& memory, net::Fabric& fabric,
       rx_queue_(sim),
       tx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
       rx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
-      cq_(sim),
       reliability_(sim, fabric, node_id_, config.reliability, stats_,
                    [this](net::Message&& m) { rx_queue_.push(std::move(m)); }),
       log_("nic" + std::to_string(node_id_), sim.now_ptr()) {
@@ -34,7 +33,6 @@ void Nic::ring_doorbell(Command cmd) {
 }
 
 void Nic::ring_doorbell(Command cmd, sim::Tick posted) {
-  ++stats_.counter("doorbells");
   // Stage the command and schedule a [this]-only event rather than moving
   // the (large) Command variant through the queue: the doorbell latency is
   // constant, so pop-front order equals ring order, and the event always
@@ -53,13 +51,8 @@ void Nic::ring_doorbell(Command cmd, sim::Tick posted) {
   });
 }
 
-void Nic::enqueue_internal(Command cmd) {
-  enqueue_internal(std::move(cmd), -1, false);
-}
-
 void Nic::enqueue_internal(Command cmd, sim::Tick trigger_at,
                            bool trigger_mmio) {
-  ++stats_.counter("internal_cmds");
   cmd_util_.enqueue(sim_->now());
   cmd_queue_.push(
       QueuedCmd{std::move(cmd), sim_->now(), trigger_at, trigger_mmio});
@@ -166,7 +159,6 @@ void Nic::issue_rndv_pull(const PendingRts& rts, const RecvDesc& r) {
   if (rts.bytes > r.max_bytes) {
     throw std::runtime_error("recv buffer too small for rendezvous send");
   }
-  ++stats_.counter("rendezvous_pulls");
   net::Message pull;
   pull.src = node_id_;
   pull.dst = rts.src;
@@ -176,16 +168,14 @@ void Nic::issue_rndv_pull(const PendingRts& rts, const RecvDesc& r) {
   pull.h2 = r.local_addr;
   pull.h3 = r.flag;
   pull.h4 = r.flag_value;
-  pull.h5 = r.cq_cookie;
   stamp_tx(pull, sim_->now(), -1, false);
   reliability_.send(std::move(pull));
 }
 
 void Nic::post_recv(RecvDesc r) {
-  ++stats_.counter("recvs_posted");
   // Check parked rendezvous RTS descriptors first...
   for (auto it = pending_rts_.begin(); it != pending_rts_.end(); ++it) {
-    if ((r.src == kAnySource || it->src == r.src) && it->tag == r.tag) {
+    if (it->src == r.src && it->tag == r.tag) {
       PendingRts rts = *it;
       pending_rts_.erase(it);
       issue_rndv_pull(rts, r);
@@ -194,26 +184,22 @@ void Nic::post_recv(RecvDesc r) {
   }
   // ...then the unexpected eager queue (message arrived before the recv).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
-    if ((r.src == kAnySource || it->src == r.src) && it->h0 == r.tag) {
+    if (it->src == r.src && it->h0 == r.tag) {
       net::Message msg = std::move(*it);
       unexpected_.erase(it);
       if (msg.payload.size() > r.max_bytes) {
         throw std::runtime_error("recv buffer too small for matched send");
       }
-      ++stats_.counter("recvs_matched_unexpected");
-      std::uint64_t bytes = msg.payload.size();
-      std::uint64_t cookie = r.cq_cookie;
       RxStamps stamps = RxStamps::from(msg);
       sim_->spawn(
           [](Nic* nic, mem::Addr dst, std::vector<std::byte> payload,
-             mem::Addr flag, std::uint64_t flag_value, std::uint64_t cookie,
-             std::uint64_t bytes, RxStamps stamps) -> sim::Task<> {
+             mem::Addr flag, std::uint64_t flag_value,
+             RxStamps stamps) -> sim::Task<> {
             co_await nic->land_payload(dst, std::move(payload), flag,
                                        flag_value);
-            nic->push_cq(cookie, 3, bytes);
             nic->record_delivery(stamps);
           }(this, r.local_addr, std::move(msg.payload), r.flag, r.flag_value,
-            cookie, bytes, stamps),
+            stamps),
           log_.component() + ".land");
       return;
     }
@@ -231,13 +217,6 @@ void Nic::set_flag(mem::Addr flag, std::uint64_t value) {
   if (flag != 0) mem_->store<std::uint64_t>(flag, value);
 }
 
-void Nic::push_cq(std::uint64_t cookie, std::uint32_t kind,
-                  std::uint64_t bytes) {
-  if (cookie == 0) return;
-  ++stats_.counter("cq_entries");
-  cq_.push(CqEntry{cookie, kind, bytes, sim_->now()});
-}
-
 sim::Task<> Nic::tx_loop() {
   for (;;) {
     QueuedCmd qc = co_await cmd_queue_.pop();
@@ -247,10 +226,6 @@ sim::Task<> Nic::tx_loop() {
       // while it waits for a token, so pacing stalls show up as NIC
       // command-queue time in the utilization report.
       co_await rate_->acquire();
-      stats_.counter("nic.tb.admitted") = rate_->admitted();
-      stats_.counter("nic.tb.stalls") = rate_->stalls();
-      stats_.counter("nic.tb.stall_ps") =
-          static_cast<std::uint64_t>(rate_->stalled_time());
     }
     sim::Tick begin = sim_->now();
     qc.admitted = begin;  // == popped when pacing is off or had tokens
@@ -272,7 +247,6 @@ sim::Task<> Nic::tx_loop() {
 sim::Task<> Nic::execute(QueuedCmd qc) {
   Command& cmd = qc.cmd;
   if (auto* put = std::get_if<PutDesc>(&cmd)) {
-    ++stats_.counter("puts");
     net::Message msg;
     msg.src = node_id_;
     msg.dst = put->target;
@@ -287,11 +261,9 @@ sim::Task<> Nic::execute(QueuedCmd qc) {
     co_await tx_dma_.read_into(msg.payload, put->local_addr, put->bytes);
     // Payload has left the send buffer: local completion.
     set_flag(put->local_flag, put->flag_value);
-    push_cq(put->cq_cookie, 1, put->bytes);
     stamp_tx(msg, qc);
     reliability_.send(std::move(msg));
   } else if (auto* get = std::get_if<GetDesc>(&cmd)) {
-    ++stats_.counter("gets");
     net::Message msg;
     msg.src = node_id_;
     msg.dst = get->target;
@@ -308,7 +280,6 @@ sim::Task<> Nic::execute(QueuedCmd qc) {
     // local_flag is raised when the GetReply lands (rx path).
     (void)get->flag_value;  // carried implicitly: reply uses value 1 + addr
   } else if (auto* send = std::get_if<SendDesc>(&cmd)) {
-    ++stats_.counter("sends");
     if (send->bytes <= config_.eager_threshold) {
       net::Message msg;
       msg.src = node_id_;
@@ -320,15 +291,13 @@ sim::Task<> Nic::execute(QueuedCmd qc) {
       msg.payload = fabric_->payload_pool().acquire();
       co_await tx_dma_.read_into(msg.payload, send->local_addr, send->bytes);
       set_flag(send->local_flag, send->flag_value);
-      push_cq(send->cq_cookie, 2, send->bytes);
       stamp_tx(msg, qc);
       reliability_.send(std::move(msg));
     } else {
       // Rendezvous: ship only the ready-to-send descriptor; the payload
       // stays put until the target's receive matches and pulls it.
-      ++stats_.counter("rendezvous_sends");
       rndv_sender_state_[send->local_addr] =
-          SenderRndvState{send->local_flag, send->flag_value, send->cq_cookie};
+          SenderRndvState{send->local_flag, send->flag_value};
       net::Message rts;
       rts.src = node_id_;
       rts.dst = send->target;
@@ -364,51 +333,40 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
   RxStamps stamps = RxStamps::from(msg);
   switch (msg.kind) {
     case kPut: {
-      ++stats_.counter("puts_received");
       std::uint64_t trigger_tag_plus1 = msg.h3;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
       record_delivery(stamps);
       if (trigger_tag_plus1 != 0 && rx_trigger_hook_) {
         // Counting receive event: bump the local trigger counter so a
         // chained operation can fire with no processor involvement.
-        ++stats_.counter("rx_trigger_events");
         rx_trigger_hook_(trigger_tag_plus1 - 1);
       }
       break;
     }
     case kSend: {
-      ++stats_.counter("sends_received");
       bool matched = false;
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        if ((it->src == kAnySource || it->src == msg.src) &&
-            it->tag == msg.h0) {
+        if (it->src == msg.src && it->tag == msg.h0) {
           RecvDesc r = *it;
           posted_.erase(it);
           if (msg.payload.size() > r.max_bytes) {
             throw std::runtime_error("recv buffer too small for matched send");
           }
-          std::uint64_t bytes = msg.payload.size();
           co_await land_payload(r.local_addr, std::move(msg.payload), r.flag,
                                 r.flag_value);
-          push_cq(r.cq_cookie, 3, bytes);
           record_delivery(stamps);
           matched = true;
           break;
         }
       }
-      if (!matched) {
-        ++stats_.counter("unexpected_msgs");
-        unexpected_.push_back(std::move(msg));
-      }
+      if (!matched) unexpected_.push_back(std::move(msg));
       break;
     }
     case kRts: {
-      ++stats_.counter("rts_received");
       PendingRts rts{msg.src, msg.h0, msg.h1, msg.h2};
       bool matched = false;
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
-        if ((it->src == kAnySource || it->src == msg.src) &&
-            it->tag == msg.h0) {
+        if (it->src == msg.src && it->tag == msg.h0) {
           RecvDesc r = *it;
           posted_.erase(it);
           issue_rndv_pull(rts, r);
@@ -420,7 +378,6 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kRndvPull: {
-      ++stats_.counter("rndv_pulls_received");
       // We are the original sender: stream the payload to the receiver.
       net::Message data;
       data.src = node_id_;
@@ -429,14 +386,12 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       data.h0 = msg.h2;  // receiver's buffer
       data.h1 = msg.h3;  // receiver's flag
       data.h2 = msg.h4;  // receiver's flag value
-      data.h3 = msg.h5;  // receiver's cq cookie
       data.payload = fabric_->payload_pool().acquire();
       co_await tx_dma_.read_into(data.payload, msg.h0, msg.h1);
       // Payload has left the send buffer: the send's local completion.
       auto st = rndv_sender_state_.find(msg.h0);
       if (st != rndv_sender_state_.end()) {
         set_flag(st->second.local_flag, st->second.flag_value);
-        push_cq(st->second.cq_cookie, 2, msg.h1);
         rndv_sender_state_.erase(st);
       }
       stamp_tx(data, sim_->now(), -1, false);
@@ -444,16 +399,11 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kRndvData: {
-      ++stats_.counter("rndv_data_received");
-      std::uint64_t bytes = msg.payload.size();
-      std::uint64_t cookie = msg.h3;
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      push_cq(cookie, 3, bytes);
       record_delivery(stamps);
       break;
     }
     case kGetReq: {
-      ++stats_.counter("get_reqs_received");
       // The request leg ends here (no payload deposits). Feeds only the
       // flight recorder — the always-on histograms never saw get requests
       // and must not start to (pinned goldens).
@@ -475,7 +425,6 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       break;
     }
     case kGetReply: {
-      ++stats_.counter("get_replies_received");
       co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
       record_delivery(stamps);
       break;

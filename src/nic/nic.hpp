@@ -6,7 +6,10 @@
 // flag is raised — the buffer is reusable), and hands the message to the
 // fabric. The RX engine lands payloads via DMA and raises target-side
 // completion flags, and performs tag matching for two-sided traffic
-// (posted-receive list + unexpected-message queue, as in MPI).
+// (posted-receive list + unexpected-message queue, matched on the exact
+// source and tag). Sends past the eager threshold use rendezvous (RTS ->
+// pull -> data). NIC-written memory flags are the only completion signal:
+// kernels and hosts poll them (§4.2.4).
 //
 // The GPU-TN triggered-operation extension lives in core/triggered.hpp and
 // feeds this command queue when a trigger entry fires (§3.3: "the logic-level
@@ -18,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <variant>
 
 #include "fault/reliability.hpp"
@@ -64,17 +66,6 @@ struct NicConfig {
   TokenBucketConfig rate_limit;
 };
 
-/// Completion-queue entry: an alternative notification mechanism to
-/// NIC-written memory flags (§4.2.4 contrasts the two). Commands may carry
-/// a user cookie; the NIC pushes an entry when the operation completes
-/// locally (puts/sends: payload out of the buffer; recvs: payload landed).
-struct CqEntry {
-  std::uint64_t cookie = 0;
-  std::uint32_t kind = 0;  ///< 1=put, 2=send, 3=recv, 4=get
-  std::uint64_t bytes = 0;
-  sim::Tick timestamp = 0;
-};
-
 /// One-sided put: write `bytes` from initiator `local_addr` to target
 /// `remote_addr`. Completion flags are optional (0 = none).
 struct PutDesc {
@@ -93,8 +84,6 @@ struct PutDesc {
   /// chains span nodes with no processor involvement (§6, Underwood et
   /// al.). 0 = disabled; tag T is encoded as T + 1.
   std::uint64_t remote_trigger_tag_plus1 = 0;
-  /// Optional completion-queue cookie (0 = no CQ entry on local completion).
-  std::uint64_t cq_cookie = 0;
   /// Observability pass-through (net::Message op_tag/tenant): pairs this
   /// put with its logical partner in the flight recorder. Never interpreted
   /// by the NIC.
@@ -126,8 +115,6 @@ struct SendDesc {
   std::uint64_t tag = 0;
   mem::Addr local_flag = 0;
   std::uint64_t flag_value = 1;
-  /// Optional completion-queue cookie (0 = no CQ entry).
-  std::uint64_t cq_cookie = 0;
   /// Observability pass-through (see PutDesc).
   std::uint64_t op_tag = 0;
   std::int32_t tenant = -1;
@@ -135,7 +122,7 @@ struct SendDesc {
 
 using Command = std::variant<PutDesc, GetDesc, SendDesc>;
 
-/// Posted receive for two-sided matching. `src == kAnySource` matches any.
+/// Posted receive for two-sided matching on (src, tag).
 struct RecvDesc {
   net::NodeId src = -1;
   std::uint64_t tag = 0;
@@ -143,11 +130,7 @@ struct RecvDesc {
   std::uint64_t max_bytes = 0;
   mem::Addr flag = 0;            ///< set when the payload has landed
   std::uint64_t flag_value = 1;
-  /// Optional completion-queue cookie (0 = no CQ entry on completion).
-  std::uint64_t cq_cookie = 0;
 };
-
-inline constexpr net::NodeId kAnySource = -1;
 
 class Nic : public net::MessageSink {
  public:
@@ -168,16 +151,15 @@ class Nic : public net::MessageSink {
   void ring_doorbell(Command cmd, sim::Tick posted);
 
   /// Enqueue a command with no doorbell delay (used by on-NIC agents such as
-  /// the triggered-op unit, which is already inside the NIC).
-  void enqueue_internal(Command cmd);
-  /// Same, carrying the triggering store's arrival time (latency stage
-  /// `lat.trigger_to_fire`) and whether that store came from the GPU's
-  /// MMIO trigger address (anchors the trace flow on the gpu lane) rather
-  /// than a counting-receive event.
+  /// the triggered-op unit, which is already inside the NIC), carrying the
+  /// triggering store's arrival time (latency stage `lat.trigger_to_fire`)
+  /// and whether that store came from the GPU's MMIO trigger address
+  /// (anchors the trace flow on the gpu lane) rather than a counting-receive
+  /// event.
   void enqueue_internal(Command cmd, sim::Tick trigger_at, bool trigger_mmio);
 
-  /// Post a two-sided receive. Matching is FIFO per (src, tag), wildcard
-  /// source supported; checks the unexpected queue first.
+  /// Post a two-sided receive. Matching is FIFO per (src, tag); checks the
+  /// parked rendezvous and unexpected queues first.
   void post_recv(RecvDesc r);
 
   /// Hook invoked when an inbound put carries a counting-receive tag
@@ -187,16 +169,11 @@ class Nic : public net::MessageSink {
     rx_trigger_hook_ = std::move(hook);
   }
 
-  /// Completion queue (§4.2.4's alternative to flag polling). Entries are
-  /// pushed for commands that carry a nonzero cq_cookie.
-  std::optional<CqEntry> cq_poll() { return cq_.try_pop(); }
-  sim::Task<CqEntry> cq_wait() { return cq_.pop(); }
-  std::size_t cq_depth() const { return cq_.size(); }
-
   // -- net::MessageSink ----------------------------------------------------
   void deliver(net::Message&& msg) override;
 
-  sim::StatRegistry& stats() { return stats_; }
+  /// The delivery-stage histograms (lat.*) and the reliability layer's
+  /// counters (rel.*); Cluster::export_net_stats merges both.
   const sim::StatRegistry& stats() const { return stats_; }
 
   /// Attach a trace recorder; TX command and RX message events are
@@ -261,7 +238,6 @@ class Nic : public net::MessageSink {
   struct SenderRndvState {
     mem::Addr local_flag;
     std::uint64_t flag_value;
-    std::uint64_t cq_cookie;
   };
 
   /// Command-queue entry: the command plus observability context (when it
@@ -311,7 +287,6 @@ class Nic : public net::MessageSink {
   void issue_rndv_pull(const PendingRts& rts, const RecvDesc& r);
 
   void set_flag(mem::Addr flag, std::uint64_t value);
-  void push_cq(std::uint64_t cookie, std::uint32_t kind, std::uint64_t bytes);
 
   sim::Simulator* sim_;
   mem::Memory* mem_;
@@ -335,7 +310,6 @@ class Nic : public net::MessageSink {
   std::deque<PendingRts> pending_rts_;
   std::map<mem::Addr, SenderRndvState> rndv_sender_state_;
   std::function<void(std::uint64_t)> rx_trigger_hook_;
-  sim::Channel<CqEntry> cq_;
 
   sim::TraceRecorder* trace_ = nullptr;
   obs::FlightSink* flight_ = nullptr;

@@ -407,15 +407,7 @@ WhatifReport run_whatif(const workloads::Registry& reg,
     }
   }
 
-  // Fold the CLI's fabric overrides into the config once, *before* knobs
-  // apply, then neutralize them in the per-point options — otherwise
-  // make_config would re-apply e.g. --credits on top of the scaled config
-  // and silently clobber the switch_credits knob.
-  cluster::SystemConfig base_sys = with_fabric_overrides(base_opts, sys);
   workloads::RunOptions opts = base_opts;
-  opts.topology.clear();
-  opts.routing.clear();
-  opts.credits = -1;
   opts.quiet = true;
   opts.trace = nullptr;
   opts.timeseries = nullptr;
@@ -438,7 +430,7 @@ WhatifReport run_whatif(const workloads::Registry& reg,
     workloads::RunOptions base_run = st_opts;
     base_run.flight = sp.recorder.get();
     sp.baseline_idx = plan.add_workload(reg, sname + "/baseline", workload,
-                                        base_run, params, base_sys);
+                                        base_run, params, sys);
 
     for (const Knob* k : knobs) {
       KnobPlan kp;
@@ -449,7 +441,7 @@ WhatifReport run_whatif(const workloads::Registry& reg,
         continue;
       }
       for (double s : opt.scales) {
-        cluster::SystemConfig ksys = base_sys;
+        cluster::SystemConfig ksys = sys;
         workloads::WorkloadParams kparams = params;
         // apply() == false skips just this scale-point (e.g. gpu_cus
         // refuses downscales). The knob is inert only when no scale
@@ -633,7 +625,7 @@ WhatifReport run_whatif(const workloads::Registry& reg,
       workloads::RunOptions st_opts = opts;
       st_opts.strategy = splans[si].st;
       for (double s : kCurveScales) {
-        cluster::SystemConfig ksys = base_sys;
+        cluster::SystemConfig ksys = sys;
         workloads::WorkloadParams kparams = params;
         if (!top->apply(ksys, kparams, s)) continue;
         std::size_t idx = curve_plan.add_workload(

@@ -169,9 +169,8 @@ struct WhatifReport {
 /// workload names or a "strategy" workload parameter (the profiler drives
 /// strategies itself) — all before any simulation starts; individual
 /// counterfactual runs that fail are isolated per point (ok = false), like
-/// exp::Runner. `base_opts`'s fabric overrides (topology/routing/credits)
-/// are folded into `sys` once, before knobs apply, so a --credits override
-/// composes with the switch_credits knob instead of clobbering it.
+/// exp::Runner. Every knob scales a copy of `sys`, so a --credits choice
+/// in `sys.fabric` is the switch_credits knob's baseline.
 WhatifReport run_whatif(const workloads::Registry& reg,
                         const std::string& workload,
                         const workloads::WorkloadParams& params,

@@ -537,7 +537,7 @@ ServeResult run_serve(const ServeConfig& cfg,
     throw std::invalid_argument("serve: offered_load must be > 0");
   }
 
-  cluster::SystemConfig adjusted = workloads::with_fabric_overrides(cfg, sys);
+  cluster::SystemConfig adjusted = sys;
   std::uint64_t footprint =
       cfg.keyspace * cfg.value_bytes +
       static_cast<std::uint64_t>(cfg.tenants * cfg.window) *

@@ -74,12 +74,6 @@ struct ServeResult : workloads::ResultBase {
   sim::Tick setup_time = 0;
   /// Serving window (total_time - setup_time), the goodput denominator.
   sim::Tick serve_window = 0;
-
-  double achieved_rps() const {
-    if (serve_window <= 0) return 0.0;
-    return static_cast<double>(requests_total) * 1e12 /
-           static_cast<double>(serve_window);
-  }
 };
 
 ServeResult run_serve(const ServeConfig& cfg,

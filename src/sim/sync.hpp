@@ -7,8 +7,6 @@
 
 #include <coroutine>
 #include <deque>
-#include <functional>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -56,8 +54,8 @@ class Event {
 };
 
 /// Recurring notification. `wait()` completes on the next `notify_all()`;
-/// `wait_until(pred)` loops until the predicate holds. There is no latch:
-/// notifications wake only currently-registered waiters.
+/// a waiter that needs a predicate loops on wait() until it holds. There is
+/// no latch: notifications wake only currently-registered waiters.
 class Condition {
  public:
   explicit Condition(Simulator& sim) : sim_(&sim) {}
@@ -81,10 +79,6 @@ class Condition {
       void await_resume() const noexcept {}
     };
     return Awaiter{this};
-  }
-
-  Task<> wait_until(std::function<bool()> pred) {
-    while (!pred()) co_await wait();
   }
 
   int waiter_count() const { return static_cast<int>(waiters_.size()); }
@@ -133,14 +127,6 @@ class Channel {
       sim_->wake(h);
     }
     co_return v;
-  }
-
-  /// Non-suspending pop for polling-style consumers.
-  std::optional<T> try_pop() {
-    if (buffer_.empty()) return std::nullopt;
-    T v = std::move(buffer_.front());
-    buffer_.pop_front();
-    return v;
   }
 
   bool empty() const { return buffer_.empty(); }

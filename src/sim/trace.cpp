@@ -128,7 +128,10 @@ bool TraceRecorder::write_json(const std::string& path) const {
   std::ofstream f(path);
   if (!f) return false;
   write_json(f);
-  return static_cast<bool>(f);
+  // Flush before the check: bytes that fail only on their way out (disk
+  // full, dead mount) must fail the write, not vanish at close.
+  f.flush();
+  return f.good();
 }
 
 }  // namespace gputn::sim

@@ -373,7 +373,7 @@ AllreduceResult run_allreduce(const AllreduceConfig& cfg,
   if (cfg.elements < static_cast<std::size_t>(cfg.nodes)) {
     throw std::invalid_argument("fewer elements than ranks");
   }
-  cluster::SystemConfig adjusted = with_fabric_overrides(cfg, sys);
+  cluster::SystemConfig adjusted = sys;
   std::uint64_t vec_bytes = cfg.elements * sizeof(float);
   adjusted.dram_bytes = vec_bytes + 4 * (vec_bytes / cfg.nodes) + (8u << 20);
   if (cfg.strategy == Strategy::kGpuTn) {

@@ -149,7 +149,7 @@ sim::Task<> gputn_node(Workspace& w, int id, bool nic_chain) {
 BroadcastResult run_broadcast(const BroadcastConfig& cfg,
                               const cluster::SystemConfig& sys) {
   if (cfg.nodes < 2) throw std::invalid_argument("broadcast needs >= 2 nodes");
-  cluster::SystemConfig adjusted = with_fabric_overrides(cfg, sys);
+  cluster::SystemConfig adjusted = sys;
   adjusted.dram_bytes = cfg.bytes + (4u << 20);
   if (cfg.chunks > adjusted.triggered.table.associative_entries) {
     adjusted.triggered.table.lookup = core::LookupKind::kHash;

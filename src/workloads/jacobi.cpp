@@ -466,7 +466,7 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
                                 " out of range [1, " + std::to_string(kMaxN) +
                                 "]");
   }
-  cluster::SystemConfig adjusted = with_fabric_overrides(cfg, sys);
+  cluster::SystemConfig adjusted = sys;
   std::uint64_t grid_bytes =
       2ull * (cfg.n + 2) * (cfg.n + 2) * 8 + 16ull * cfg.n * 8 + (1 << 20);
   adjusted.dram_bytes = std::max(adjusted.dram_bytes, grid_bytes + (4u << 20));

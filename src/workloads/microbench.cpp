@@ -208,16 +208,14 @@ MicrobenchResult run_ghn(Rig& r) {
   mem::Addr helper_stop = r.initiator.rt().alloc_flag();
 
   // The helper thread: poll for GPU requests, service them.
-  std::uint64_t polls = 0;
   r.sim.spawn(
-      [](Rig& rr, mem::Addr bounce, mem::Addr request, mem::Addr stop,
-         std::uint64_t& polls) -> sim::Task<> {
+      [](Rig& rr, mem::Addr bounce, mem::Addr request,
+         mem::Addr stop) -> sim::Task<> {
         auto& cpu = rr.initiator.cpu();
         auto& mem = rr.initiator.memory();
         for (;;) {
           while (mem.load<std::uint64_t>(request) == 0) {
             if (mem.load<std::uint64_t>(stop) != 0) co_return;
-            ++polls;
             co_await cpu.compute(cpu.config().poll_interval);
           }
           mem.store<std::uint64_t>(request, 0);
@@ -232,7 +230,7 @@ MicrobenchResult run_ghn(Rig& r) {
           put.remote_flag = rr.rflag;
           rr.initiator.nic().ring_doorbell(put);
         }
-      }(r, bounce, request, helper_stop, polls),
+      }(r, bounce, request, helper_stop),
       "helper-thread");
 
   std::shared_ptr<gpu::KernelRecord> rec;
@@ -265,8 +263,6 @@ MicrobenchResult run_ghn(Rig& r) {
   };
   res.target_completion = target_done;
   res.initiator_completion = rec->done_time;
-  ++r.initiator.cpu().stats().counter("helper_threads");
-  r.initiator.cpu().stats().counter("helper_polls") += polls;
   return res;
 }
 
@@ -366,8 +362,7 @@ MicrobenchResult run_cpu(Rig& r) {
 
 MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
                                 const cluster::SystemConfig& config) {
-  cluster::SystemConfig adjusted = with_fabric_overrides(cfg, config);
-  Rig r(adjusted);
+  Rig r(config);
   if (cfg.trace != nullptr) r.cluster.enable_tracing(*cfg.trace);
   if (cfg.timeseries != nullptr) r.cluster.attach_timeseries(*cfg.timeseries);
   if (cfg.flight != nullptr) r.cluster.attach_flight(*cfg.flight);

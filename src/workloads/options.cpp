@@ -2,18 +2,7 @@
 
 #include <cstdio>
 
-#include "cluster/config.hpp"
-
 namespace gputn::workloads {
-
-cluster::SystemConfig with_fabric_overrides(const RunOptions& opts,
-                                            const cluster::SystemConfig& sys) {
-  cluster::SystemConfig out = sys;
-  if (!opts.topology.empty()) out.fabric.topology = opts.topology;
-  if (!opts.routing.empty()) out.fabric.routing = opts.routing;
-  if (opts.credits >= 0) out.fabric.credits_per_port = opts.credits;
-  return out;
-}
 
 namespace {
 

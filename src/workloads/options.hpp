@@ -7,7 +7,9 @@
 // logic. `RunOptions`/`ResultBase` hoist those fields into one place:
 // workload configs and results inherit them (so existing `cfg.strategy`,
 // `res.total_time`, `res.net_stats` call sites are untouched) and the CLI
-// drives a single `report()`/`stats_json()` path for every workload.
+// drives a single `report()`/`stats_json()` path for every workload. The
+// hardware, fabric selection included, is the cluster::SystemConfig each
+// runner takes beside its config; RunOptions holds none of it.
 #pragma once
 
 #include <cstdint>
@@ -17,10 +19,6 @@
 #include "sim/trace.hpp"
 #include "sim/units.hpp"
 #include "workloads/strategy.hpp"
-
-namespace gputn::cluster {
-struct SystemConfig;
-}  // namespace gputn::cluster
 
 namespace gputn::obs {
 class FlightRecorder;
@@ -62,25 +60,7 @@ struct RunOptions {
   /// points executed by the parallel runner, whose workers must not
   /// interleave prints; the driver reports from the merged results instead.
   bool quiet = false;
-  // -- fabric selection (net::TopologyFactory / net::RouterFactory) --------
-  /// Topology spec, e.g. "star" | "fat-tree:k=8" | "torus:4x4x4" |
-  /// "dragonfly:a=4,h=2,p=2". Empty keeps the SystemConfig's default
-  /// (Table 2's star).
-  std::string topology;
-  /// Routing policy ("deterministic" | "adaptive"); empty keeps the
-  /// config default.
-  std::string routing;
-  /// Switch output-port credits: 0 = explicitly unlimited, negative =
-  /// keep the config default.
-  int credits = -1;
 };
-
-/// Copy of `sys` with this run's fabric overrides (topology / routing /
-/// credits) applied; every workload runner folds its RunOptions through
-/// this before building its Cluster, so "topology x routing" composes from
-/// the command line with zero call-site recompiles.
-cluster::SystemConfig with_fabric_overrides(const RunOptions& opts,
-                                            const cluster::SystemConfig& sys);
 
 /// Which multi-run / observer flags a command line activated. The pairwise
 /// accept/reject rules between them live in one table that both the driver

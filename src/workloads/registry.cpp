@@ -123,9 +123,6 @@ Cfg make_config(const RunOptions& opts, const WorkloadParams& p) {
   cfg.timeseries = opts.timeseries;
   cfg.flight = opts.flight;
   cfg.quiet = opts.quiet;
-  cfg.topology = opts.topology;
-  cfg.routing = opts.routing;
-  cfg.credits = opts.credits;
   return cfg;
 }
 

@@ -92,8 +92,7 @@ TEST_P(RandomInterleavings, ExactlyOnceAndIntactUnderRandomSchedules) {
         << "tag " << op.tag << " threshold " << op.threshold;
     EXPECT_EQ(r.mems[1]->load<std::uint64_t>(op.dst), op.payload);
   }
-  EXPECT_EQ(r.nics[1]->stats().counter_value("puts_received"),
-            static_cast<std::uint64_t>(num_ops))
+  EXPECT_EQ(r.fabric.messages_sent(), static_cast<std::uint64_t>(num_ops))
       << "exactly one put per op, never more";
 }
 

@@ -58,8 +58,8 @@ TEST(Link, BackToBackPacketsPipelinePropagation) {
 /// exercising a Switch on its own.
 struct SwitchRig {
   explicit SwitchRig(int nodes) {
-    topo = TopologyFactory::instance().make("star", nodes);
-    router = RouterFactory::instance().make("deterministic");
+    topo = make_topology("star", nodes);
+    router = make_router("deterministic");
   }
   std::unique_ptr<Topology> topo;
   std::unique_ptr<Router> router;

@@ -18,16 +18,23 @@
 namespace gputn::net {
 namespace {
 
+// RouterFactory names make_router, the factory function behind
+// FabricConfig::routing.
 TEST(RouterFactory, BuildsBothPoliciesAndRejectsUnknown) {
-  auto& f = RouterFactory::instance();
-  EXPECT_EQ(f.make("deterministic")->name(), "deterministic");
-  EXPECT_EQ(f.make("adaptive")->name(), "adaptive");
-  EXPECT_THROW(f.make("chaotic"), std::invalid_argument);
+  EXPECT_EQ(make_router("deterministic")->name(), "deterministic");
+  EXPECT_EQ(make_router("adaptive")->name(), "adaptive");
+  try {
+    make_router("chaotic");
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown routing policy 'chaotic' (adaptive|deterministic)");
+  }
 }
 
 TEST(DeterministicRouter, AlwaysTakesTheFirstCandidateRegardlessOfDepth) {
-  auto topo = TopologyFactory::instance().make("fat-tree:k=4", 16);
-  auto router = RouterFactory::instance().make("deterministic");
+  auto topo = make_topology("fat-tree:k=4", 16);
+  auto router = make_router("deterministic");
   std::vector<int> scratch;
   // Edge switch 0 toward a cross-pod node: two up candidates exist.
   int expected = topo->deterministic_port(0, 8);
@@ -39,8 +46,8 @@ TEST(DeterministicRouter, AlwaysTakesTheFirstCandidateRegardlessOfDepth) {
 }
 
 TEST(AdaptiveRouter, PicksTheShallowestCandidate) {
-  auto topo = TopologyFactory::instance().make("fat-tree:k=4", 16);
-  auto router = RouterFactory::instance().make("adaptive");
+  auto topo = make_topology("fat-tree:k=4", 16);
+  auto router = make_router("adaptive");
   std::vector<int> scratch;
   std::vector<int> cand;
   topo->candidates(0, 8, cand);  // two up-ports at an edge switch
@@ -58,8 +65,8 @@ TEST(AdaptiveRouter, TiesGoToTheFirstListedCandidate) {
   // Equal depths must reproduce the deterministic choice — this is what
   // keeps adaptive runs bit-identical across --jobs: identical queue
   // states always produce identical routes.
-  auto topo = TopologyFactory::instance().make("fat-tree:k=4", 16);
-  auto router = RouterFactory::instance().make("adaptive");
+  auto topo = make_topology("fat-tree:k=4", 16);
+  auto router = make_router("adaptive");
   std::vector<int> scratch;
   auto flat = [](int) { return 3; };
   EXPECT_EQ(router->select(*topo, 0, 8, flat, scratch),
@@ -67,8 +74,8 @@ TEST(AdaptiveRouter, TiesGoToTheFirstListedCandidate) {
 }
 
 TEST(AdaptiveRouter, IsAPureFunctionOfTheObservedDepths) {
-  auto topo = TopologyFactory::instance().make("torus:3x3", 9);
-  auto router = RouterFactory::instance().make("adaptive");
+  auto topo = make_topology("torus:3x3", 9);
+  auto router = make_router("adaptive");
   std::vector<int> scratch_a, scratch_b;
   auto oracle = [](int port) { return (port * 7) % 3; };
   for (int sw = 0; sw < topo->switch_count(); ++sw) {
@@ -82,8 +89,8 @@ TEST(AdaptiveRouter, IsAPureFunctionOfTheObservedDepths) {
 TEST(AdaptiveRouter, SingleCandidateTopologiesDegenerate) {
   // Star (and dragonfly minimal paths) offer exactly one candidate; the
   // adaptive policy must return it without consulting the oracle's value.
-  auto topo = TopologyFactory::instance().make("star", 4);
-  auto router = RouterFactory::instance().make("adaptive");
+  auto topo = make_topology("star", 4);
+  auto router = make_router("adaptive");
   std::vector<int> scratch;
   auto deep = [](int) { return 1 << 20; };
   EXPECT_EQ(router->select(*topo, 0, 3, deep, scratch), 3);

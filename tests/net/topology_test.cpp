@@ -17,7 +17,7 @@ namespace gputn::net {
 namespace {
 
 std::unique_ptr<Topology> make(const std::string& spec, int nodes = 2) {
-  return TopologyFactory::instance().make(spec, nodes);
+  return make_topology(spec, nodes);
 }
 
 const char* kAllSpecs[] = {
@@ -212,15 +212,22 @@ TEST(Dragonfly, DiameterIsFourSwitches) {
   EXPECT_GE(max_hops, 3);  // some pair genuinely crosses groups indirectly
 }
 
+// The suites named TopologyFactory exercise make_topology, the factory
+// function behind FabricConfig::topology.
 TEST(TopologyFactory, RejectsUnknownKindsAndBadSpecs) {
-  auto& f = TopologyFactory::instance();
-  EXPECT_THROW(f.make("moebius", 2), std::invalid_argument);
-  EXPECT_THROW(f.make("fat-tree:k=3", 2), std::invalid_argument);   // odd k
-  EXPECT_THROW(f.make("fat-tree:k=zap", 2), std::invalid_argument);
-  EXPECT_THROW(f.make("torus", 2), std::invalid_argument);          // no dims
-  EXPECT_THROW(f.make("torus:4", 2), std::invalid_argument);        // 1-D
-  EXPECT_THROW(f.make("torus:4x0", 2), std::invalid_argument);
-  EXPECT_THROW(f.make("", 2), std::invalid_argument);
+  EXPECT_THROW(make("fat-tree:k=3"), std::invalid_argument);   // odd k
+  EXPECT_THROW(make("fat-tree:k=zap"), std::invalid_argument);
+  EXPECT_THROW(make("torus"), std::invalid_argument);          // no dims
+  EXPECT_THROW(make("torus:4"), std::invalid_argument);        // 1-D
+  EXPECT_THROW(make("torus:4x0"), std::invalid_argument);
+  EXPECT_THROW(make(""), std::invalid_argument);
+  try {
+    make("moebius");
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "unknown topology 'moebius' (dragonfly|fat-tree|star|torus)");
+  }
 }
 
 TEST(TopologyFactory, RejectsInsufficientCapacity) {

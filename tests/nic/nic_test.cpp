@@ -62,8 +62,12 @@ TEST(Nic, PutDeliversPayloadAndFlags) {
   for (int i = 0; i < 32; ++i) {
     EXPECT_EQ(t.mem(1).load<std::uint64_t>(dst + 8 * i), 1000u + i);
   }
-  EXPECT_EQ(t.nic(0).stats().counter_value("puts"), 1u);
-  EXPECT_EQ(t.nic(1).stats().counter_value("puts_received"), 1u);
+  // One message on the wire, and one delivery recorded at the target.
+  EXPECT_EQ(t.fabric.messages_sent(), 1u);
+  const sim::Histogram* e2e = t.nic(1).stats().find_histogram(
+      "lat.end_to_end");
+  ASSERT_NE(e2e, nullptr);
+  EXPECT_EQ(e2e->count(), 1u);
 }
 
 TEST(Nic, LocalCompletionPrecedesRemoteCompletion) {
@@ -169,7 +173,7 @@ TEST(Nic, UnexpectedSendBuffersUntilRecvPosted) {
   EXPECT_EQ(t.mem(1).load<std::uint64_t>(rflag), 0u);
 
   RecvDesc r;
-  r.src = kAnySource;
+  r.src = 0;
   r.tag = 9;
   r.local_addr = dst;
   r.max_bytes = 64;

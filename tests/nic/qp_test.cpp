@@ -219,11 +219,12 @@ TEST(TokenBucket, NicRateLimitPacesCommandPipeline) {
   // 8 ops through a 1-deep bucket at 500 ns: >= 7 stall periods on the
   // initiator's TX pipeline.
   EXPECT_GE(t.sim.now(), 7 * sim::ns(500));
-  EXPECT_EQ(t.nic(0).stats().counter_value("nic.tb.admitted"), 8u);
-  EXPECT_GE(t.nic(0).stats().counter_value("nic.tb.stalls"), 7u);
-  // The un-limited peer NIC publishes no token-bucket counters at all.
+  const TokenBucket* tb = t.nic(0).rate_limiter();
+  ASSERT_NE(tb, nullptr);
+  EXPECT_EQ(tb->admitted(), 8u);
+  EXPECT_GE(tb->stalls(), 7u);
+  // The un-limited peer NIC has no token bucket at all.
   EXPECT_EQ(t.nic(1).rate_limiter(), nullptr);
-  EXPECT_EQ(t.nic(1).stats().counter_value("nic.tb.admitted"), 0u);
 }
 
 }  // namespace

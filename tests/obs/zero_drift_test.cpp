@@ -143,17 +143,18 @@ TEST(ZeroDrift, FatTreeAllreduceIdenticalWithFullObservability) {
   plain.strategy = Strategy::kGpuTn;
   plain.nodes = 8;
   plain.elements = 16 * 1024;
-  plain.topology = "fat-tree:k=4";
-  plain.routing = "adaptive";
-  plain.credits = 4;
-  AllreduceResult base = run_allreduce(plain);
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
+  sys.fabric.topology = "fat-tree:k=4";
+  sys.fabric.routing = "adaptive";
+  sys.fabric.credits_per_port = 4;
+  AllreduceResult base = run_allreduce(plain, sys);
 
   obs::TimeSeries ts(sim::us(1));
   obs::FlightRecorder flight(obs::FlightConfig{});
   AllreduceConfig observed = plain;
   observed.timeseries = &ts;
   observed.flight = &flight;
-  AllreduceResult obs_run = run_allreduce(observed);
+  AllreduceResult obs_run = run_allreduce(observed, sys);
 
   EXPECT_GT(ts.rows(), 5u);
   EXPECT_GT(flight.offered(), 0u);

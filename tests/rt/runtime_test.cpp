@@ -32,7 +32,7 @@ TEST(Runtime, SendPaysStackCostBeforeDoorbell) {
   Rig r;
   mem::Addr src = r.a().memory().alloc(64);
   mem::Addr dst = r.b().memory().alloc(64);
-  r.b().nic().post_recv(nic::RecvDesc{0, 1, dst, 64, 0, 1, 0});
+  r.b().nic().post_recv(nic::RecvDesc{0, 1, dst, 64, 0, 1});
   sim::Tick done = -1;
   r.sim.spawn(
       [](Rig& rr, mem::Addr s, sim::Tick& out) -> sim::Task<> {
@@ -155,7 +155,7 @@ TEST(Runtime, StagingSendsCostMoreThanZeroCopy) {
     Rig r;
     mem::Addr src = r.a().memory().alloc(16384);
     mem::Addr dst = r.b().memory().alloc(16384);
-    r.b().nic().post_recv(nic::RecvDesc{0, 1, dst, 16384, 0, 1, 0});
+    r.b().nic().post_recv(nic::RecvDesc{0, 1, dst, 16384, 0, 1});
     sim::Tick done = -1;
     r.sim.spawn(
         [](Rig& rr, mem::Addr s, bool staging, sim::Tick& out) -> sim::Task<> {

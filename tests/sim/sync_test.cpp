@@ -67,7 +67,7 @@ TEST(Condition, WaitUntilReevaluatesPredicate) {
   Tick done_at = -1;
   sim.spawn(
       [](Simulator& s, Condition& c, int& v, Tick& out) -> Task<> {
-        co_await c.wait_until([&v] { return v >= 3; });
+        while (v < 3) co_await c.wait();
         out = s.now();
       }(sim, cond, value, done_at),
       "waiter");
@@ -100,17 +100,6 @@ TEST(Channel, FifoOrderAcrossSuspensions) {
       "producer");
   sim.run();
   EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, TryPopDoesNotSuspend) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  EXPECT_FALSE(ch.try_pop().has_value());
-  ch.push(7);
-  auto v = ch.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-  EXPECT_TRUE(ch.empty());
 }
 
 TEST(Channel, MultipleConsumersEachGetOneItem) {

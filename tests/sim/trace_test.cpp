@@ -217,5 +217,18 @@ TEST(Trace, WriteJsonCreatesFile) {
   std::remove(path.c_str());
 }
 
+TEST(TraceRecorder, WriteToFullDeviceFails) {
+  // /dev/full opens fine and takes buffered bytes; the failure (ENOSPC)
+  // only shows when they are flushed, so a check before the flush passes.
+  if (FILE* probe = std::fopen("/dev/full", "w")) {
+    std::fclose(probe);
+  } else {
+    GTEST_SKIP() << "no /dev/full on this system";
+  }
+  TraceRecorder t;
+  t.span("lane", "s", "c", 0, ns(10));
+  EXPECT_FALSE(t.write_json("/dev/full"));
+}
+
 }  // namespace
 }  // namespace gputn::sim

@@ -1,5 +1,5 @@
 // Workload-level tests for the pluggable fabric (topology x routing x
-// credits through workloads::RunOptions).
+// credits through cluster::SystemConfig::fabric).
 //
 // The net/ unit tests pin the contracts; these tests pin what the paper's
 // workloads observe: the star override is bit-identical to the seed golden,
@@ -8,6 +8,7 @@
 // routing + finite credits never cost determinism.
 #include <gtest/gtest.h>
 
+#include "cluster/config.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweeps.hpp"
 #include "workloads/allreduce.hpp"
@@ -16,27 +17,30 @@
 namespace gputn::workloads {
 namespace {
 
-AllreduceConfig small_allreduce(const std::string& topology,
-                                Strategy s = Strategy::kGpuTn,
-                                int nodes = 4) {
+AllreduceConfig small_allreduce(Strategy s = Strategy::kGpuTn) {
   AllreduceConfig cfg;
   cfg.strategy = s;
-  cfg.nodes = nodes;
+  cfg.nodes = 4;
   cfg.elements = 16 * 1024;
-  cfg.topology = topology;
   return cfg;
+}
+
+/// Table 2 on the fabric `topology`.
+cluster::SystemConfig on(const std::string& topology) {
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
+  sys.fabric.topology = topology;
+  return sys;
 }
 
 TEST(FabricWorkloads, ExplicitStarMatchesTheSeedGolden) {
   // --topology star must be a spelling of the default, not a new code path:
   // same golden total time and identical stats as the untouched config.
-  AllreduceConfig plain = small_allreduce("");
+  AllreduceConfig plain = small_allreduce();
   plain.elements = 65536;
   AllreduceResult base = run_allreduce(plain);
-  AllreduceConfig star = plain;
-  star.topology = "star";
-  star.routing = "deterministic";
-  AllreduceResult r = run_allreduce(star);
+  cluster::SystemConfig star = on("star");
+  star.fabric.routing = "deterministic";
+  AllreduceResult r = run_allreduce(plain, star);
   ASSERT_TRUE(base.correct);
   ASSERT_TRUE(r.correct);
   EXPECT_EQ(base.total_time, 36134921);  // the seed golden, re-pinned
@@ -48,7 +52,7 @@ TEST(FabricWorkloads, EveryTopologyCarriesAllreduceCorrectly) {
   for (const char* topo :
        {"fat-tree:k=4", "torus:2x2", "dragonfly:a=2,h=2,p=2"}) {
     for (Strategy s : {Strategy::kCpu, Strategy::kGpuTn}) {
-      AllreduceResult r = run_allreduce(small_allreduce(topo, s));
+      AllreduceResult r = run_allreduce(small_allreduce(s), on(topo));
       EXPECT_TRUE(r.correct) << topo << " " << strategy_name(s);
       EXPECT_EQ(r.max_error, 0.0) << topo;
       EXPECT_GT(r.total_time, 0) << topo;
@@ -61,39 +65,37 @@ TEST(FabricWorkloads, JacobiRunsOnAMultiHopFabric) {
   cfg.strategy = Strategy::kGpuTn;
   cfg.n = 32;
   cfg.iterations = 3;
-  cfg.topology = "torus:2x2";
-  JacobiResult r = run_jacobi(cfg);
+  JacobiResult r = run_jacobi(cfg, on("torus:2x2"));
   ASSERT_TRUE(r.correct);
   // The 2x2 torus needs real inter-switch hops (diagonal neighbors are two
   // hops), so the halo exchange must take longer than the one-hop star.
-  JacobiConfig star = cfg;
-  star.topology = "";
-  EXPECT_GT(r.total_time, run_jacobi(star).total_time);
+  EXPECT_GT(r.total_time, run_jacobi(cfg).total_time);
 }
 
 TEST(FabricWorkloads, MultiHopTopologiesCostMoreThanTheStar) {
-  sim::Tick star = run_allreduce(small_allreduce("star")).total_time;
-  sim::Tick fat = run_allreduce(small_allreduce("fat-tree:k=4")).total_time;
+  sim::Tick star = run_allreduce(small_allreduce(), on("star")).total_time;
+  sim::Tick fat =
+      run_allreduce(small_allreduce(), on("fat-tree:k=4")).total_time;
   EXPECT_GT(fat, star);  // ring neighbors cross 3-5 switches on a fat-tree
 }
 
 TEST(FabricWorkloads, AdaptiveRoutingWithCreditsStaysDeterministic) {
-  AllreduceConfig cfg = small_allreduce("fat-tree:k=4");
-  cfg.routing = "adaptive";
-  cfg.credits = 4;
-  AllreduceResult a = run_allreduce(cfg);
-  AllreduceResult b = run_allreduce(cfg);
+  cluster::SystemConfig sys = on("fat-tree:k=4");
+  sys.fabric.routing = "adaptive";
+  sys.fabric.credits_per_port = 4;
+  AllreduceResult a = run_allreduce(small_allreduce(), sys);
+  AllreduceResult b = run_allreduce(small_allreduce(), sys);
   ASSERT_TRUE(a.correct);
   EXPECT_EQ(a.total_time, b.total_time);
   EXPECT_EQ(a.stats_json(), b.stats_json());
 }
 
 TEST(FabricWorkloads, TightCreditsThrottleButNeverBreakTheWorkload) {
-  AllreduceConfig free_flow = small_allreduce("fat-tree:k=4");
-  AllreduceConfig tight = free_flow;
-  tight.credits = 1;
-  AllreduceResult a = run_allreduce(free_flow);
-  AllreduceResult b = run_allreduce(tight);
+  cluster::SystemConfig free_flow = on("fat-tree:k=4");
+  cluster::SystemConfig tight = free_flow;
+  tight.fabric.credits_per_port = 1;
+  AllreduceResult a = run_allreduce(small_allreduce(), free_flow);
+  AllreduceResult b = run_allreduce(small_allreduce(), tight);
   ASSERT_TRUE(a.correct);
   ASSERT_TRUE(b.correct);
   EXPECT_GE(b.total_time, a.total_time);
@@ -130,11 +132,12 @@ TEST(FabricWorkloads, AdaptiveFabricSweepIsBitIdenticalAcrossJobs) {
 }
 
 TEST(FabricWorkloads, BadTopologySpecFailsLoudly) {
-  AllreduceConfig cfg = small_allreduce("moebius:k=4");
-  EXPECT_THROW(run_allreduce(cfg), std::invalid_argument);
-  AllreduceConfig routing = small_allreduce("star");
-  routing.routing = "chaotic";
-  EXPECT_THROW(run_allreduce(routing), std::invalid_argument);
+  EXPECT_THROW(run_allreduce(small_allreduce(), on("moebius:k=4")),
+               std::invalid_argument);
+  cluster::SystemConfig routing = on("star");
+  routing.fabric.routing = "chaotic";
+  EXPECT_THROW(run_allreduce(small_allreduce(), routing),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -152,11 +152,13 @@ TEST(Golden, FatTreeAllreduceFlightDigest) {
   // returns on the path.
   AllreduceConfig cfg;
   cfg.strategy = Strategy::kGpuTn;
-  cfg.topology = "fat-tree:k=4";
   cfg.nodes = 8;
   cfg.elements = 4096;
-  auto [r, digest] = run_with_flight(
-      cfg, [](const AllreduceConfig& c) { return run_allreduce(c); });
+  auto [r, digest] = run_with_flight(cfg, [](const AllreduceConfig& c) {
+    cluster::SystemConfig sys = cluster::SystemConfig::table2();
+    sys.fabric.topology = "fat-tree:k=4";
+    return run_allreduce(c, sys);
+  });
   ASSERT_TRUE(r.correct);
   EXPECT_EQ(r.total_time, 27357754);
   EXPECT_EQ(digest, 0x293724c15d3c23cdull);

@@ -84,18 +84,17 @@ TEST(Registry, EveryWorkloadAcceptsItsFullParameterSet) {
 }
 
 TEST(Registry, UnknownOptionsFailBeforeTheClusterIsBuilt) {
-  // A topology no factory knows: a runner that got as far as building its
-  // cluster would throw on that instead.
-  RunOptions opts = quiet();
-  opts.topology = "no-such-topology";
+  // A topology make_topology does not know: a runner that got as far as
+  // building its cluster would throw on that instead.
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
+  sys.fabric.topology = "no-such-topology";
   for (const Case& c : cases()) {
     for (const std::string& bad : {std::string("shards"), c.typo}) {
       SCOPED_TRACE(c.workload + " --" + bad);
       Keys keys = c.keys;
       keys.emplace(bad, "2");
       try {
-        reg().find(c.workload)->run(opts, params(keys),
-                                    cluster::SystemConfig::table2());
+        reg().find(c.workload)->run(quiet(), params(keys), sys);
         ADD_FAILURE() << "accepted";
       } catch (const std::invalid_argument& e) {
         std::string want = "unknown option --";

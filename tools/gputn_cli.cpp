@@ -1,6 +1,6 @@
 // gputn — command-line driver for the simulation experiments.
 //
-//   gputn config     [--loss P]
+//   gputn config     [--loss P] [--seed S] [fabric options]
 //   gputn sweep      [--jobs N] [--stats-json FILE]
 //   gputn report     FILE... [--baseline FILE] [--threshold PCT] [--top N]
 //   gputn analyze    FILE... [--baseline FILE] [--threshold PCT] [--top N]
@@ -16,6 +16,8 @@
 // workload does not take is a usage error (exit 2). Shared options:
 //   --strategy S   driving strategy where the workload takes one
 //   --nodes N      node count where the workload is size-flexible
+//   --topology T --routing R --credits C
+//                  the fabric (SystemConfig::fabric), also for `config`
 //
 // jacobi/allreduce/broadcast additionally accept fault injection:
 //   --loss P   uniform per-packet loss rate on every link (e.g. 0.01);
@@ -244,33 +246,31 @@ double driver_double(const Args& args, const std::string& key, double dflt,
   return p.get_double(key, dflt, min, max);
 }
 
-/// The run flags every workload command (and whatif) shares.
+/// The run flags every workload command, whatif and `gputn config` share.
 struct RunFlags {
-  RunOptions opts;  ///< --nodes and the fabric selection
-  double loss = 0.0;
-  long seed = 1;
-
-  /// Table 2, plus --loss/--seed fault injection when requested.
-  cluster::SystemConfig system() const {
-    return cluster::SystemConfig::table2_with_loss(
-        loss, static_cast<std::uint64_t>(seed));
-  }
+  RunOptions opts;  ///< --nodes
+  long seed = 1;    ///< --seed; replica r runs seed + r
+  /// Table 2 with the --topology/--routing/--credits fabric and the
+  /// --loss/--seed fault injection.
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
 };
 
 RunFlags run_flags(const Args& args) {
   RunFlags f;  // nodes stays 0 (= workload default) without --nodes
   f.opts.nodes = static_cast<int>(driver_int(args, "nodes", 0, 2, 1 << 16));
-  // Fabric selection; an absent flag keeps the Table 2 default (star,
-  // deterministic routing, unlimited credits), and --credits 0 asks for
-  // unlimited explicitly. Spec strings are validated by the topology/router
-  // factories when the fabric is finalized.
-  f.opts.topology = args.get("topology", "");
-  f.opts.routing = args.get("routing", "");
-  f.opts.credits =
-      static_cast<int>(driver_int(args, "credits", -1, 0, 1 << 20));
+  // An absent fabric flag keeps Table 2's star, deterministic routing and
+  // unlimited credits (--credits 0). make_topology/make_router validate the
+  // spec strings when the fabric is finalized.
+  net::FabricConfig& fabric = f.sys.fabric;
+  fabric.topology = args.get("topology", fabric.topology);
+  fabric.routing = args.get("routing", fabric.routing);
+  fabric.credits_per_port = static_cast<int>(
+      driver_int(args, "credits", fabric.credits_per_port, 0, 1 << 20));
   // Validated, so `--loss lots` is a usage error, not 0.0.
-  f.loss = driver_double(args, "loss", 0.0, 0.0, 1.0);
+  double loss = driver_double(args, "loss", 0.0, 0.0, 1.0);
   f.seed = driver_int(args, "seed", 1, 0, LONG_MAX - (1 << 20));
+  f.sys.fault = fault::FaultConfig::uniform_loss(
+      loss, static_cast<std::uint64_t>(f.seed));
   return f;
 }
 
@@ -460,24 +460,26 @@ int report_sweep(const gputn::exp::RunSummary& summary, int jobs) {
   return summary.all_correct() ? 0 : 1;
 }
 
-/// `gputn <workload> --replicas R`: the run-point list for seeds S..S+R-1.
+/// `gputn <workload> --replicas R`: the run-point list for seeds S..S+R-1,
+/// each `run`'s config with its own seed.
 /// `flights`, when non-empty, holds one recorder per replica (plan order);
 /// per-point recorders are what lets --flight compose with --jobs and stay
 /// bit-identical — no replica ever shares recorder state with another.
 gputn::exp::Plan replica_plan(
-    const WorkloadEntry& entry, RunOptions opts, const WorkloadParams& params,
-    double loss, long seed, long replicas,
+    const WorkloadEntry& entry, const RunFlags& run,
+    const WorkloadParams& params, long replicas,
     const std::vector<std::unique_ptr<obs::FlightRecorder>>& flights) {
   gputn::exp::Plan plan;
+  RunOptions opts = run.opts;
   for (long r = 0; r < replicas; ++r) {
-    long s = seed + r;
+    long s = run.seed + r;
     opts.flight = flights.empty() ? nullptr
                                   : flights[static_cast<std::size_t>(r)].get();
+    cluster::SystemConfig sys = run.sys;
+    sys.fault.seed = static_cast<std::uint64_t>(s);
     plan.add_workload(Registry::instance(),
                       entry.name + "/seed" + std::to_string(s), entry.name,
-                      opts, params,
-                      cluster::SystemConfig::table2_with_loss(
-                          loss, static_cast<std::uint64_t>(s)));
+                      opts, params, sys);
   }
   return plan;
 }
@@ -539,8 +541,8 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
       }
     }
     gputn::exp::Runner runner(jobs);
-    gputn::exp::RunSummary summary = runner.run(replica_plan(
-        entry, run.opts, params, run.loss, run.seed, replicas, flights));
+    gputn::exp::RunSummary summary =
+        runner.run(replica_plan(entry, run, params, replicas, flights));
     int rc = report_sweep(summary, runner.jobs());
     int io_rc = write_sweep_json(args, summary);
     int fl_rc = write_merged_flight(args, summary, flights);
@@ -553,7 +555,7 @@ int run_workload(const WorkloadEntry& entry, const Args& args) {
   run.opts.timeseries = obs.timeseries();
   run.opts.flight = obs.flight();
 
-  ResultBase res = entry.run(run.opts, params, run.system());
+  ResultBase res = entry.run(run.opts, params, run.sys);
   int obs_rc = obs.finish(res);
   return res.correct ? obs_rc : 1;
 }
@@ -754,7 +756,7 @@ int run_whatif_cmd(int argc, char** argv) {
   if (!baseline.empty()) base = obs::parse_whatif(slurp(baseline), baseline);
 
   obs::WhatifReport rep = obs::run_whatif(Registry::instance(), workload,
-                                          params, run.opts, run.system(), opt);
+                                          params, run.opts, run.sys, opt);
   std::fputs(obs::render_whatif(rep, opt).c_str(), stdout);
 
   int rc = 0;
@@ -796,13 +798,7 @@ int main(int argc, char** argv) {
     if (!args.operands().empty()) usage();
     apply_log_level(args);
     if (cmd == "config") {
-      WorkloadParams fault;
-      if (args.has("loss")) fault.set("loss", args.get("loss", ""));
-      if (args.has("seed")) fault.set("seed", args.get("seed", ""));
-      auto sys = cluster::SystemConfig::table2_with_loss(
-          fault.get_double("loss", 0.0, 0.0, 1.0),
-          static_cast<std::uint64_t>(fault.get_int("seed", 1, 0, LONG_MAX)));
-      std::printf("%s", sys.describe().c_str());
+      std::printf("%s", run_flags(args).sys.describe().c_str());
       std::printf("\n%s", flag_matrix().c_str());
       std::printf("\nWhatif knobs (gputn whatif --knobs ...):\n");
       for (const obs::Knob& k : obs::knob_registry()) {
