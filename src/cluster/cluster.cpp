@@ -30,6 +30,12 @@ void Cluster::install_faults() {
 
 Cluster::Cluster(sim::Simulator& sim, SystemConfig config, int node_count)
     : sim_(&sim), config_(std::move(config)), fabric_(sim, config_.fabric) {
+  // Fail fast: a bad topology or routing spec, or a topology without
+  // capacity for node_count, throws std::invalid_argument here, before a
+  // single node is built. Both checks are O(1) index arithmetic; the
+  // fabric builds its own copies at finalize().
+  net::make_topology(config_.fabric.topology, node_count);
+  net::make_router(config_.fabric.routing);
   install_faults();
   nodes_.reserve(node_count);
   for (int i = 0; i < node_count; ++i) {
@@ -135,8 +141,8 @@ void Cluster::enable_tracing(sim::TraceRecorder& trace) {
 }
 
 Cluster::~Cluster() {
-  // Service loops (NIC engines, GPU front-ends, link pumps) hold references
-  // into the nodes; destroy their frames before the nodes die.
+  // Processes left suspended (a deadlocked rank, a parked work-group) hold
+  // references into the nodes; destroy their frames before the nodes die.
   sim_->reap_processes();
 }
 

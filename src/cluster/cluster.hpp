@@ -51,9 +51,11 @@ class Node {
 
 class Cluster {
  public:
-  /// Build `node_count` identical nodes on `sim` with `config`.
+  /// Build `node_count` identical nodes on `sim` with `config`. Checks the
+  /// fabric's topology and routing specs first: std::invalid_argument
+  /// before any node is built.
   Cluster(sim::Simulator& sim, SystemConfig config, int node_count);
-  /// Reaps all service-loop processes so component destructors run safely.
+  /// Reaps processes left suspended so component destructors run safely.
   ~Cluster();
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

@@ -13,7 +13,7 @@ TriggeredNic::TriggeredNic(sim::Simulator& sim, nic::Nic& nic,
       table_(config.table),
       trigger_addr_(memory.map_mmio(sizeof(std::uint64_t), this)),
       dyn_trigger_addr_(memory.map_mmio(sizeof(std::uint64_t), this)),
-      fifo_(sim),
+      fifo_(sim, sim::method<&TriggeredNic::match>(this)),
       log_("trig" + std::to_string(nic.node_id()), sim.now_ptr()) {
   // Counting receive events (puts that carry a trigger tag) feed the same
   // matching FIFO as GPU trigger stores.
@@ -21,7 +21,6 @@ TriggeredNic::TriggeredNic(sim::Simulator& sim, nic::Nic& nic,
     ++triggers_received_;
     fifo_.push(TriggerEvent{tag, false, sim_->now(), false});
   });
-  sim_->spawn(match_loop(), log_.component() + ".match");
 }
 
 void TriggeredNic::register_dynamic_put(Tag tag, nic::PutDesc put) {
@@ -81,40 +80,50 @@ void TriggeredNic::fire(std::vector<nic::Command>&& cmds, int dynamic_target,
   }
 }
 
-sim::Task<> TriggeredNic::match_loop() {
-  for (;;) {
-    TriggerEvent ev = co_await fifo_.pop();
-    Tag tag = ev.tag();
-    // Pay the lookup cost before touching the table so a concurrent host
-    // release() cannot invalidate the entry across the delay.
-    sim::Tick cost = table_.probe_cost(tag) + config_.update_cost;
-    if (ev.dynamic) cost += config_.dynamic_decode_cost;
-    co_await sim_->delay(cost);
-    auto [counter, lookup_cost, created] = table_.find_or_create(tag);
-    (void)lookup_cost;
-    if (created) {
-      log_.debug("orphan counter created for tag %llu (relaxed sync)",
-                 static_cast<unsigned long long>(tag));
-    }
-    std::vector<nic::Command> ready;
-    int chain_hops = 0;
-    table_.increment(*counter, ready, &chain_hops);
-    if (chain_hops > 0) {
-      // Each chained counter update costs another pass through the
-      // matching hardware.
-      co_await sim_->delay(chain_hops *
-                           (config_.update_cost + table_.probe_cost(tag)));
-    }
-    if (trace_ != nullptr) {
-      // A span (store arrival -> counter updated) rather than an instant,
-      // so flow steps through the trigger unit have a slice to bind to.
-      trace_->span(trace_lane_,
-                   "trigger tag=" + std::to_string(tag) +
-                       (ready.empty() ? "" : " FIRE"),
-                   "trigger", ev.at >= 0 ? ev.at : sim_->now(), sim_->now());
-    }
-    if (!ready.empty()) fire(std::move(ready), ev.target(), ev.at, ev.mmio);
+void TriggeredNic::match(TriggerEvent&& ev) {
+  cur_ = ev;
+  // Pay the lookup cost before touching the table so a concurrent host
+  // release() cannot invalidate the entry across the delay.
+  sim::Tick cost = table_.probe_cost(cur_.tag()) + config_.update_cost;
+  if (cur_.dynamic) cost += config_.dynamic_decode_cost;
+  sim_->delay(cost, [this] { update(); });
+}
+
+void TriggeredNic::update() {
+  Tag tag = cur_.tag();
+  auto [counter, lookup_cost, created] = table_.find_or_create(tag);
+  (void)lookup_cost;
+  if (created) {
+    log_.debug("orphan counter created for tag %llu (relaxed sync)",
+               static_cast<unsigned long long>(tag));
   }
+  int chain_hops = 0;
+  table_.increment(*counter, ready_, &chain_hops);
+  if (chain_hops > 0) {
+    // Each chained counter update costs another pass through the matching
+    // hardware.
+    sim_->delay(chain_hops * (config_.update_cost + table_.probe_cost(tag)),
+                [this] { matched(); });
+  } else {
+    matched();
+  }
+}
+
+void TriggeredNic::matched() {
+  if (trace_ != nullptr) {
+    // A span (store arrival -> counter updated) rather than an instant,
+    // so flow steps through the trigger unit have a slice to bind to.
+    trace_->span(trace_lane_,
+                 "trigger tag=" + std::to_string(cur_.tag()) +
+                     (ready_.empty() ? "" : " FIRE"),
+                 "trigger", cur_.at >= 0 ? cur_.at : sim_->now(),
+                 sim_->now());
+  }
+  if (!ready_.empty()) {
+    fire(std::move(ready_), cur_.target(), cur_.at, cur_.mmio);
+    ready_.clear();
+  }
+  fifo_.finish();
 }
 
 }  // namespace gputn::core

@@ -9,6 +9,9 @@
 //     (paying the configured lookup cost, §3.3), increments the counter, and
 //     fires any triggered operations whose thresholds are now met by pushing
 //     their pre-staged commands into the NIC command queue (§3.1 step 4).
+//     The FIFO and matching unit are one passive sim::Fifo (DESIGN.md §9):
+//     no process, one event per lookup delay and per chain-hop delay, plus
+//     the queue's wake-up when a store finds the unit idle.
 //   * Host-side registration (TrigPut, Figure 6) goes through register_put;
 //     relaxed synchronization (§3.2) is inherited from TriggerTable: a tag
 //     written before registration creates an orphan counter, and a
@@ -117,7 +120,12 @@ class TriggeredNic : public mem::MmioHandler {
     }
   };
 
-  sim::Task<> match_loop();
+  /// The matching unit takes the FIFO's head store and pays its lookup.
+  void match(TriggerEvent&& ev);
+  /// The lookup is done: update the counter, then pay any chain hops.
+  void update();
+  /// The counter is updated: trace the store and fire what it met.
+  void matched();
   void fire(std::vector<nic::Command>&& cmds, int dynamic_target,
             sim::Tick trigger_at, bool trigger_mmio);
 
@@ -127,7 +135,9 @@ class TriggeredNic : public mem::MmioHandler {
   TriggerTable table_;
   mem::Addr trigger_addr_;
   mem::Addr dyn_trigger_addr_;
-  sim::Channel<TriggerEvent> fifo_;
+  sim::Fifo<TriggerEvent> fifo_;
+  TriggerEvent cur_;                  ///< the store being matched
+  std::vector<nic::Command> ready_;   ///< what it fires
   std::uint64_t triggers_received_ = 0;
   std::uint64_t fifo_high_water_ = 0;
   sim::TraceRecorder* trace_ = nullptr;

@@ -69,12 +69,12 @@ Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
       mem_(&memory),
       config_(config),
       launch_model_(std::make_unique<FixedLaunchModel>(config.launch_latency)),
-      stream_(sim),
-      cus_(sim, config.cu_count * std::max(1, config.max_wgs_per_cu)),
+      stream_(sim, sim::method<&Gpu::start_op>(this)),
+      cus_(sim, config.cu_count * std::max(1, config.max_wgs_per_cu),
+           sim::method<&Gpu::start_work_group>(this)),
       cu_util_(config.cu_count * std::max(1, config.max_wgs_per_cu)),
       log_("gpu", sim.now_ptr()) {
   if (config.cu_count <= 0) throw std::invalid_argument("cu_count <= 0");
-  sim_->spawn(front_end_loop(), "gpu.front_end");
 }
 
 void Gpu::set_launch_model(std::unique_ptr<LaunchModel> model) {
@@ -102,71 +102,102 @@ void Gpu::note_hazard() {
   log_.warn("memory-model hazard: trigger store with unfenced buffer writes");
 }
 
-sim::Task<> Gpu::front_end_loop() {
-  for (;;) {
-    StreamOp op = co_await stream_.pop();
-    if (auto* k = std::get_if<KernelOp>(&op)) {
-      co_await execute_kernel(std::move(*k));
-    } else if (auto* p = std::get_if<GdsPutOp>(&op)) {
-      // The front-end scheduler rings a pre-posted doorbell on the NIC
-      // when the stream reaches this entry (GDS model, §1/§5.1).
-      co_await sim_->delay(config_.gds_doorbell_latency);
-      p->nic->ring_doorbell(std::move(p->cmd));
-    } else if (auto* w = std::get_if<GdsWaitOp>(&op)) {
-      co_await mem::SpinWait(*sim_, *mem_, w->addr, w->value,
-                             {0, config_.poll_interval});
-    }
+void Gpu::start_op(StreamOp&& op) {
+  op_ = std::move(op);
+  if (auto* k = std::get_if<KernelOp>(&op_)) {
+    k->record->launch_begin = sim_->now();
+    // Commands visible to the hardware scheduler: this one plus anything
+    // still queued behind it (Figure 1's batching effect).
+    int visible = 1 + static_cast<int>(stream_.size());
+    sim_->delay(launch_model_->launch_cost(visible), [this] { launched(); });
+  } else if (std::holds_alternative<GdsPutOp>(op_)) {
+    // The front-end scheduler rings a pre-posted doorbell on the NIC when
+    // the stream reaches this entry (GDS model, §1/§5.1).
+    sim_->delay(config_.gds_doorbell_latency, [this] {
+      auto& p = std::get<GdsPutOp>(op_);
+      p.nic->ring_doorbell(std::move(p.cmd));
+      op_done();
+    });
+  } else {
+    const auto& w = std::get<GdsWaitOp>(op_);
+    gds_wait_.emplace(*sim_, *mem_, w.addr, w.value,
+                      mem::PollGrid{0, config_.poll_interval});
+    if (!gds_wait_->park(sim::method<&Gpu::op_done>(this))) op_done();
   }
 }
 
-sim::Task<> Gpu::execute_kernel(KernelOp op) {
-  auto& record = *op.record;
-  record.launch_begin = sim_->now();
-  // Commands visible to the hardware scheduler: this one plus anything
-  // still queued behind it (Figure 1's batching effect).
-  int visible = 1 + static_cast<int>(stream_.size());
-  co_await sim_->delay(launch_model_->launch_cost(visible));
-  record.exec_begin = sim_->now();
+void Gpu::op_done() {
+  op_ = StreamOp{};
+  stream_.finish();
+}
 
-  if (op.desc.fn) {
-    sim::Event all_done(*sim_);
-    int remaining = op.desc.num_wgs;
-    for (int wg = 0; wg < op.desc.num_wgs; ++wg) {
-      co_await sim_->delay(config_.wg_dispatch_latency);
-      sim_->spawn(run_work_group(op.desc, wg, &remaining, &all_done),
-                  op.desc.name + ".wg" + std::to_string(wg));
-    }
-    co_await all_done.wait();
+void Gpu::launched() {
+  auto& k = std::get<KernelOp>(op_);
+  k.record->exec_begin = sim_->now();
+  if (!k.desc.fn) {
+    exec_end();
+    return;
   }
-  record.exec_end = sim_->now();
-  co_await sim_->delay(config_.teardown_latency);
+  next_wg_ = 0;
+  wgs_left_ = k.desc.num_wgs;
+  dispatch_next();
+}
+
+void Gpu::dispatch_next() {
+  sim_->delay(config_.wg_dispatch_latency, [this] {
+    cu_util_.enqueue(sim_->now());
+    cus_.request(next_wg_++);
+    if (next_wg_ < std::get<KernelOp>(op_).desc.num_wgs) {
+      dispatch_next();
+    } else if (wgs_left_ == 0) {
+      exec_end();  // the last work-group already ended
+    } else {
+      awaiting_wgs_ = true;
+    }
+  });
+}
+
+void Gpu::exec_end() {
+  std::get<KernelOp>(op_).record->exec_end = sim_->now();
+  sim_->delay(config_.teardown_latency, [this] { kernel_done(); });
+}
+
+void Gpu::kernel_done() {
+  auto& k = std::get<KernelOp>(op_);
+  KernelRecord& record = *k.record;
   record.done_time = sim_->now();
   if (trace_ != nullptr) {
-    trace_->span(trace_lane_, op.desc.name + ":launch", "gpu",
+    trace_->span(trace_lane_, k.desc.name + ":launch", "gpu",
                  record.launch_begin, record.exec_begin);
-    trace_->span(trace_lane_, op.desc.name, "gpu", record.exec_begin,
+    trace_->span(trace_lane_, k.desc.name, "gpu", record.exec_begin,
                  record.exec_end);
-    trace_->span(trace_lane_, op.desc.name + ":teardown", "gpu",
+    trace_->span(trace_lane_, k.desc.name + ":teardown", "gpu",
                  record.exec_end, record.done_time);
   }
   record.done.trigger();
+  op_done();
 }
 
-sim::Task<> Gpu::run_work_group(const KernelDesc& desc, int wg_id,
-                                int* remaining, sim::Event* all_done) {
-  cu_util_.enqueue(sim_->now());
-  co_await cus_.acquire();
+void Gpu::start_work_group(int&& wg) {
+  sim_->spawn(run_work_group(wg), std::get<KernelOp>(op_).desc.name +
+                                      ".wg" + std::to_string(wg));
+}
+
+sim::Task<> Gpu::run_work_group(int wg_id) {
+  const KernelDesc& desc = std::get<KernelOp>(op_).desc;
   cu_util_.dequeue(sim_->now());
   cu_util_.acquire(sim_->now());
   WorkGroupCtx ctx(*this, wg_id, desc.num_wgs, desc.items_per_wg);
   co_await desc.fn(ctx);
-  if (ctx.has_unfenced_writes()) {
-    // Kernel end implies a full system-visibility point; writes left
-    // unfenced at kernel end are made visible by teardown, not a hazard.
-  }
+  // Kernel end implies a full system-visibility point; writes left
+  // unfenced at kernel end are made visible by teardown, not a hazard.
   cu_util_.release(sim_->now());
   cus_.release();
-  if (--*remaining == 0) all_done->trigger();
+  if (--wgs_left_ == 0 && awaiting_wgs_) {
+    // The front end waits for the last work-group: wake it in one event.
+    awaiting_wgs_ = false;
+    sim_->schedule_at(sim_->now(), [this] { exec_end(); });
+  }
 }
 
 }  // namespace gputn::gpu

@@ -10,7 +10,10 @@
 // The front-end processes an in-order stream of operations, mirroring how
 // GDS integrates network initiation into CUDA streams (§5.1): a stream entry
 // is a kernel dispatch, a pre-posted network op whose doorbell the front-end
-// rings when reached (GDS put), or a wait-on-flag (GDS wait).
+// rings when reached (GDS put), or a wait-on-flag (GDS wait). The front end
+// and the CU slots are passive units (sim::Fifo and sim::Slots, DESIGN.md
+// §9): the GPU runs no process of its own, and each work-group's process is
+// spawned when the group gets a slot.
 //
 // Memory-model checking (§4.2.6): a work-group that stores to the trigger
 // address while it has unfenced buffer writes outstanding is detected and
@@ -21,6 +24,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -215,18 +219,34 @@ class Gpu {
   };
   using StreamOp = std::variant<KernelOp, GdsPutOp, GdsWaitOp>;
 
-  sim::Task<> front_end_loop();
-  sim::Task<> execute_kernel(KernelOp op);
-  sim::Task<> run_work_group(const KernelDesc& desc, int wg_id,
-                             int* remaining, sim::Event* all_done);
+  /// The front end takes the stream's head op.
+  void start_op(StreamOp&& op);
+  /// The op in service is done; the front end moves on.
+  void op_done();
+  // A kernel: launch delay, one work-group dispatch per
+  // wg_dispatch_latency, the wait for the last work-group, teardown.
+  void launched();
+  void dispatch_next();
+  void exec_end();
+  void kernel_done();
+  /// Work-group `wg` got a CU slot: spawn its process.
+  void start_work_group(int&& wg);
+  sim::Task<> run_work_group(int wg_id);
   void note_hazard();
 
   sim::Simulator* sim_;
   mem::Memory* mem_;
   GpuConfig config_;
   std::unique_ptr<LaunchModel> launch_model_;
-  sim::Channel<StreamOp> stream_;
-  sim::Semaphore cus_;
+  sim::Fifo<StreamOp> stream_;
+  /// The op in service. A kernel's desc stays here until its last
+  /// work-group ends: work-group frames reference its closure.
+  StreamOp op_;
+  int next_wg_ = 0;          ///< the next work-group to dispatch
+  int wgs_left_ = 0;         ///< work-groups of the kernel not yet ended
+  bool awaiting_wgs_ = false;  ///< the front end waits for the last one
+  std::optional<mem::SpinWait> gds_wait_;
+  sim::Slots<int> cus_;
   obs::BusyTracker cu_util_;
   std::uint64_t hazards_ = 0;
   sim::TraceRecorder* trace_ = nullptr;

@@ -39,9 +39,9 @@ bool PolledWord::poll(Memory& m, sim::Tick now, sim::Tick period) {
 
 // -- SpinWait -----------------------------------------------------------------
 
-void SpinWait::await_suspend(std::coroutine_handle<> h) {
+void SpinWait::suspend(sim::Callback<> resume) {
   assert(grid_.period > 0 && (core_ == nullptr || grid_.first == 0));
-  waiter_ = h;
+  resume_ = resume;
   sim_->reserve_order(order_);
   sim::Tick now = sim_->now();
   // A first == 0 wait has just failed its read at t0 (await_ready).
@@ -69,7 +69,7 @@ void SpinWait::read() {
   sim::Tick now = sim_->now();
   if (!poll(*mem_, now, grid_.period)) return;
   if (core_ != nullptr) release_poller(*core_, order_.t0, now, grid_.period);
-  waiter_.resume();
+  resume_();
 }
 
 // -- MultiSpinWait ------------------------------------------------------------

@@ -66,16 +66,19 @@ class PolledWord : public WatchedWord {
   bool poll(Memory& m, sim::Tick now, sim::Tick period);
 };
 
-/// Awaitable: suspends until a read on `grid` sees *addr >= value.
+/// Awaitable: suspends until a read on `grid` sees *addr >= value. park()
+/// is the same wait for a passive unit (the GPU front end's GDS wait):
+/// the resume target is a callback instead of a coroutine.
 ///
 /// `core`, when given, is the poller's busy ledger: like the polling loop,
 /// which ran one compute(period) per failed read, the wait holds one unit
 /// from the first failed read to the wake and counts one op per failed
 /// read. It requires grid.first == 0.
 ///
-/// Lifetime: the awaiter lives in the awaiting coroutine's frame. A frame
-/// destroyed while parked (Simulator::reap_processes at teardown) leaves
-/// its watch in place, so its Memory must see no further stores.
+/// Lifetime: the awaiter lives in the awaiting coroutine's frame (or in
+/// the unit that parked it). A frame destroyed while parked
+/// (Simulator::reap_processes at teardown) leaves its watch in place, so
+/// its Memory must see no further stores.
 class SpinWait : private PolledWord {
  public:
   SpinWait(sim::Simulator& sim, Memory& memory, Addr addr,
@@ -85,10 +88,20 @@ class SpinWait : private PolledWord {
         core_(core) {}
 
   bool await_ready() const { return grid_.first == 0 && satisfied(*mem_); }
-  void await_suspend(std::coroutine_handle<> h);
+  void await_suspend(std::coroutine_handle<> h) { suspend(sim::resume(h)); }
   void await_resume() const noexcept {}
 
+  /// Callback form of co_await: false when the wait is already satisfied
+  /// at a first read at once (await_ready), so the caller goes on inline;
+  /// otherwise the wait parks, and `resume` runs at the winning read.
+  bool park(sim::Callback<> resume) {
+    if (await_ready()) return false;
+    suspend(resume);
+    return true;
+  }
+
  private:
+  void suspend(sim::Callback<> resume);
   void on_store() override;
   /// Schedule the first grid read ordered after the running event.
   void arm();
@@ -100,7 +113,7 @@ class SpinWait : private PolledWord {
   PollGrid grid_;
   obs::BusyTracker* core_;
   sim::Simulator::ReadOrder order_;
-  std::coroutine_handle<> waiter_;
+  sim::Callback<> resume_;
 };
 
 /// A wait on several words at once. Word i, with target value_i, is read

@@ -4,7 +4,9 @@
 // link for `bytes / bandwidth`, then propagates for a fixed latency during
 // which the next packet may already be serializing (standard pipelined wire
 // model). The link hands packets to a downstream callback (switch input or
-// NIC receive path).
+// NIC receive path). The link is a passive unit (sim::Fifo, DESIGN.md §9):
+// it runs no process, only one event per serialization and one per
+// propagation, plus the queue's wake-up when a packet finds it idle.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +75,11 @@ class Link {
   const obs::BusyTracker& util() const { return util_; }
 
  private:
-  sim::Task<> pump();
+  /// The packet at the head of the queue takes the wire.
+  void start(Packet&& p);
+  /// Its serialization is done: account, apply the fault verdict, and
+  /// launch its propagation.
+  void finish();
 
   sim::Simulator* sim_;
   std::string name_;
@@ -81,7 +87,8 @@ class Link {
   sim::Tick propagation_;
   PacketFn downstream_;
   FaultInjector* fault_ = nullptr;
-  sim::Channel<Packet> queue_;
+  sim::Fifo<Packet> queue_;
+  Packet wire_;  ///< the packet serializing
   obs::BusyTracker util_;
   std::uint64_t bytes_ = 0;
   std::uint64_t packets_ = 0;

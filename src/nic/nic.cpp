@@ -13,18 +13,16 @@ Nic::Nic(sim::Simulator& sim, mem::Memory& memory, net::Fabric& fabric,
       fabric_(&fabric),
       config_(config),
       node_id_(fabric.add_node(this)),
-      cmd_queue_(sim),
-      rx_queue_(sim),
+      cmd_queue_(sim, sim::method<&Nic::tx_start>(this)),
+      rx_queue_(sim, sim::method<&Nic::rx_start>(this)),
       tx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
       rx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
       reliability_(sim, fabric, node_id_, config.reliability, stats_,
                    [this](net::Message&& m) { rx_queue_.push(std::move(m)); }),
       log_("nic" + std::to_string(node_id_), sim.now_ptr()) {
   if (config_.rate_limit.ops_per_sec > 0.0) {
-    rate_ = std::make_unique<TokenBucket>(sim, config_.rate_limit);
+    rate_ = std::make_unique<TokenBucket>(config_.rate_limit);
   }
-  sim_->spawn(tx_loop(), log_.component() + ".tx");
-  sim_->spawn(rx_loop(), log_.component() + ".rx");
 }
 
 void Nic::ring_doorbell(Command cmd) {
@@ -191,16 +189,15 @@ void Nic::post_recv(RecvDesc r) {
         throw std::runtime_error("recv buffer too small for matched send");
       }
       RxStamps stamps = RxStamps::from(msg);
-      sim_->spawn(
-          [](Nic* nic, mem::Addr dst, std::vector<std::byte> payload,
-             mem::Addr flag, std::uint64_t flag_value,
-             RxStamps stamps) -> sim::Task<> {
-            co_await nic->land_payload(dst, std::move(payload), flag,
-                                       flag_value);
-            nic->record_delivery(stamps);
-          }(this, r.local_addr, std::move(msg.payload), r.flag, r.flag_value,
-            stamps),
-          log_.component() + ".land");
+      if (msg.payload.empty()) {
+        set_flag(r.flag, r.flag_value);
+        record_delivery(stamps);
+        return;
+      }
+      landings_.push_back(
+          Landing{r.flag, r.flag_value, stamps, std::move(msg.payload)});
+      rx_dma_.write_from(r.local_addr, landings_.back().payload,
+                         sim::method<&Nic::unexpected_landed>(this));
       return;
     }
   }
@@ -217,37 +214,38 @@ void Nic::set_flag(mem::Addr flag, std::uint64_t value) {
   if (flag != 0) mem_->store<std::uint64_t>(flag, value);
 }
 
-sim::Task<> Nic::tx_loop() {
-  for (;;) {
-    QueuedCmd qc = co_await cmd_queue_.pop();
-    qc.popped = sim_->now();
-    if (rate_ != nullptr) {
-      // Rate-limited admission: the command stays "queued" in the ledger
-      // while it waits for a token, so pacing stalls show up as NIC
-      // command-queue time in the utilization report.
-      co_await rate_->acquire();
-    }
-    sim::Tick begin = sim_->now();
-    qc.admitted = begin;  // == popped when pacing is off or had tokens
-    cmd_util_.dequeue(begin);
-    cmd_util_.acquire(begin);
-    co_await sim_->delay(config_.cmd_fetch);
-    const char* kind = std::holds_alternative<PutDesc>(qc.cmd)   ? "put"
-                       : std::holds_alternative<GetDesc>(qc.cmd) ? "get"
-                                                                 : "send";
-    co_await execute(std::move(qc));
-    cmd_util_.release(sim_->now());
-    if (trace_ != nullptr) {
-      trace_->span(trace_lane_, std::string("tx:") + kind, "nic", begin,
-                   sim_->now());
-    }
-  }
+void Nic::unexpected_landed() {
+  Landing l = std::move(landings_.front());
+  landings_.pop_front();
+  set_flag(l.flag, l.flag_value);
+  // The staging buffer's bytes are in memory now; recycle its allocation.
+  fabric_->payload_pool().release(std::move(l.payload));
+  record_delivery(l.stamps);
 }
 
-sim::Task<> Nic::execute(QueuedCmd qc) {
-  Command& cmd = qc.cmd;
+void Nic::tx_start(QueuedCmd&& qc) {
+  tx_ = std::move(qc);
+  tx_.popped = sim_->now();
+  // Rate-limited admission: the command stays "queued" in the ledger while
+  // it waits for a token, so pacing stalls show up as NIC command-queue
+  // time in the utilization report.
+  sim_->delay(rate_ != nullptr ? rate_->reserve(sim_->now()) : 0,
+              [this] { tx_admitted(); });
+}
+
+void Nic::tx_admitted() {
+  tx_begin_ = sim_->now();
+  tx_.admitted = tx_begin_;  // == popped when pacing is off or had tokens
+  cmd_util_.dequeue(tx_begin_);
+  cmd_util_.acquire(tx_begin_);
+  sim_->delay(config_.cmd_fetch, [this] { tx_execute(); });
+}
+
+void Nic::tx_execute() {
+  Command& cmd = tx_.cmd;
   if (auto* put = std::get_if<PutDesc>(&cmd)) {
-    net::Message msg;
+    net::Message& msg = tx_msg_;
+    msg = net::Message{};
     msg.src = node_id_;
     msg.dst = put->target;
     msg.kind = kPut;
@@ -258,12 +256,11 @@ sim::Task<> Nic::execute(QueuedCmd qc) {
     msg.op_tag = put->op_tag;
     msg.tenant = put->tenant;
     msg.payload = fabric_->payload_pool().acquire();
-    co_await tx_dma_.read_into(msg.payload, put->local_addr, put->bytes);
-    // Payload has left the send buffer: local completion.
-    set_flag(put->local_flag, put->flag_value);
-    stamp_tx(msg, qc);
-    reliability_.send(std::move(msg));
-  } else if (auto* get = std::get_if<GetDesc>(&cmd)) {
+    tx_dma_.read_into(msg.payload, put->local_addr, put->bytes,
+                      sim::method<&Nic::tx_payload_read>(this));
+    return;
+  }
+  if (auto* get = std::get_if<GetDesc>(&cmd)) {
     net::Message msg;
     msg.src = node_id_;
     msg.dst = get->target;
@@ -271,80 +268,92 @@ sim::Task<> Nic::execute(QueuedCmd qc) {
     msg.h0 = get->remote_addr;   // where to read at the target
     msg.h1 = get->bytes;
     msg.h2 = get->local_addr;    // reply lands here
-    msg.h3 = (static_cast<std::uint64_t>(get->local_flag));
+    msg.h3 = get->local_flag;    // raised when it has landed...
+    msg.h4 = get->flag_value;    // ...to this value
     msg.op_tag = get->op_tag;
     msg.tenant = get->tenant;
-    // Stash the flag value in the reply via the target (h2/h3 round-trip).
-    stamp_tx(msg, qc);
+    stamp_tx(msg, tx_);
     reliability_.send(std::move(msg));
-    // local_flag is raised when the GetReply lands (rx path).
-    (void)get->flag_value;  // carried implicitly: reply uses value 1 + addr
-  } else if (auto* send = std::get_if<SendDesc>(&cmd)) {
-    if (send->bytes <= config_.eager_threshold) {
-      net::Message msg;
-      msg.src = node_id_;
-      msg.dst = send->target;
-      msg.kind = kSend;
-      msg.h0 = send->tag;
-      msg.op_tag = send->op_tag;
-      msg.tenant = send->tenant;
-      msg.payload = fabric_->payload_pool().acquire();
-      co_await tx_dma_.read_into(msg.payload, send->local_addr, send->bytes);
-      set_flag(send->local_flag, send->flag_value);
-      stamp_tx(msg, qc);
-      reliability_.send(std::move(msg));
-    } else {
-      // Rendezvous: ship only the ready-to-send descriptor; the payload
-      // stays put until the target's receive matches and pulls it.
-      rndv_sender_state_[send->local_addr] =
-          SenderRndvState{send->local_flag, send->flag_value};
-      net::Message rts;
-      rts.src = node_id_;
-      rts.dst = send->target;
-      rts.kind = kRts;
-      rts.h0 = send->tag;
-      rts.h1 = send->bytes;
-      rts.h2 = send->local_addr;
-      rts.op_tag = send->op_tag;
-      rts.tenant = send->tenant;
-      stamp_tx(rts, qc);
-      reliability_.send(std::move(rts));
-      // Local completion is raised when the pull drains the buffer.
-    }
+    tx_finish();
+    return;
   }
+  auto& send = std::get<SendDesc>(cmd);
+  if (send.bytes <= config_.eager_threshold) {
+    net::Message& msg = tx_msg_;
+    msg = net::Message{};
+    msg.src = node_id_;
+    msg.dst = send.target;
+    msg.kind = kSend;
+    msg.h0 = send.tag;
+    msg.op_tag = send.op_tag;
+    msg.tenant = send.tenant;
+    msg.payload = fabric_->payload_pool().acquire();
+    tx_dma_.read_into(msg.payload, send.local_addr, send.bytes,
+                      sim::method<&Nic::tx_payload_read>(this));
+    return;
+  }
+  // Rendezvous: ship only the ready-to-send descriptor; the payload stays
+  // put until the target's receive matches and pulls it.
+  rndv_sender_state_[send.local_addr] =
+      SenderRndvState{send.local_flag, send.flag_value};
+  net::Message rts;
+  rts.src = node_id_;
+  rts.dst = send.target;
+  rts.kind = kRts;
+  rts.h0 = send.tag;
+  rts.h1 = send.bytes;
+  rts.h2 = send.local_addr;
+  rts.op_tag = send.op_tag;
+  rts.tenant = send.tenant;
+  stamp_tx(rts, tx_);
+  reliability_.send(std::move(rts));
+  // Local completion is raised when the pull drains the buffer.
+  tx_finish();
 }
 
-sim::Task<> Nic::land_payload(mem::Addr dst, std::vector<std::byte>&& payload,
-                              mem::Addr flag, std::uint64_t flag_value) {
-  if (payload.empty()) {
-    set_flag(flag, flag_value);
-    co_return;
+void Nic::tx_payload_read() {
+  // Payload has left the send buffer: local completion.
+  if (const auto* put = std::get_if<PutDesc>(&tx_.cmd)) {
+    set_flag(put->local_flag, put->flag_value);
+  } else {
+    const auto& send = std::get<SendDesc>(tx_.cmd);
+    set_flag(send.local_flag, send.flag_value);
   }
-  std::vector<std::byte> data = std::move(payload);
-  co_await rx_dma_.write_from(dst, data);
-  set_flag(flag, flag_value);
-  // The staging buffer's bytes are in memory now; recycle its allocation.
-  fabric_->payload_pool().release(std::move(data));
+  stamp_tx(tx_msg_, tx_);
+  reliability_.send(std::move(tx_msg_));
+  tx_finish();
 }
 
-sim::Task<> Nic::handle_rx(net::Message msg) {
-  // Captured before the payload is moved out; data-carrying kinds feed the
-  // stage histograms (and end their trace flow) once the deposit is done.
-  RxStamps stamps = RxStamps::from(msg);
+void Nic::tx_finish() {
+  cmd_util_.release(sim_->now());
+  if (trace_ != nullptr) {
+    const char* kind = std::holds_alternative<PutDesc>(tx_.cmd)   ? "put"
+                       : std::holds_alternative<GetDesc>(tx_.cmd) ? "get"
+                                                                  : "send";
+    trace_->span(trace_lane_, std::string("tx:") + kind, "nic", tx_begin_,
+                 sim_->now());
+  }
+  cmd_queue_.finish();
+}
+
+void Nic::rx_start(net::Message&& msg) {
+  rx_ = std::move(msg);
+  rx_begin_ = sim_->now();
+  sim_->delay(config_.rx_pipeline, [this] { rx_handle(); });
+}
+
+void Nic::rx_handle() {
+  net::Message& msg = rx_;
+  // Captured before the payload lands; data-carrying kinds feed the stage
+  // histograms (and end their trace flow) once the deposit is done.
+  rx_stamps_ = RxStamps::from(msg);
   switch (msg.kind) {
-    case kPut: {
-      std::uint64_t trigger_tag_plus1 = msg.h3;
-      co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      record_delivery(stamps);
-      if (trigger_tag_plus1 != 0 && rx_trigger_hook_) {
-        // Counting receive event: bump the local trigger counter so a
-        // chained operation can fire with no processor involvement.
-        rx_trigger_hook_(trigger_tag_plus1 - 1);
-      }
-      break;
-    }
+    case kPut:
+    case kRndvData:
+    case kGetReply:
+      rx_land(msg.h0, msg.h1, msg.h2);
+      return;
     case kSend: {
-      bool matched = false;
       for (auto it = posted_.begin(); it != posted_.end(); ++it) {
         if (it->src == msg.src && it->tag == msg.h0) {
           RecvDesc r = *it;
@@ -352,14 +361,11 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
           if (msg.payload.size() > r.max_bytes) {
             throw std::runtime_error("recv buffer too small for matched send");
           }
-          co_await land_payload(r.local_addr, std::move(msg.payload), r.flag,
-                                r.flag_value);
-          record_delivery(stamps);
-          matched = true;
-          break;
+          rx_land(r.local_addr, r.flag, r.flag_value);
+          return;
         }
       }
-      if (!matched) unexpected_.push_back(std::move(msg));
+      unexpected_.push_back(std::move(msg));  // rx_.kind survives the move
       break;
     }
     case kRts: {
@@ -379,7 +385,8 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
     }
     case kRndvPull: {
       // We are the original sender: stream the payload to the receiver.
-      net::Message data;
+      net::Message& data = rx_out_;
+      data = net::Message{};
       data.src = node_id_;
       data.dst = msg.src;
       data.kind = kRndvData;
@@ -387,65 +394,82 @@ sim::Task<> Nic::handle_rx(net::Message msg) {
       data.h1 = msg.h3;  // receiver's flag
       data.h2 = msg.h4;  // receiver's flag value
       data.payload = fabric_->payload_pool().acquire();
-      co_await tx_dma_.read_into(data.payload, msg.h0, msg.h1);
-      // Payload has left the send buffer: the send's local completion.
-      auto st = rndv_sender_state_.find(msg.h0);
-      if (st != rndv_sender_state_.end()) {
-        set_flag(st->second.local_flag, st->second.flag_value);
-        rndv_sender_state_.erase(st);
-      }
-      stamp_tx(data, sim_->now(), -1, false);
-      reliability_.send(std::move(data));
-      break;
-    }
-    case kRndvData: {
-      co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      record_delivery(stamps);
-      break;
+      tx_dma_.read_into(data.payload, msg.h0, msg.h1,
+                        sim::method<&Nic::rx_out_read>(this));
+      return;
     }
     case kGetReq: {
       // The request leg ends here (no payload deposits). Feeds only the
       // flight recorder — the always-on histograms never saw get requests
       // and must not start to (pinned goldens).
-      record_flight(stamps, sim_->now());
-      net::Message reply;
+      record_flight(rx_stamps_, sim_->now());
+      net::Message& reply = rx_out_;
+      reply = net::Message{};
       reply.src = node_id_;
       reply.dst = msg.src;
       reply.kind = kGetReply;
       reply.h0 = msg.h2;  // initiator's local_addr
       reply.h1 = msg.h3;  // initiator's local_flag
-      reply.h2 = 1;       // flag value
+      reply.h2 = msg.h4;  // its flag value
       // The reply is the same logical op's second leg.
       reply.op_tag = msg.op_tag;
       reply.tenant = msg.tenant;
       reply.payload = fabric_->payload_pool().acquire();
-      co_await tx_dma_.read_into(reply.payload, msg.h0, msg.h1);
-      stamp_tx(reply, sim_->now(), -1, false);
-      reliability_.send(std::move(reply));
-      break;
-    }
-    case kGetReply: {
-      co_await land_payload(msg.h0, std::move(msg.payload), msg.h1, msg.h2);
-      record_delivery(stamps);
-      break;
+      tx_dma_.read_into(reply.payload, msg.h0, msg.h1,
+                        sim::method<&Nic::rx_out_read>(this));
+      return;
     }
     default:
       throw std::logic_error("nic: unknown message kind");
   }
+  rx_finish();
 }
 
-sim::Task<> Nic::rx_loop() {
-  for (;;) {
-    net::Message msg = co_await rx_queue_.pop();
-    sim::Tick begin = sim_->now();
-    std::uint32_t kind = msg.kind;
-    co_await sim_->delay(config_.rx_pipeline);
-    co_await handle_rx(std::move(msg));
-    if (trace_ != nullptr) {
-      trace_->span(trace_lane_, "rx:" + std::to_string(kind), "nic", begin,
-                   sim_->now());
+void Nic::rx_land(mem::Addr dst, mem::Addr flag, std::uint64_t value) {
+  rx_flag_ = flag;
+  rx_flag_value_ = value;
+  if (rx_.payload.empty()) {
+    rx_landed();
+    return;
+  }
+  rx_dma_.write_from(dst, rx_.payload, sim::method<&Nic::rx_landed>(this));
+}
+
+void Nic::rx_landed() {
+  set_flag(rx_flag_, rx_flag_value_);
+  // The staging buffer's bytes are in memory now; recycle its allocation.
+  if (!rx_.payload.empty()) {
+    fabric_->payload_pool().release(std::move(rx_.payload));
+  }
+  record_delivery(rx_stamps_);
+  if (rx_.kind == kPut && rx_.h3 != 0 && rx_trigger_hook_) {
+    // Counting receive event: bump the local trigger counter so a chained
+    // operation can fire with no processor involvement.
+    rx_trigger_hook_(rx_.h3 - 1);
+  }
+  rx_finish();
+}
+
+void Nic::rx_out_read() {
+  if (rx_.kind == kRndvPull) {
+    // Payload has left the send buffer: the send's local completion.
+    auto st = rndv_sender_state_.find(rx_.h0);
+    if (st != rndv_sender_state_.end()) {
+      set_flag(st->second.local_flag, st->second.flag_value);
+      rndv_sender_state_.erase(st);
     }
   }
+  stamp_tx(rx_out_, sim_->now(), -1, false);
+  reliability_.send(std::move(rx_out_));
+  rx_finish();
+}
+
+void Nic::rx_finish() {
+  if (trace_ != nullptr) {
+    trace_->span(trace_lane_, "rx:" + std::to_string(rx_.kind), "nic",
+                 rx_begin_, sim_->now());
+  }
+  rx_queue_.finish();
 }
 
 }  // namespace gputn::nic

@@ -11,6 +11,13 @@
 // pull -> data). NIC-written memory flags are the only completion signal:
 // kernels and hosts poll them (§4.2.4).
 //
+// Both engines, both DMA engines and the token bucket are passive units
+// (DESIGN.md §9): each engine is a sim::Fifo whose item in service lives in
+// a Nic member, and every step is one event (or none, for a zero delay)
+// that captures only `this`. The NIC runs no process; a fault inside an
+// engine (a receive buffer too small for its matched send) throws out of
+// Simulator::run().
+//
 // The GPU-TN triggered-operation extension lives in core/triggered.hpp and
 // feeds this command queue when a trigger entry fires (§3.3: "the logic-level
 // changes required for GPU-TN would be simple to add").
@@ -92,7 +99,9 @@ struct PutDesc {
 };
 
 /// One-sided get: read `bytes` from target `remote_addr` into initiator
-/// `local_addr`; `local_flag` set when the data has landed locally.
+/// `local_addr`; `local_flag` is raised to `flag_value` when the data has
+/// landed locally (the request carries the value to the target, and its
+/// reply back).
 struct GetDesc {
   net::NodeId target = -1;
   mem::Addr local_addr = 0;
@@ -262,10 +271,38 @@ class Nic : public net::MessageSink {
     static RxStamps from(const net::Message& m);
   };
 
-  sim::Task<> tx_loop();
-  sim::Task<> rx_loop();
-  sim::Task<> execute(QueuedCmd qc);
-  sim::Task<> handle_rx(net::Message msg);
+  /// An unexpected message matched by post_recv, its payload landing
+  /// through the RX DMA.
+  struct Landing {
+    mem::Addr flag;
+    std::uint64_t flag_value;
+    RxStamps stamps;
+    std::vector<std::byte> payload;
+  };
+
+  // TX engine, one step per event: admission (token bucket), command
+  // fetch, execution (a put or eager send reads its payload through the
+  // TX DMA), finish.
+  void tx_start(QueuedCmd&& qc);
+  void tx_admitted();
+  void tx_execute();
+  /// The TX DMA read a put's or eager send's payload: raise its local
+  /// flag and send it.
+  void tx_payload_read();
+  void tx_finish();
+  // RX engine: the RX pipeline, then the message kind. Landings finish
+  // from the RX DMA; a get reply or rendezvous payload from the TX DMA.
+  void rx_start(net::Message&& msg);
+  void rx_handle();
+  /// Land the message in service's payload at `dst`, then raise `flag`.
+  void rx_land(mem::Addr dst, mem::Addr flag, std::uint64_t value);
+  void rx_landed();
+  /// The TX DMA read the payload of rx_out_ (a get reply or rendezvous
+  /// data): send it.
+  void rx_out_read();
+  void rx_finish();
+  /// An unexpected message's payload, matched by post_recv, landed.
+  void unexpected_landed();
 
   /// Stamp flow id + stage timestamps on an outbound message and emit its
   /// trace flow begin/steps. Must run before reliability_.send so the
@@ -281,8 +318,6 @@ class Nic : public net::MessageSink {
   /// Offer a delivered message's full stamp set to the attached flight
   /// recorder (no-op when none is attached).
   void record_flight(const RxStamps& s, sim::Tick t_deposit);
-  sim::Task<> land_payload(mem::Addr dst, std::vector<std::byte>&& payload,
-                           mem::Addr flag, std::uint64_t flag_value);
   /// Receiver side of rendezvous: issue the pull for a matched RTS.
   void issue_rndv_pull(const PendingRts& rts, const RecvDesc& r);
 
@@ -298,10 +333,23 @@ class Nic : public net::MessageSink {
   /// the events ring_doorbell schedules (constant latency keeps order).
   /// Entries already carry posted/rung; `enqueued` is stamped on drain.
   std::deque<QueuedCmd> doorbell_staging_;
-  sim::Channel<QueuedCmd> cmd_queue_;
+  sim::Fifo<QueuedCmd> cmd_queue_;
+  QueuedCmd tx_;            ///< the command in service
+  sim::Tick tx_begin_ = 0;  ///< when it was admitted
+  net::Message tx_msg_;     ///< its payload-carrying message, during the read
   obs::BusyTracker cmd_util_;
   std::unique_ptr<TokenBucket> rate_;
-  sim::Channel<net::Message> rx_queue_;
+  sim::Fifo<net::Message> rx_queue_;
+  net::Message rx_;         ///< the message in service
+  sim::Tick rx_begin_ = 0;
+  RxStamps rx_stamps_;
+  mem::Addr rx_flag_ = 0;   ///< raised when rx_'s payload lands
+  std::uint64_t rx_flag_value_ = 0;
+  /// A get reply or rendezvous payload, while the TX DMA reads it.
+  net::Message rx_out_;
+  /// Unexpected messages matched by post_recv, landing through the RX DMA
+  /// in this order.
+  std::deque<Landing> landings_;
   mem::DmaEngine tx_dma_;
   mem::DmaEngine rx_dma_;
 

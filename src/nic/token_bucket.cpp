@@ -2,8 +2,8 @@
 
 namespace gputn::nic {
 
-TokenBucket::TokenBucket(sim::Simulator& sim, TokenBucketConfig cfg)
-    : sim_(&sim), burst_(cfg.burst < 1 ? 1 : cfg.burst) {
+TokenBucket::TokenBucket(TokenBucketConfig cfg)
+    : burst_(cfg.burst < 1 ? 1 : cfg.burst) {
   if (cfg.ops_per_sec > 0.0) {
     double p = 1e12 / cfg.ops_per_sec;
     period_ = p < 1.0 ? 1 : static_cast<sim::Tick>(p);
@@ -26,21 +26,21 @@ void TokenBucket::settle(sim::Tick now) {
   }
 }
 
-sim::Task<> TokenBucket::acquire() {
+sim::Tick TokenBucket::reserve(sim::Tick now) {
   ++admitted_;
-  if (!enabled()) co_return;
-  settle(sim_->now());
-  bool stalled = false;
-  while (tokens_ == 0) {
-    stalled = true;
-    sim::Tick t0 = sim_->now();
-    sim::Tick wait = stamp_ + period_ - t0;
-    co_await sim_->delay(wait > 0 ? wait : 1);
-    stalled_time_ += sim_->now() - t0;
-    settle(sim_->now());
+  if (!enabled()) return 0;
+  settle(now);
+  sim::Tick wait = 0;
+  if (tokens_ == 0) {
+    // The next token accrues at stamp_ + period_ (> now, or settle would
+    // have credited it). Settling there credits exactly that one token.
+    wait = stamp_ + period_ - now;
+    settle(now + wait);
+    ++stalls_;
+    stalled_time_ += wait;
   }
-  if (stalled) ++stalls_;
   --tokens_;
+  return wait;
 }
 
 }  // namespace gputn::nic

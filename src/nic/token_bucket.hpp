@@ -8,12 +8,15 @@
 // is integer picoseconds, so paced runs stay bit-deterministic.
 //
 // Disabled (ops_per_sec == 0) the bucket is pass-through and never
-// suspends, so existing workloads pay nothing and drift nothing.
+// stalls, so existing workloads pay nothing and drift nothing.
+//
+// The bucket is passive arithmetic: reserve() takes the next token and
+// returns how long its caller waits for it, so a stall is one delay event
+// on the caller's side (the NIC TX engine's admission step).
 #pragma once
 
 #include <cstdint>
 
-#include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
 namespace gputn::nic {
@@ -27,15 +30,18 @@ struct TokenBucketConfig {
 
 class TokenBucket {
  public:
-  TokenBucket(sim::Simulator& sim, TokenBucketConfig cfg);
+  explicit TokenBucket(TokenBucketConfig cfg);
 
   bool enabled() const { return period_ > 0; }
   /// Inter-token interval (ps); 0 when the bucket is pass-through.
   sim::Tick period() const { return period_; }
 
-  /// Consume one token, suspending until one accrues if the bucket is
-  /// empty. Never suspends when a token is available (or when disabled).
-  sim::Task<> acquire();
+  /// Take one token at `now`: returns how long the caller waits for it,
+  /// 0 when one is in the bucket (or the bucket is disabled), otherwise
+  /// the time until the next token accrues. The token is the caller's from
+  /// the call on; callers take tokens one at a time, each after the last
+  /// one's wait has elapsed (the NIC's serial TX engine).
+  sim::Tick reserve(sim::Tick now);
 
   std::uint64_t admitted() const { return admitted_; }
   /// Commands that had to wait for a token.
@@ -48,7 +54,6 @@ class TokenBucket {
   /// periods so fractional credit is never lost (integer-exact pacing).
   void settle(sim::Tick now);
 
-  sim::Simulator* sim_;
   sim::Tick period_ = 0;
   int burst_ = 1;
   int tokens_ = 1;

@@ -73,6 +73,8 @@ struct ClientSlot {
   mem::Addr req_stage = 0;
   mem::Addr get_buf = 0;
   mem::Addr get_flag = 0;
+  /// Gets this slot has issued: the NIC raises get_flag to the count.
+  std::uint64_t gets = 0;
   std::vector<mem::Addr> resp_buf;   ///< per server
   std::vector<mem::Addr> resp_flag;  ///< per server
 };
@@ -346,8 +348,6 @@ sim::Task<> client_worker(Workspace& w, int t, int wk) {
     if (csim.now() < at) co_await csim.delay(at - csim.now());
     bool ok = false;
     if (rq.is_get) {
-      // The NIC's get reply always raises the flag to 1: reset before reuse.
-      memory.store<std::uint64_t>(c.get_flag, 0);
       co_await cpu.compute(cpu.config().post_cost);
       nic::GetDesc g;
       g.target = w.server_node(rq.server);
@@ -355,11 +355,12 @@ sim::Task<> client_worker(Workspace& w, int t, int wk) {
       g.bytes = cfg.value_bytes;
       g.remote_addr = w.value_addr(rq.server, rq.key);
       g.local_flag = c.get_flag;
+      g.flag_value = ++c.gets;
       g.op_tag = (1ull << 62) | (static_cast<std::uint64_t>(t) << 40) |
                  ++w.get_tag[static_cast<std::size_t>(t)];
       g.tenant = t;
       w.qps[static_cast<std::size_t>(t)]->post(g);
-      co_await w.wait_flag(cn, c.get_flag, 1);
+      co_await w.wait_flag(cn, c.get_flag, c.gets);
       ok = memory.load<std::uint64_t>(c.get_buf) == key_sig(rq.key);
     } else {
       memory.store<std::uint64_t>(c.req_stage, rq.key);

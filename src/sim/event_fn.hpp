@@ -148,4 +148,41 @@ class EventFn {
   const VTable* vt_ = nullptr;
 };
 
+/// A continuation as a function pointer plus context: two words, so an
+/// event that carries one stays inline in EventFn and allocates nothing.
+/// Passive hardware units (sim::Fifo, sim::Slots, mem::DmaEngine) take
+/// their start and completion callbacks in this form. A default-built
+/// Callback is empty.
+template <typename... A>
+struct Callback {
+  void (*fn)(void*, A...) = nullptr;
+  void* ctx = nullptr;
+
+  explicit operator bool() const noexcept { return fn != nullptr; }
+  void operator()(A... a) const { fn(ctx, std::forward<A>(a)...); }
+};
+
+namespace detail {
+template <auto Method, typename C, typename... A>
+Callback<A...> bind_method(C* obj, void (C::*)(A...)) {
+  return {[](void* p, A... a) {
+            (static_cast<C*>(p)->*Method)(std::forward<A>(a)...);
+          },
+          obj};
+}
+}  // namespace detail
+
+/// Callback that calls member function `Method` on `obj`:
+/// `sim::method<&Link::finish>(this)`.
+template <auto Method, typename C>
+auto method(C* obj) {
+  return detail::bind_method<Method>(obj, Method);
+}
+
+/// Callback that resumes coroutine `h`.
+inline Callback<> resume(std::coroutine_handle<> h) {
+  return {[](void* a) { std::coroutine_handle<>::from_address(a).resume(); },
+          h.address()};
+}
+
 }  // namespace gputn::sim

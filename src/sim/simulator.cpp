@@ -66,9 +66,9 @@ Simulator::Simulator() : log_("sim", &now_) {}
 Simulator::~Simulator() { reap_processes(); }
 
 void Simulator::reap_processes() {
-  // Destroy still-suspended detached frames (infinite service loops such as
-  // link pumps, NIC engines). Destroying a suspended coroutine runs its
-  // locals' destructors; nothing is resumed.
+  // Destroy still-suspended detached frames (a deadlocked rank, a
+  // persistent work-group parked on a flag). Destroying a suspended
+  // coroutine runs its locals' destructors; nothing is resumed.
   for (auto& state : live_states_) {
     if (state->frame) {
       state->frame.destroy();

@@ -159,6 +159,18 @@ class Simulator {
     };
     return Awaiter{this, d};
   }
+  /// Callback form of delay(d), for passive hardware units: `fn` runs
+  /// inline when d <= 0, exactly where `co_await delay(d)` would not
+  /// suspend, and otherwise in one event at now() + d.
+  template <typename F>
+    requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
+  void delay(Tick d, F&& fn) {
+    if (d <= 0) {
+      fn();
+    } else {
+      schedule_at(now_ + d, std::forward<F>(fn));
+    }
+  }
 
   /// Start a detached process. The coroutine runs immediately until its
   /// first suspension; its frame is destroyed when it completes. The
@@ -183,7 +195,8 @@ class Simulator {
 
   /// Destroy all still-suspended detached process frames. Owners of
   /// simulated hardware (e.g. Cluster) call this in their destructors so
-  /// service-loop coroutines die before the objects they reference.
+  /// processes left suspended (a deadlocked rank, a parked work-group) die
+  /// before the objects they reference.
   void reap_processes();
 
  private:

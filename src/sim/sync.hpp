@@ -1,12 +1,14 @@
-// Coroutine synchronization primitives for simulated processes.
+// Synchronization primitives: coroutine waits for simulated processes
+// (Event, Condition, join_all) and the passive hardware queues (Fifo, Slots).
 //
-// All primitives resume waiters *through the simulator's event queue* at the
-// current tick rather than inline. This bounds native stack depth and makes
-// wake-up ordering deterministic (FIFO by registration).
+// Every primitive resumes waiters or starts queued items *through the
+// simulator's event queue* at the current tick rather than inline. This
+// bounds native stack depth and makes wake-up ordering deterministic (FIFO
+// by registration).
 #pragma once
 
 #include <coroutine>
-#include <deque>
+#include <cstddef>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -88,100 +90,151 @@ class Condition {
   std::vector<std::coroutine_handle<>> waiters_;
 };
 
-/// Unbounded FIFO mailbox. `push` never blocks; `pop` suspends while empty.
-/// Used for NIC command queues, trigger FIFOs, and inter-agent messages.
+namespace detail {
+
+/// FIFO storage that allocates nothing until its first push (an idle
+/// queue costs its three words): a vector read from a head index, cleared
+/// whenever it drains.
 template <typename T>
-class Channel {
+class Queue {
  public:
-  explicit Channel(Simulator& sim) : sim_(&sim) {}
-  Channel(const Channel&) = delete;
-  Channel& operator=(const Channel&) = delete;
-
-  void push(T value) {
-    buffer_.push_back(std::move(value));
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->wake(h);
+  bool empty() const { return head_ == items_.size(); }
+  std::size_t size() const { return items_.size() - head_; }
+  void push(T item) {
+    if (head_ >= 64 && head_ * 2 >= items_.size()) {
+      // A queue that never drains: reclaim the consumed prefix, amortized
+      // O(1) per item.
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
     }
+    items_.push_back(std::move(item));
   }
-
-  Task<T> pop() {
-    while (buffer_.empty()) {
-      struct Awaiter {
-        Channel* ch;
-        bool await_ready() const noexcept { return false; }
-        void await_suspend(std::coroutine_handle<> h) {
-          ch->waiters_.push_back(h);
-        }
-        void await_resume() const noexcept {}
-      };
-      co_await Awaiter{this};
+  T pop() {
+    T item = std::move(items_[head_++]);
+    if (head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
     }
-    T v = std::move(buffer_.front());
-    buffer_.pop_front();
-    // If items remain and other consumers are waiting, let the next one run.
-    if (!buffer_.empty() && !waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->wake(h);
-    }
-    co_return v;
+    return item;
   }
-
-  bool empty() const { return buffer_.empty(); }
-  std::size_t size() const { return buffer_.size(); }
 
  private:
-  Simulator* sim_;
-  std::deque<T> buffer_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  std::vector<T> items_;
+  std::size_t head_ = 0;
 };
 
-/// Counting semaphore with FIFO hand-off. Models exclusive or limited
-/// resources (link occupancy, DMA engines, CPU cores, compute units).
-class Semaphore {
- public:
-  Semaphore(Simulator& sim, int initial) : sim_(&sim), available_(initial) {
-    if (initial < 0) throw std::invalid_argument("negative semaphore count");
-  }
-  Semaphore(const Semaphore&) = delete;
-  Semaphore& operator=(const Semaphore&) = delete;
+}  // namespace detail
 
-  Task<> acquire() {
-    if (available_ > 0 && waiters_.empty()) {
-      --available_;
-      co_return;
+/// A passive hardware queue (DESIGN.md §9): items are served one at a
+/// time, in push order, by the unit that owns the queue. The unit's
+/// `start` callback receives each item as it leaves the queue, and the
+/// unit calls finish() when that item is done. There is no process; the
+/// queue schedules these events and no others:
+///   * a push to an idle unit schedules one event at now(), in which the
+///     head item starts (the unit's wake-up);
+///   * a push to a busy or waking unit schedules nothing;
+///   * finish() starts the next item inline, in the finishing event, or
+///     leaves the unit idle.
+/// size() counts waiting items only: an item leaves the queue as it starts.
+template <typename T>
+class Fifo {
+ public:
+  Fifo(Simulator& sim, Callback<T&&> start) : sim_(&sim), start_(start) {}
+  Fifo(const Fifo&) = delete;
+  Fifo& operator=(const Fifo&) = delete;
+
+  void push(T item) {
+    items_.push(std::move(item));
+    if (idle_) {
+      idle_ = false;
+      sim_->schedule_at(sim_->now(), [this] { serve(); });
     }
-    struct Awaiter {
-      Semaphore* s;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        s->waiters_.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    co_await Awaiter{this};
-    // The releaser transferred a permit directly to us.
+  }
+
+  /// The item in service is done: start the next one, or go idle.
+  void finish() {
+    if (starting_) {
+      finished_ = true;  // done inside start(): serve()'s loop goes on
+      return;
+    }
+    serve();
+  }
+
+  std::size_t size() const { return items_.size(); }
+
+ private:
+  /// Starts items until one stays in service. A loop rather than
+  /// recursion, so a run of items that finish inline (zero service time)
+  /// keeps the stack flat.
+  void serve() {
+    while (!items_.empty()) {
+      finished_ = false;
+      starting_ = true;
+      start_(items_.pop());
+      starting_ = false;
+      if (!finished_) return;
+    }
+    idle_ = true;
+  }
+
+  Simulator* sim_;
+  Callback<T&&> start_;
+  detail::Queue<T> items_;
+  bool idle_ = true;
+  bool starting_ = false;
+  bool finished_ = false;
+};
+
+/// `count` identical slots granted in request order (DMA engines, GPU
+/// work-group slots). The owner's `start` callback receives each request
+/// as it is granted, and the owner calls release() when a granted request
+/// frees its slot.
+///   * A request that finds a free slot and nobody waiting starts inline.
+///     Otherwise it waits.
+///   * A release with a waiter schedules one hand-off event at now(), in
+///     which the head waiter starts. The slot stays taken across the
+///     hand-off.
+template <typename T>
+class Slots {
+ public:
+  Slots(Simulator& sim, int count, Callback<T&&> start)
+      : sim_(&sim), start_(start), free_(count) {
+    if (count < 0) throw std::invalid_argument("negative slot count");
+  }
+  Slots(const Slots&) = delete;
+  Slots& operator=(const Slots&) = delete;
+
+  void request(T item) {
+    if (free_ > 0 && waiting() == 0) {
+      --free_;
+      start_(std::move(item));
+      return;
+    }
+    queue_.push(std::move(item));
   }
 
   void release() {
-    if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->wake(h);
-    } else {
-      ++available_;
+    if (waiting() == 0) {
+      ++free_;
+      return;
     }
+    ++handing_;
+    sim_->schedule_at(sim_->now(), [this] {
+      --handing_;
+      start_(queue_.pop());
+    });
   }
 
-  int available() const { return available_; }
-  int waiting() const { return static_cast<int>(waiters_.size()); }
-
  private:
+  /// Requests waiting for a slot (not those already handed one).
+  std::size_t waiting() const { return queue_.size() - handing_; }
+
   Simulator* sim_;
-  int available_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  Callback<T&&> start_;
+  detail::Queue<T> queue_;
+  int free_;
+  std::size_t handing_ = 0;  ///< queued requests with a hand-off scheduled
 };
 
 /// Await completion of a set of process handles (fork/join helper).

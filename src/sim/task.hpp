@@ -1,10 +1,12 @@
 // Lazy coroutine task type used for all simulated processes.
 //
 // `Task<T>` is a lazily-started coroutine: it begins execution when awaited
-// and resumes its awaiter on completion via symmetric transfer. Simulated
-// hardware agents (CPU threads, GPU work-groups, NIC engines) are written as
-// `Task<>` coroutines that `co_await` delays, events, and each other; the
-// `Simulator` (see simulator.hpp) owns detached top-level processes.
+// and resumes its awaiter on completion via symmetric transfer. Workload
+// code (host ranks, GPU work-groups, the runtime and serving loops) is
+// written as `Task<>` coroutines that `co_await` delays, events, and each
+// other; the `Simulator` (see simulator.hpp) owns detached top-level
+// processes. Hardware queues are not processes (sim/sync.hpp's Fifo and
+// Slots).
 //
 // Tasks are single-owner move-only values. Exceptions thrown inside a task
 // propagate to the awaiter at `co_await`.

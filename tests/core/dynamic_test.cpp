@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/triggered.hpp"
@@ -125,9 +126,9 @@ TEST(DynamicTrigger, NonDynamicEventOnDynamicOpFaults) {
   put.remote_addr = src;
   r.trigs[0]->register_dynamic_put(3, put);
   // A static-address store carries no target: the fire must fault (the
-  // match loop's process records the exception; nothing is sent).
+  // matching unit throws out of the run; nothing is sent).
   r.mems[0]->mmio_store(r.trigs[0]->trigger_address(), 3);
-  r.sim.run();
+  EXPECT_THROW(r.sim.run(), std::runtime_error);
   EXPECT_EQ(r.fabric.messages_sent(), 0u);
 }
 

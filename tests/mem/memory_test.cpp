@@ -171,7 +171,7 @@ TEST(MemoryViewGuard, DmaCopyFromAParkedWordLands) {
   }
   Addr dst = f.memory.alloc(512);
   EXPECT_THROW(f.memory.bytes(f.page, 512), std::logic_error);
-  f.sim.spawn(dma.copy(dst, f.page, 512), "copy");
+  dma.copy(dst, f.page, 512);
   f.sim.run();
   for (Addr a = f.page; a < f.page + 512; a += 8) {
     EXPECT_EQ(f.memory.load<std::uint64_t>(dst + (a - f.page)),

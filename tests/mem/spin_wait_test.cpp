@@ -487,7 +487,7 @@ Outcome run_schedule(const Schedule& s, bool elided) {
     Addr src = memory.alloc(8);
     memory.store<std::uint64_t>(src, c.value);
     home.schedule_at(c.at, [&, src, dst = flags[static_cast<std::size_t>(c.flag)]] {
-      home.spawn(dma.copy(dst, src, 8), "copy");
+      dma.copy(dst, src, 8);
     });
   }
   for (const RemoteSpec& r : s.remotes) {
@@ -920,7 +920,7 @@ TEST(SpinWait, DmaCopyOntoAWatchedFlagWakesTheWaiter) {
   memory.store<std::uint64_t>(src, 7);
   Log log;
   sim.spawn(elided_waits(sim, memory, flag, kinds()[2], nullptr, {7}, 0, log));
-  sim.schedule_at(ns(90), [&] { sim.spawn(dma.copy(flag, src, 8)); });
+  sim.schedule_at(ns(90), [&] { dma.copy(flag, src, 8); });
   sim.run();
   // The copy lands at 100 ns, after the GDS read there: seen at 200 ns.
   EXPECT_EQ(log, (Log{{ns(200), 0}}));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "net/fabric.hpp"
@@ -119,10 +120,11 @@ TEST(Nic, GetFetchesRemoteData) {
   get.bytes = 128;
   get.remote_addr = remote;
   get.local_flag = lflag;
+  get.flag_value = 7;
   t.nic(0).ring_doorbell(get);
   t.sim.run();
 
-  EXPECT_EQ(t.mem(0).load<std::uint64_t>(lflag), 1u);
+  EXPECT_EQ(t.mem(0).load<std::uint64_t>(lflag), 7u);
   EXPECT_EQ(t.mem(0).load<std::uint64_t>(local), 0xabcdefull);
   EXPECT_EQ(t.mem(0).load<std::uint64_t>(local + 120), 0x123456ull);
 }
@@ -212,10 +214,10 @@ TEST(Nic, RecvBufferTooSmallFaults) {
   mem::Addr dst = t.mem(1).alloc(8);
   t.nic(1).post_recv(RecvDesc{0, 1, dst, 8, 0, 1});
   t.nic(0).ring_doorbell(SendDesc{1, src, 128, 1, 0, 1});
-  // The rx loop throws; the process finishes with an exception recorded.
-  t.sim.run();
-  SUCCEED();  // fault is surfaced via the process log; no crash or silent
-              // corruption
+  // The RX engine's match throws out of the run: no crash or silent
+  // corruption, and nothing lands.
+  EXPECT_THROW(t.sim.run(), std::runtime_error);
+  EXPECT_EQ(t.mem(1).load<std::uint64_t>(dst), 0u);
 }
 
 TEST(Nic, CommandsExecuteFifo) {

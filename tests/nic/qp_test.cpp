@@ -151,17 +151,18 @@ TEST(TokenBucket, BurstPassesThenConformsToRate) {
   TokenBucketConfig cfg;
   cfg.ops_per_sec = 1e6;  // 1 op per us
   cfg.burst = 4;
-  TokenBucket tb(sim, cfg);
+  TokenBucket tb(cfg);
   ASSERT_TRUE(tb.enabled());
   EXPECT_EQ(tb.period(), sim::us(1));
 
-  // N back-to-back acquires: the first `burst` pass immediately, the rest
-  // pace out at one per period — total time >= (N - burst) * period.
+  // N back-to-back reservations, each taken once the last one's wait has
+  // elapsed: the first `burst` pass immediately, the rest pace out at one
+  // per period — total time >= (N - burst) * period.
   constexpr int kOps = 12;
   sim::Tick done = -1;
   sim.spawn(
       [](sim::Simulator& s, TokenBucket& b, sim::Tick& out) -> sim::Task<> {
-        for (int i = 0; i < kOps; ++i) co_await b.acquire();
+        for (int i = 0; i < kOps; ++i) co_await s.delay(b.reserve(s.now()));
         out = s.now();
       }(sim, tb, done),
       "burst");
@@ -181,16 +182,16 @@ TEST(TokenBucket, IdleRefillsOnlyUpToBurst) {
   TokenBucketConfig cfg;
   cfg.ops_per_sec = 1e6;
   cfg.burst = 2;
-  TokenBucket tb(sim, cfg);
+  TokenBucket tb(cfg);
 
   sim::Tick second_burst_elapsed = -1;
   sim.spawn(
       [](sim::Simulator& s, TokenBucket& b, sim::Tick& out) -> sim::Task<> {
-        co_await b.acquire();
-        co_await b.acquire();  // bucket drained
+        co_await s.delay(b.reserve(s.now()));
+        co_await s.delay(b.reserve(s.now()));  // bucket drained
         co_await s.delay(sim::ms(1));  // long idle: refills clamp at burst
         sim::Tick t0 = s.now();
-        for (int i = 0; i < 4; ++i) co_await b.acquire();
+        for (int i = 0; i < 4; ++i) co_await s.delay(b.reserve(s.now()));
         out = s.now() - t0;
       }(sim, tb, second_burst_elapsed),
       "idle");

@@ -81,71 +81,6 @@ TEST(Condition, WaitUntilReevaluatesPredicate) {
   EXPECT_EQ(done_at, us(3));
 }
 
-TEST(Channel, FifoOrderAcrossSuspensions) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  sim.spawn(
-      [](Channel<int>& c, std::vector<int>& out) -> Task<> {
-        for (int i = 0; i < 5; ++i) out.push_back(co_await c.pop());
-      }(ch, got),
-      "consumer");
-  sim.spawn(
-      [](Simulator& s, Channel<int>& c) -> Task<> {
-        for (int i = 0; i < 5; ++i) {
-          c.push(i);
-          co_await s.delay(ns(10));
-        }
-      }(sim, ch),
-      "producer");
-  sim.run();
-  EXPECT_EQ(got, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(Channel, MultipleConsumersEachGetOneItem) {
-  Simulator sim;
-  Channel<int> ch(sim);
-  std::vector<int> got;
-  for (int i = 0; i < 3; ++i) {
-    sim.spawn(
-        [](Channel<int>& c, std::vector<int>& out) -> Task<> {
-          out.push_back(co_await c.pop());
-        }(ch, got),
-        "c");
-  }
-  sim.schedule_at(us(1), [&] {
-    ch.push(10);
-    ch.push(20);
-    ch.push(30);
-  });
-  sim.run();
-  ASSERT_EQ(got.size(), 3u);
-  EXPECT_EQ(got[0] + got[1] + got[2], 60);
-}
-
-TEST(Semaphore, LimitsConcurrency) {
-  Simulator sim;
-  Semaphore sem(sim, 2);
-  int concurrent = 0;
-  int max_concurrent = 0;
-  for (int i = 0; i < 6; ++i) {
-    sim.spawn(
-        [](Simulator& s, Semaphore& se, int& cur, int& mx) -> Task<> {
-          co_await se.acquire();
-          ++cur;
-          mx = std::max(mx, cur);
-          co_await s.delay(us(1));
-          --cur;
-          se.release();
-        }(sim, sem, concurrent, max_concurrent),
-        "worker");
-  }
-  sim.run();
-  EXPECT_EQ(max_concurrent, 2);
-  EXPECT_EQ(sim.now(), us(3));  // 6 workers, 2 wide, 1 us each
-  EXPECT_EQ(sem.available(), 2);
-}
-
 TEST(JoinAll, WaitsForEveryHandle) {
   Simulator sim;
   std::vector<ProcessHandle> handles;

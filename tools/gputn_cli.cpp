@@ -1,6 +1,6 @@
 // gputn — command-line driver for the simulation experiments.
 //
-//   gputn config     [--loss P] [--seed S] [fabric options]
+//   gputn config     [--nodes N] [--loss P] [--seed S] [fabric options]
 //   gputn sweep      [--jobs N] [--stats-json FILE]
 //   gputn report     FILE... [--baseline FILE] [--threshold PCT] [--top N]
 //   gputn analyze    FILE... [--baseline FILE] [--threshold PCT] [--top N]
@@ -101,6 +101,8 @@
 #include "exp/plan.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweeps.hpp"
+#include "net/routing_api.hpp"
+#include "net/topology_api.hpp"
 #include "obs/critical.hpp"
 #include "obs/flight.hpp"
 #include "obs/report.hpp"
@@ -798,7 +800,21 @@ int main(int argc, char** argv) {
     if (!args.operands().empty()) usage();
     apply_log_level(args);
     if (cmd == "config") {
-      std::printf("%s", run_flags(args).sys.describe().c_str());
+      for (const auto& [key, value] : args.all()) {
+        if (key != "nodes" && key != "topology" && key != "routing" &&
+            key != "credits" && key != "loss" && key != "seed" &&
+            key != "log-level") {
+          throw std::invalid_argument("unknown option --" + key +
+                                      " for config");
+        }
+      }
+      RunFlags flags = run_flags(args);
+      // Describe only a fabric a workload would build: the checks Cluster
+      // makes, for the --nodes count (1 without it).
+      const net::FabricConfig& fabric = flags.sys.fabric;
+      net::make_topology(fabric.topology, std::max(1, flags.opts.nodes));
+      net::make_router(fabric.routing);
+      std::printf("%s", flags.sys.describe().c_str());
       std::printf("\n%s", flag_matrix().c_str());
       std::printf("\nWhatif knobs (gputn whatif --knobs ...):\n");
       for (const obs::Knob& k : obs::knob_registry()) {
