@@ -16,6 +16,13 @@
 // the serial side to total ~2 s: with 3, single noisy pairs swung the
 // median from 2.3x to 4.0x on a 4-thread host.
 //
+// best_speedup is the best serial pass over the best parallel one. A
+// co-tenant that holds cores for seconds slows most parallel passes and
+// pulls the median under 2x (1.88x and 1.95x in 2 of 20 runs on a 4-thread
+// host whose best-to-best read ~2.7x), but it must cover every rep to pull
+// the best one down, so CI gates on best_speedup. A runner with one worker
+// reads ~1x on both.
+//
 // Also profiles per-run construction cost: building a fresh 4-node Table 2
 // Cluster, the setup the engine pays at every run point. Node DRAM is
 // faulted in only where a run touches it, so the build touches almost none.
@@ -108,12 +115,15 @@ int main(int argc, char** argv) {
   for (const std::string& j : jsons) deterministic &= (j == jsons.front());
   std::sort(ratios.begin(), ratios.end());
   double speedup = ratios[ratios.size() / 2];
+  double best_speedup = best1 / bestN;
 
   double pts = static_cast<double>(plan.size());
   std::printf("  jobs=1:  %6.2f s (%.1f points/s)\n", best1, pts / best1);
   std::printf("  jobs=%-2d: %6.2f s (%.1f points/s)\n", jobs, bestN,
               pts / bestN);
-  std::printf("  speedup: %.2fx, merged output %s\n", speedup,
+  std::printf("  speedup: %.2fx (median of pairs), %.2fx (best to best), "
+              "merged output %s\n",
+              speedup, best_speedup,
               deterministic ? "bit-identical" : "NONDETERMINISTIC");
   if (!deterministic) return 1;
 
@@ -125,6 +135,7 @@ int main(int argc, char** argv) {
       << "  \"jobs1_s\": " << best1 << ",\n"
       << "  \"jobsN_s\": " << bestN << ",\n"
       << "  \"speedup\": " << speedup << ",\n"
+      << "  \"best_speedup\": " << best_speedup << ",\n"
       << "  \"deterministic\": " << (deterministic ? "true" : "false")
       << ",\n"
       << "  \"setup_us\": " << setup_us << "\n"

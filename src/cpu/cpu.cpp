@@ -4,9 +4,41 @@
 
 namespace gputn::cpu {
 
-sim::Task<> Cpu::compute_flops_serial(double flops) {
+Cpu::Occupy::Occupy(Cpu& cpu, int units, sim::Tick t, Span span,
+                    double flops, std::uint64_t bytes)
+    : sim::Delay{cpu.sim_, t},
+      cpu_(&cpu),
+      units_(units),
+      span_(span),
+      begin_(cpu.sim_->now()),
+      flops_(flops),
+      bytes_(bytes) {
+  for (int i = 0; i < units; ++i) cpu.util_.acquire(begin_);
+}
+
+void Cpu::Occupy::await_resume() const {
+  sim::Tick now = cpu_->sim_->now();
+  for (int i = 0; i < units_; ++i) cpu_->util_.release(now);
+  sim::TraceRecorder* trace = cpu_->trace_;
+  if (trace == nullptr) return;
+  switch (span_) {
+    case Span::kNone:
+      break;
+    case Span::kCompute:
+      trace->span(cpu_->trace_lane_, "compute", "cpu", begin_, now,
+                  "{\"flops\":" + std::to_string(flops_) +
+                      ",\"bytes\":" + std::to_string(bytes_) + "}");
+      break;
+    case Span::kStagingCopy:
+      trace->span(cpu_->trace_lane_, "staging_copy", "cpu", begin_, now,
+                  "{\"bytes\":" + std::to_string(bytes_) + "}");
+      break;
+  }
+}
+
+Cpu::Occupy Cpu::compute_flops_serial(double flops) {
   double flops_per_ns = config_.flops_per_core_per_cycle * config_.clock_ghz;
-  co_await compute(sim::ns(flops / flops_per_ns));
+  return compute(sim::ns(flops / flops_per_ns));
 }
 
 sim::Tick Cpu::tiered_stream_time(std::uint64_t bytes,
@@ -28,23 +60,14 @@ sim::Tick Cpu::staging_copy_time(std::uint64_t bytes) const {
   return tiered_stream_time(bytes, config_.copy_bandwidth);
 }
 
-sim::Task<> Cpu::staging_copy(std::uint64_t bytes) {
-  sim::Tick begin = sim_->now();
-  co_await compute(staging_copy_time(bytes));
-  if (trace_ != nullptr) {
-    trace_->span(trace_lane_, "staging_copy", "cpu", begin, sim_->now(),
-                 "{\"bytes\":" + std::to_string(bytes) + "}");
-  }
+Cpu::Occupy Cpu::staging_copy(std::uint64_t bytes) {
+  return Occupy(*this, 1, staging_copy_time(bytes), Occupy::Span::kStagingCopy,
+                0, bytes);
 }
 
-sim::Task<> Cpu::compute_parallel(double flops, std::uint64_t bytes) {
-  sim::Tick begin = sim_->now();
-  co_await occupy(config_.cores, parallel_time(flops, bytes));
-  if (trace_ != nullptr) {
-    trace_->span(trace_lane_, "compute", "cpu", begin, sim_->now(),
-                 "{\"flops\":" + std::to_string(flops) +
-                     ",\"bytes\":" + std::to_string(bytes) + "}");
-  }
+Cpu::Occupy Cpu::compute_parallel(double flops, std::uint64_t bytes) {
+  return Occupy(*this, config_.cores, parallel_time(flops, bytes),
+                Occupy::Span::kCompute, flops, bytes);
 }
 
 mem::SpinWait Cpu::wait_value_ge(mem::Addr addr, std::uint64_t value) {

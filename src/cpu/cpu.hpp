@@ -64,16 +64,39 @@ class Cpu {
   sim::Simulator& simulator() { return *sim_; }
   mem::Memory& memory() { return *mem_; }
 
+  /// Awaiter of a timed host op (no coroutine frame; co_await it where it
+  /// is called). It holds `units` cores in the ledger from the call until
+  /// its delay ends — a t <= 0 op acquires and releases in one event — and
+  /// then emits a traced phase's span, from the call's tick. The model
+  /// itself has no core contention (phases just take time); the ledger is
+  /// what distinguishes a single polling thread from an all-cores phase.
+  class [[nodiscard]] Occupy : public sim::Delay {
+   public:
+    void await_resume() const;
+
+   private:
+    friend class Cpu;
+    enum class Span : unsigned char { kNone, kCompute, kStagingCopy };
+    Occupy(Cpu& cpu, int units, sim::Tick t, Span span = Span::kNone,
+           double flops = 0, std::uint64_t bytes = 0);
+    Cpu* cpu_;
+    int units_;
+    Span span_;
+    sim::Tick begin_;
+    double flops_;
+    std::uint64_t bytes_;
+  };
+
   /// Busy the host for `t` (single thread).
-  sim::Task<> compute(sim::Tick t) { return occupy(1, t); }
+  Occupy compute(sim::Tick t) { return Occupy(*this, 1, t); }
 
   /// Single-threaded flop-bound phase.
-  sim::Task<> compute_flops_serial(double flops);
+  Occupy compute_flops_serial(double flops);
 
   /// OpenMP-style parallel phase: `flops` of arithmetic touching `bytes` of
   /// memory, spread across all cores; takes the max of the compute-bound
   /// and bandwidth-bound times (roofline).
-  sim::Task<> compute_parallel(double flops, std::uint64_t bytes);
+  Occupy compute_parallel(double flops, std::uint64_t bytes);
 
   /// Spin until *addr >= value: one core reads the flag every
   /// poll_interval, starting at once (event-free, mem/spin_wait.hpp).
@@ -99,7 +122,7 @@ class Cpu {
 
   /// Host staging copy (eager-protocol bounce buffer) of `bytes`; uses L3
   /// bandwidth when the buffer fits in L3.
-  sim::Task<> staging_copy(std::uint64_t bytes);
+  Occupy staging_copy(std::uint64_t bytes);
   sim::Tick staging_copy_time(std::uint64_t bytes) const;
 
   /// Core-occupancy ledger over `cores` units. Flag-poll spins count as
@@ -119,15 +142,6 @@ class Cpu {
   }
 
  private:
-  /// Hold `units` cores in the ledger while the delay elapses. The model
-  /// itself has no core contention (phases just take time); the ledger is
-  /// what distinguishes a single polling thread from an all-cores phase.
-  sim::Task<> occupy(int units, sim::Tick t) {
-    for (int i = 0; i < units; ++i) util_.acquire(sim_->now());
-    co_await sim_->delay(t);
-    for (int i = 0; i < units; ++i) util_.release(sim_->now());
-  }
-
   sim::Simulator* sim_;
   mem::Memory* mem_;
   CpuConfig config_;

@@ -9,50 +9,54 @@ namespace gputn::gpu {
 
 mem::Memory& WorkGroupCtx::mem() { return gpu_->memory(); }
 
-sim::Task<> WorkGroupCtx::compute(sim::Tick t) {
-  co_await gpu_->simulator().delay(t);
+sim::Delay WorkGroupCtx::compute(sim::Tick t) {
+  return gpu_->simulator().delay(t);
 }
 
-sim::Task<> WorkGroupCtx::compute_flops(double flops) {
+sim::Delay WorkGroupCtx::compute_flops(double flops) {
   const auto& cfg = gpu_->config();
   double flops_per_ns = cfg.flops_per_cu_per_cycle * cfg.clock_ghz;
-  co_await compute(sim::ns(flops / flops_per_ns));
+  return compute(sim::ns(flops / flops_per_ns));
 }
 
-sim::Task<> WorkGroupCtx::compute_mem(std::uint64_t bytes) {
+sim::Delay WorkGroupCtx::compute_mem(std::uint64_t bytes) {
   const auto& cfg = gpu_->config();
   // Per-CU share of aggregate bandwidth; work-groups on different CUs
   // stream concurrently.
   double share = cfg.mem_bandwidth.bytes_per_second() / cfg.cu_count;
-  co_await compute(
-      sim::Bandwidth::bytes_per_sec(share).serialize(bytes));
+  return compute(sim::Bandwidth::bytes_per_sec(share).serialize(bytes));
 }
 
-sim::Task<> WorkGroupCtx::barrier() {
-  co_await compute(gpu_->config().barrier_latency);
+sim::Delay WorkGroupCtx::barrier() {
+  return compute(gpu_->config().barrier_latency);
 }
 
-sim::Task<> WorkGroupCtx::diverged(int paths, sim::Tick per_path) {
+sim::Delay WorkGroupCtx::diverged(int paths, sim::Tick per_path) {
   if (paths < 1) paths = 1;
-  co_await compute(static_cast<sim::Tick>(paths) * per_path);
+  return compute(static_cast<sim::Tick>(paths) * per_path);
 }
 
-sim::Task<> WorkGroupCtx::fence_system() {
-  co_await compute(gpu_->config().fence_system_latency);
-  dirty_ = false;
+WorkGroupCtx::Fence WorkGroupCtx::fence_system() {
+  return Fence{compute(gpu_->config().fence_system_latency), this};
 }
 
-sim::Task<> WorkGroupCtx::store_system(mem::Addr addr, std::uint64_t value) {
+WorkGroupCtx::Store WorkGroupCtx::store_system(mem::Addr addr,
+                                               std::uint64_t value) {
   if (mem().is_mmio(addr) && dirty_) {
     // §4.2.6: triggering the NIC while buffer writes are still only
     // work-group-visible races the DMA read against the GPU caches.
     gpu_->note_hazard();
   }
-  co_await compute(gpu_->config().store_system_latency);
-  if (mem().is_mmio(addr)) {
-    mem().mmio_store(addr, value);
+  return Store{compute(gpu_->config().store_system_latency), this, addr,
+               value};
+}
+
+void WorkGroupCtx::Store::await_resume() const {
+  mem::Memory& m = ctx->mem();
+  if (m.is_mmio(addr)) {
+    m.mmio_store(addr, value);
   } else {
-    mem().store<std::uint64_t>(addr, value);
+    m.store<std::uint64_t>(addr, value);
   }
 }
 

@@ -86,26 +86,42 @@ class WorkGroupCtx {
   mem::Memory& mem();
 
   // -- Timed device operations --------------------------------------------
+  // Each returns an awaiter, not a coroutine, so an op allocates no frame;
+  // co_await it where it is called.
+
+  /// fence_system()'s awaiter: clears the hazard state when it ends.
+  struct [[nodiscard]] Fence : sim::Delay {
+    WorkGroupCtx* ctx;
+    void await_resume() const noexcept { ctx->dirty_ = false; }
+  };
+  /// store_system()'s awaiter: performs the store when it ends.
+  struct [[nodiscard]] Store : sim::Delay {
+    WorkGroupCtx* ctx;
+    mem::Addr addr;
+    std::uint64_t value;
+    void await_resume() const;
+  };
+
   /// Occupy this work-group's compute unit for `t`.
-  sim::Task<> compute(sim::Tick t);
+  sim::Delay compute(sim::Tick t);
   /// Flop-bound phase executed by this work-group.
-  sim::Task<> compute_flops(double flops);
+  sim::Delay compute_flops(double flops);
   /// Memory-bandwidth-bound phase touching `bytes` (per work-group share).
-  sim::Task<> compute_mem(std::uint64_t bytes);
+  sim::Delay compute_mem(std::uint64_t bytes);
   /// Work-group barrier (§4.2: leader triggers after the barrier).
-  sim::Task<> barrier();
+  sim::Delay barrier();
   /// Divergent control flow: a wavefront taking `paths` distinct branch
   /// directions executes them serially under an execution mask (§2.1.1) —
   /// total time is paths * per_path. This is the §5.1.1 cost that makes
   /// serial packet construction (GNN) expensive on a GPU.
-  sim::Task<> diverged(int paths, sim::Tick per_path);
+  sim::Delay diverged(int paths, sim::Tick per_path);
   /// Release fence to system scope: makes prior buffer writes visible to
   /// the NIC (§4.2.6). Clears the unfenced-writes hazard state.
-  sim::Task<> fence_system();
-  /// System-scope atomic store; routes to MMIO (trigger address) or DRAM.
-  /// Firing a trigger with unfenced buffer writes is counted as a memory-
-  /// model hazard.
-  sim::Task<> store_system(mem::Addr addr, std::uint64_t value);
+  Fence fence_system();
+  /// System-scope atomic store; routes to MMIO (trigger address) or DRAM
+  /// when its latency has passed. Firing a trigger with unfenced buffer
+  /// writes is counted as a memory-model hazard, at the call.
+  Store store_system(mem::Addr addr, std::uint64_t value);
   /// Spin until *addr >= value: a system-scope acquire load
   /// (load_system_latency), then poll_interval, then the next load...
   /// (event-free, mem/spin_wait.hpp).

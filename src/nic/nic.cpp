@@ -130,16 +130,22 @@ void Nic::record_delivery(const RxStamps& s) {
   // bookkeeping (no simulator interaction), so it cannot perturb timing;
   // it is always on, which is what lets every run report a Figure-8-style
   // latency decomposition for free.
-  auto rec = [this](const char* name, sim::Tick from, sim::Tick to) {
+  enum Stage { kTriggerToFire, kTxQueue, kWire, kRxToDeposit, kEndToEnd };
+  static constexpr const char* kName[] = {
+      "lat.trigger_to_fire", "lat.tx_queue", "lat.wire", "lat.rx_to_deposit",
+      "lat.end_to_end"};
+  static_assert(std::size(kName) == std::tuple_size_v<decltype(lat_)>);
+  auto rec = [this](Stage stage, sim::Tick from, sim::Tick to) {
     if (from < 0 || to < from) return;
-    stats_.histogram(name).add(static_cast<std::uint64_t>((to - from) /
-                                                          1000));
+    sim::Histogram*& h = lat_[stage];
+    if (h == nullptr) h = &stats_.histogram(kName[stage]);
+    h->add(static_cast<std::uint64_t>((to - from) / 1000));
   };
-  if (l.t_trigger >= 0) rec("lat.trigger_to_fire", l.t_trigger, l.t_cmd);
-  rec("lat.tx_queue", l.t_cmd, l.t_wire);
-  rec("lat.wire", l.t_wire, l.t_rx);
-  rec("lat.rx_to_deposit", l.t_rx, now);
-  rec("lat.end_to_end", l.t_trigger >= 0 ? l.t_trigger : l.t_cmd, now);
+  if (l.t_trigger >= 0) rec(kTriggerToFire, l.t_trigger, l.t_cmd);
+  rec(kTxQueue, l.t_cmd, l.t_wire);
+  rec(kWire, l.t_wire, l.t_rx);
+  rec(kRxToDeposit, l.t_rx, now);
+  rec(kEndToEnd, l.t_trigger >= 0 ? l.t_trigger : l.t_cmd, now);
   if (trace_ != nullptr && l.flow != 0) {
     trace_->flow_end(trace_lane_, "msg", "flow", now, l.flow);
   }

@@ -23,6 +23,7 @@
 // changes required for GPU-TN would be simple to add").
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -365,6 +366,10 @@ class Nic : public net::MessageSink {
   std::string gpu_lane_;
   std::string trig_lane_;
   sim::StatRegistry stats_;
+  /// record_delivery's lat.* histograms, one per stage, each resolved in
+  /// stats_ on the stage's first sample: a stage enters the export only
+  /// once it holds one.
+  std::array<sim::Histogram*, 5> lat_{};
   /// Declared after stats_ (it publishes counters there) and after
   /// node_id_/rx_queue_ (it addresses ACKs and feeds the RX queue).
   fault::ReliabilityLayer reliability_;

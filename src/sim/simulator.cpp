@@ -50,17 +50,6 @@ Task<> ProcessHandle::join() {
   if (state_->exception) std::rethrow_exception(state_->exception);
 }
 
-namespace {
-/// Min-heap comparator for the overflow tier: true when `a` fires after `b`.
-struct OverflowAfter {
-  template <typename ItemT>
-  bool operator()(const ItemT& a, const ItemT& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-};
-}  // namespace
-
 Simulator::Simulator() : log_("sim", &now_) {}
 
 Simulator::~Simulator() { reap_processes(); }
@@ -86,7 +75,7 @@ void Simulator::reap_processes() {
 void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
   std::uint64_t blk = block_of(when);
   overflow_.push_back(Item{when, seq, std::move(fn)});
-  std::push_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
+  std::push_heap(overflow_.begin(), overflow_.end(), after);
   if (blk < overflow_min_blk_) overflow_min_blk_ = blk;
 }
 
@@ -112,8 +101,9 @@ void Simulator::schedule_ordered(Tick when, const ReadOrder& o, EventFn fn) {
 
 void Simulator::merge_late() {
   for (Item& it : late_) {
-    auto pos = std::lower_bound(drain_.begin(), drain_.end(), it,
-                                OverflowAfter{});
+    auto pos = std::lower_bound(
+        drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_),
+        drain_.end(), it, before);
     drain_.insert(pos, std::move(it));
   }
   late_.clear();
@@ -126,8 +116,8 @@ Tick Simulator::next_pending_time() const {
   if (!drain_.empty()) {
     // Drain items all live in the cursor's block, and later wheel buckets
     // hold strictly later blocks — but the cursor bucket itself may have
-    // gained items after the swap, so scan it alongside drain_'s tail.
-    Tick m = drain_.back().when;
+    // gained items after the swap, so scan it alongside drain_'s head.
+    Tick m = drain_[drain_head_].when;
     for (const Item& it : wheel_[cur_blk_ & kBucketMask]) {
       m = std::min(m, it.when);
     }
@@ -145,11 +135,14 @@ Tick Simulator::next_pending_time() const {
 void Simulator::insert_into_wheel(Item&& item) {
   std::uint64_t blk = block_of(item.when);
   std::size_t idx = blk & kBucketMask;
-  wheel_[idx].push_back(std::move(item));
+  auto& bucket = wheel_[idx];
   OccWord& w = occ_[idx >> 6];
   std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+  // A reserved seq (schedule_ordered) or a promoted item can be older than
+  // the bucket's last item, so compare the full (when, seq) key.
+  if (!bucket.empty() && before(item, bucket.back())) w.dirty |= bit;
+  bucket.push_back(std::move(item));
   w.occ |= bit;
-  w.dirty |= bit;
   occ_summary_ |= std::uint64_t{1} << (idx >> 6);
 }
 
@@ -191,7 +184,7 @@ std::size_t Simulator::next_occupied_offset() const {
 void Simulator::promote_overflow() {
   while (!overflow_.empty() &&
          block_of(overflow_.front().when) < cur_blk_ + kBuckets) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), OverflowAfter{});
+    std::pop_heap(overflow_.begin(), overflow_.end(), after);
     insert_into_wheel(std::move(overflow_.back()));
     overflow_.pop_back();
   }
@@ -262,7 +255,8 @@ inline bool Simulator::prepare_batch(std::uint64_t blk, Tick limit) {
   OccWord& w = occ_[idx >> 6];
   std::uint64_t bit = std::uint64_t{1} << (idx & 63);
   if (!bucket.empty()) {
-    bool need_sort = (w.dirty & bit) != 0;
+    bool out_of_order = (w.dirty & bit) != 0;
+    w.dirty &= ~bit;
     if (drain_.empty()) {
       // O(1) hand-off: the whole bucket becomes the drain; the bucket
       // inherits drain_'s old (empty) storage, so vector capacities
@@ -271,29 +265,21 @@ inline bool Simulator::prepare_batch(std::uint64_t blk, Tick limit) {
     } else {
       // Rare: new events landed in this block after it was swapped out
       // (scheduled by an event of an earlier batch at a later time inside
-      // the same 128 ps block). Merge and re-sort the remainder.
+      // the same 128 ps block). Append them to the remainder and reorder.
+      drain_.erase(drain_.begin(),
+                   drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_));
+      drain_head_ = 0;
       for (Item& it : bucket) drain_.push_back(std::move(it));
       bucket.clear();
-      need_sort = true;
+      out_of_order = true;
     }
-    if (need_sort) {
-      if (drain_.size() == 2) {
-        // By far the most common multi-event case at realistic densities;
-        // a compare-and-swap skips std::sort's dispatch overhead.
-        if (OverflowAfter{}(drain_[1], drain_[0])) {
-          std::swap(drain_[0], drain_[1]);
-        }
-      } else if (drain_.size() > 2) {
-        std::sort(drain_.begin(), drain_.end(), OverflowAfter{});
-      }
-      w.dirty &= ~bit;
-    }
+    if (out_of_order) [[unlikely]] order_drain();
   }
-  // drain_ is sorted descending by (when, seq): the tail is the earliest
-  // pending event, and the run of equal-when items before it is in
-  // descending sequence order, so run_loop executing off the back yields
-  // the batch in FIFO order.
-  Tick min_when = drain_.back().when;
+  // drain_ is in (when, seq) order from its head: the head is the earliest
+  // pending event, and the run of equal-when items after it is in
+  // sequence order, so run_loop executing from the head yields the batch
+  // in FIFO order.
+  Tick min_when = drain_[drain_head_].when;
   if constexpr (Bounded) {
     if (min_when > limit) return false;
   }
@@ -301,35 +287,52 @@ inline bool Simulator::prepare_batch(std::uint64_t blk, Tick limit) {
   return true;
 }
 
+void Simulator::order_drain() {
+  auto mid = std::is_sorted_until(drain_.begin(), drain_.end(), before);
+  if (mid == drain_.end()) return;
+  if (std::is_sorted(mid, drain_.end(), before)) {
+    std::inplace_merge(drain_.begin(), mid, drain_.end(), before);
+  } else {
+    std::sort(drain_.begin(), drain_.end(), before);
+  }
+  assert(std::adjacent_find(drain_.begin(), drain_.end(),
+                            [](const Item& a, const Item& b) {
+                              return !before(a, b);
+                            }) == drain_.end() &&
+         "two pending events share a (when, seq) key");
+}
+
+inline void Simulator::finish_drain() {
+  drain_.clear();
+  drain_head_ = 0;
+  std::size_t idx = cur_blk_ & kBucketMask;
+  // The batch may have scheduled into its own block; only clear the
+  // occupancy bit when the bucket really is empty too.
+  if (wheel_[idx].empty()) {
+    OccWord& w = occ_[idx >> 6];
+    w.occ &= ~(std::uint64_t{1} << (idx & 63));
+    if (w.occ == 0) occ_summary_ &= ~(std::uint64_t{1} << (idx >> 6));
+  }
+}
+
 void Simulator::consume_after_throw(Tick t) {
   // The throwing event counts as consumed (seed semantics). The rest of
   // its batch must stay runnable and must precede anything the batch
-  // appended to the FIFO, so it moves there — drain_'s tail run is in
-  // reverse execution order, hence the backwards walk.
-  drain_.pop_back();
+  // appended to the FIFO, so it moves there in execution order.
+  drain_[drain_head_].fn = EventFn{};
+  ++drain_head_;
   merge_late();
-  std::size_t i = drain_.size();
-  while (i > 0 && drain_[i - 1].when == t) --i;
-  if (i < drain_.size()) {
-    std::vector<EventFn> rest;
-    rest.reserve(drain_.size() - i);
-    for (std::size_t j = drain_.size(); j > i; --j) {
-      rest.push_back(std::move(drain_[j - 1].fn));
-    }
-    fifo_.insert(fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_),
-                 std::make_move_iterator(rest.begin()),
-                 std::make_move_iterator(rest.end()));
-    drain_.erase(drain_.begin() + static_cast<std::ptrdiff_t>(i),
-                 drain_.end());
+  auto end = drain_.begin() + static_cast<std::ptrdiff_t>(drain_head_);
+  std::vector<EventFn> rest;
+  for (; end != drain_.end() && end->when == t; ++end) {
+    rest.push_back(std::move(end->fn));
   }
-  if (drain_.empty()) {
-    std::size_t idx = cur_blk_ & kBucketMask;
-    if (wheel_[idx].empty()) {
-      OccWord& w = occ_[idx >> 6];
-      w.occ &= ~(std::uint64_t{1} << (idx & 63));
-      if (w.occ == 0) occ_summary_ &= ~(std::uint64_t{1} << (idx >> 6));
-    }
-  }
+  fifo_.insert(fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_),
+               std::make_move_iterator(rest.begin()),
+               std::make_move_iterator(rest.end()));
+  drain_.erase(drain_.begin(), end);
+  drain_head_ = 0;
+  if (drain_.empty()) finish_drain();
 }
 
 template <bool Bounded>
@@ -356,40 +359,33 @@ std::uint64_t Simulator::run_loop(Tick limit) {
       fifo_head_ = 0;
     }
     if (!advance_to_next_batch<Bounded>(limit)) break;
-    // Execute the batch — every drain_ tail item at now() — in place, no
-    // relocation into scratch: user code can never reach drain_ (schedules
-    // at now() land in the FIFO, later ones in the bucket vector), so the
-    // storage is stable across the call. Anything the batch schedules at
-    // now() runs on the next pass — correct, because every batch item's
-    // sequence number predates anything scheduled while it runs. If an
-    // event throws it counts as consumed (seed semantics; the local
-    // executed count is lost on propagation).
+    // Execute the batch — every drain_ item at now() from the head — in
+    // place, no relocation into scratch: user code can never reach drain_
+    // (schedules at now() land in the FIFO, later ones in the bucket
+    // vector), so the storage is stable across the call. Anything the
+    // batch schedules at now() runs on the next pass — correct, because
+    // every batch item's sequence number predates anything scheduled while
+    // it runs. If an event throws it counts as consumed (seed semantics;
+    // the local executed count is lost on propagation).
     const Tick t = now_;
     for (;;) {
       --pending_;
-      cur_seq_ = drain_.back().seq;
+      Item& it = drain_[drain_head_];
+      cur_seq_ = it.seq;
       try {
-        drain_.back().fn();
+        it.fn();
       } catch (...) {
         cur_seq_ = ~std::uint64_t{0};
         consume_after_throw(t);
         throw;
       }
-      drain_.pop_back();
+      it.fn = EventFn{};
+      ++drain_head_;
       ++executed;
       if (!late_.empty()) [[unlikely]] merge_late();
-      if (drain_.empty() || drain_.back().when != t) break;
+      if (drain_head_ == drain_.size() || drain_[drain_head_].when != t) break;
     }
-    if (drain_.empty()) {
-      std::size_t idx = cur_blk_ & kBucketMask;
-      // The batch may have scheduled into its own block; only clear the
-      // occupancy bit when the bucket really is empty too.
-      if (wheel_[idx].empty()) {
-        OccWord& w = occ_[idx >> 6];
-        w.occ &= ~(std::uint64_t{1} << (idx & 63));
-        if (w.occ == 0) occ_summary_ &= ~(std::uint64_t{1} << (idx >> 6));
-      }
-    }
+    if (drain_head_ == drain_.size()) finish_drain();
   }
   cur_seq_ = ~std::uint64_t{0};
   executed_events_ += executed;

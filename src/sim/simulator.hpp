@@ -28,6 +28,19 @@ namespace gputn::sim {
 
 class Simulator;
 
+/// Awaiter of Simulator::delay(d): suspends the awaiting coroutine for `d`
+/// picoseconds, in one event at now() + d, and does not suspend at all when
+/// d <= 0. A leaf op that is a pure delay returns it, and one that acts
+/// when its delay ends derives from it and adds an await_resume
+/// (gpu::WorkGroupCtx, cpu::Cpu), so a leaf op allocates no frame.
+struct [[nodiscard]] Delay {
+  Simulator* sim;
+  Tick d;
+  bool await_ready() const noexcept { return d <= 0; }
+  void await_suspend(std::coroutine_handle<> h) const;
+  void await_resume() const noexcept {}
+};
+
 /// Join handle for a detached process started with Simulator::spawn.
 /// Cheap to copy; all copies refer to the same process.
 class ProcessHandle {
@@ -90,11 +103,14 @@ class Simulator {
     std::uint64_t blk = block_of(when);
     if (blk < cur_blk_ + kBuckets) {
       std::size_t idx = blk & kBucketMask;
-      wheel_[idx].emplace_back(when, next_seq_ - 1, std::forward<F>(fn));
+      auto& bucket = wheel_[idx];
       OccWord& w = occ_[idx >> 6];
       std::uint64_t bit = std::uint64_t{1} << (idx & 63);
+      // A fresh seq is the largest yet, so only a later `when` already in
+      // the bucket can put this insert out of order.
+      if (!bucket.empty() && when < bucket.back().when) w.dirty |= bit;
+      bucket.emplace_back(when, next_seq_ - 1, std::forward<F>(fn));
       w.occ |= bit;
-      w.dirty |= bit;
       occ_summary_ |= std::uint64_t{1} << (idx >> 6);
     } else {
       schedule_overflow(when, next_seq_ - 1, EventFn(std::forward<F>(fn)));
@@ -147,25 +163,14 @@ class Simulator {
   void schedule_ordered(Tick when, const ReadOrder& o, EventFn fn);
 
   /// Awaitable that suspends the current coroutine for `d` picoseconds.
-  auto delay(Tick d) {
-    struct Awaiter {
-      Simulator* sim;
-      Tick d;
-      bool await_ready() const noexcept { return d <= 0; }
-      void await_suspend(std::coroutine_handle<> h) {
-        sim->schedule_resume(d, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, d};
-  }
+  Delay delay(Tick d) { return Delay{this, d}; }
   /// Callback form of delay(d), for passive hardware units: `fn` runs
   /// inline when d <= 0, exactly where `co_await delay(d)` would not
   /// suspend, and otherwise in one event at now() + d.
   template <typename F>
     requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
   void delay(Tick d, F&& fn) {
-    if (d <= 0) {
+    if (delay(d).await_ready()) {
       fn();
     } else {
       schedule_at(now_ + d, std::forward<F>(fn));
@@ -217,6 +222,14 @@ class Simulator {
     std::uint64_t seq;
     EventFn fn;
   };
+  /// Execution order: true when `a` runs before `b`. (when, seq) keys are
+  /// unique — a spin-wait arms at most one read per tick on its one
+  /// reserved seq — so this is a strict total order on pending events.
+  static bool before(const Item& a, const Item& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+  /// Min-heap comparator for the overflow tier: `a` runs after `b`.
+  static bool after(const Item& a, const Item& b) { return before(b, a); }
 
   static constexpr std::uint64_t block_of(Tick when) {
     return static_cast<std::uint64_t>(when) >> kBlockShift;
@@ -232,7 +245,7 @@ class Simulator {
   std::uint64_t run_loop(Tick limit);
   /// Advances the cursor to the earliest occupied block (promoting overflow
   /// as needed) and stages its events via prepare_batch, leaving the next
-  /// batch on drain_'s tail and now() at its timestamp. Returns false — with
+  /// batch at drain_'s head and now() at its timestamp. Returns false — with
   /// the cursor never committed past block_of(limit) — when the earliest
   /// pending event exceeds `limit`, or when nothing is pending. Inlined into
   /// run_loop: one call per batch is pure overhead.
@@ -244,14 +257,20 @@ class Simulator {
   /// places. Runs between batch events, never while one executes.
   void merge_late();
   /// Moves bucket `blk`'s events into drain_ (an O(1) vector swap when
-  /// drain_ is empty), sorts them if inserts dirtied the bucket, and sets
-  /// now() to the earliest pending timestamp — leaving that batch on
-  /// drain_'s tail for run_loop to execute in place. Returns false without
+  /// drain_ is empty), orders them if an insert dirtied the bucket, and
+  /// sets now() to the earliest pending timestamp — leaving that batch at
+  /// drain_'s head for run_loop to execute in place. Returns false without
   /// committing anything if the earliest event is past `limit`. Inlined
   /// into the advance path: it runs once per batch.
   template <bool Bounded>
   __attribute__((always_inline)) bool prepare_batch(std::uint64_t blk,
                                                     Tick limit);
+  /// Puts an out-of-order drain_ (head at 0) into execution order: a
+  /// merge when it is two ordered runs, a sort otherwise.
+  void order_drain();
+  /// Releases drain_ once its last event has run, and clears the cursor
+  /// bucket's occupancy bit unless the bucket gained events meanwhile.
+  void finish_drain();
   /// Cold path of run_loop when an executing event throws: consumes the
   /// thrown event and re-queues the rest of its batch into the FIFO so it
   /// stays runnable, ordered before anything the batch appended there.
@@ -286,13 +305,14 @@ class Simulator {
   std::vector<EventFn> fifo_;
   std::size_t fifo_head_ = 0;
 
-  // kBuckets lazily-sorted vectors. A bucket is unordered while the cursor
-  // is elsewhere (inserts just append and set its dirty bit); when the
-  // cursor reaches it, it is sorted ONCE, descending by (when, seq), so
-  // every same-timestamp batch is a pop_back run off the tail — O(1) per
-  // event, already in sequence order, no matter how deep the bucket is.
+  // kBuckets vectors in arrival order. Inserts append; one that is ordered
+  // before the bucket's last item sets the bucket's dirty bit. When the
+  // cursor reaches a bucket, a clean one is already in (when, seq) order
+  // and runs as it is; a dirty one is merged or sorted ONCE. Every
+  // same-timestamp batch is then a run off the head — O(1) per event,
+  // already in sequence order, no matter how deep the bucket is.
   std::array<std::vector<Item>, kBuckets> wheel_;
-  // Occupancy ("has events") and dirty ("needs re-sort") bitmaps, word-
+  // Occupancy ("has events") and dirty ("out of order") bitmaps, word-
   // interleaved so an insert updates both with one cache line touched.
   struct OccWord {
     std::uint64_t occ = 0;
@@ -304,14 +324,16 @@ class Simulator {
   // countr_zero calls instead of a scan over up to 65 words.
   static_assert(kOccWords == 64, "occ_summary_ assumes a 64-word wheel");
   std::uint64_t occ_summary_ = 0;
-  // The cursor bucket's events, sorted descending by (when, seq) — handed
-  // over from the bucket vector by swap, executed straight off the tail.
-  // Private to the engine: user code can never reach it (same-time
-  // schedules go to the FIFO, same-block ones to the bucket vector), so
-  // events are invoked in place with no relocation into scratch. Non-empty
-  // only for the cursor's block; the cursor never advances past a block
-  // whose drain still has content.
+  // The cursor bucket's events in (when, seq) order — handed over from the
+  // bucket vector by swap, executed in place from drain_head_. Each event's
+  // closure is destroyed right after it runs; the vector is cleared once
+  // the head reaches its end. Private to the engine: user code can never
+  // reach it (same-time schedules go to the FIFO, same-block ones to the
+  // bucket vector), so events are invoked in place with no relocation into
+  // scratch. Non-empty only for the cursor's block; the cursor never
+  // advances past a block whose drain still has content.
   std::vector<Item> drain_;
+  std::size_t drain_head_ = 0;
   // Far-future tier: min-heap on (when, seq). A heap (not a sorted vector)
   // because promotion interleaves with insertion — peeking the minimum must
   // stay O(1) no matter how many far timeouts pile up between advances.
@@ -327,5 +349,9 @@ class Simulator {
   std::vector<std::shared_ptr<ProcessHandle::State>> live_states_;
   Logger log_;
 };
+
+inline void Delay::await_suspend(std::coroutine_handle<> h) const {
+  sim->schedule_resume(d, h);
+}
 
 }  // namespace gputn::sim

@@ -22,7 +22,6 @@ struct Workspace {
         config(cfg) {
     elems = cfg.bytes / sizeof(float);
     chunk_elems = elems / cfg.chunks;
-    if (chunk_elems == 0) throw std::invalid_argument("too many chunks");
     for (int n = 0; n < cfg.nodes; ++n) {
       vec.push_back(cluster.node(n).memory().alloc(cfg.bytes));
       std::vector<mem::Addr> f;
@@ -149,6 +148,11 @@ sim::Task<> gputn_node(Workspace& w, int id, bool nic_chain) {
 BroadcastResult run_broadcast(const BroadcastConfig& cfg,
                               const cluster::SystemConfig& sys) {
   if (cfg.nodes < 2) throw std::invalid_argument("broadcast needs >= 2 nodes");
+  // Every chunk needs at least one element. Checked before the cluster is
+  // built, so an impossible split fails at once, whatever the fabric.
+  if (cfg.bytes / sizeof(float) / cfg.chunks == 0) {
+    throw std::invalid_argument("too many chunks");
+  }
   cluster::SystemConfig adjusted = sys;
   adjusted.dram_bytes = cfg.bytes + (4u << 20);
   if (cfg.chunks > adjusted.triggered.table.associative_entries) {

@@ -39,7 +39,8 @@ inline const char* broadcast_drive_name(BroadcastDrive d) {
 }
 
 /// Nodes/trace come from RunOptions (default 8); the drive enum replaces
-/// the strategy field for this workload (RunOptions::strategy is unused).
+/// the strategy field for this workload (RunOptions::strategy is unused,
+/// and the CLI refuses --strategy).
 struct BroadcastConfig : RunOptions {
   BroadcastConfig() { nodes = 8; }
   BroadcastDrive drive = BroadcastDrive::kGpuTn;

@@ -109,15 +109,12 @@ BroadcastDrive parse_drive(const std::string& s) {
 }
 
 /// Copy the shared options into a workload config; opts.nodes == 0 keeps
-/// the workload's own default node count.
+/// the workload's own default node count. --strategy is not among them:
+/// a workload that takes it reads it with read_strategy, so the one that
+/// does not (broadcast) refuses it.
 template <typename Cfg>
-Cfg make_config(const RunOptions& opts, const WorkloadParams& p) {
+Cfg make_config(const RunOptions& opts) {
   Cfg cfg;
-  if (p.has("strategy")) {
-    cfg.strategy = parse_strategy(p.get("strategy", ""));
-  } else {
-    cfg.strategy = opts.strategy;
-  }
   if (opts.nodes != 0) cfg.nodes = opts.nodes;
   cfg.trace = opts.trace;
   cfg.timeseries = opts.timeseries;
@@ -126,10 +123,16 @@ Cfg make_config(const RunOptions& opts, const WorkloadParams& p) {
   return cfg;
 }
 
+Strategy read_strategy(const RunOptions& opts, const WorkloadParams& p) {
+  return p.has("strategy") ? parse_strategy(p.get("strategy", ""))
+                           : opts.strategy;
+}
+
 ResultBase run_microbench_entry(const RunOptions& opts,
                                 const WorkloadParams& p,
                                 const cluster::SystemConfig& sys) {
-  MicrobenchConfig cfg = make_config<MicrobenchConfig>(opts, p);
+  MicrobenchConfig cfg = make_config<MicrobenchConfig>(opts);
+  cfg.strategy = read_strategy(opts, p);
   if (cfg.nodes != 2) {
     throw std::invalid_argument("microbench always pairs 2 nodes");
   }
@@ -150,7 +153,8 @@ ResultBase run_microbench_entry(const RunOptions& opts,
 
 ResultBase run_jacobi_entry(const RunOptions& opts, const WorkloadParams& p,
                             const cluster::SystemConfig& sys) {
-  JacobiConfig cfg = make_config<JacobiConfig>(opts, p);
+  JacobiConfig cfg = make_config<JacobiConfig>(opts);
+  cfg.strategy = read_strategy(opts, p);
   if (cfg.nodes != 4) {
     throw std::invalid_argument("jacobi is a fixed 2x2 decomposition: 4 nodes");
   }
@@ -168,7 +172,8 @@ ResultBase run_jacobi_entry(const RunOptions& opts, const WorkloadParams& p,
 
 ResultBase run_allreduce_entry(const RunOptions& opts, const WorkloadParams& p,
                                const cluster::SystemConfig& sys) {
-  AllreduceConfig cfg = make_config<AllreduceConfig>(opts, p);
+  AllreduceConfig cfg = make_config<AllreduceConfig>(opts);
+  cfg.strategy = read_strategy(opts, p);
   if (cfg.nodes < 2) {
     throw std::invalid_argument("allreduce needs at least 2 ranks");
   }
@@ -188,7 +193,7 @@ ResultBase run_allreduce_entry(const RunOptions& opts, const WorkloadParams& p,
 
 ResultBase run_broadcast_entry(const RunOptions& opts, const WorkloadParams& p,
                                const cluster::SystemConfig& sys) {
-  BroadcastConfig cfg = make_config<BroadcastConfig>(opts, p);
+  BroadcastConfig cfg = make_config<BroadcastConfig>(opts);
   if (cfg.nodes < 2) {
     throw std::invalid_argument("broadcast needs at least 2 nodes");
   }
@@ -204,7 +209,8 @@ ResultBase run_broadcast_entry(const RunOptions& opts, const WorkloadParams& p,
 
 ResultBase run_serve_entry(const RunOptions& opts, const WorkloadParams& p,
                            const cluster::SystemConfig& sys) {
-  serve::ServeConfig cfg = make_config<serve::ServeConfig>(opts, p);
+  serve::ServeConfig cfg = make_config<serve::ServeConfig>(opts);
+  cfg.strategy = read_strategy(opts, p);
   cfg.clients = static_cast<int>(p.get_int("clients", cfg.clients, 1, 64));
   cfg.servers = static_cast<int>(p.get_int("servers", cfg.servers, 1, 64));
   cfg.tenants = static_cast<int>(p.get_int("tenants", cfg.tenants, 1, 256));

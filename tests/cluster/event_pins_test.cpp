@@ -3,13 +3,16 @@
 // pushes, a push during service, two pushes in one tick, slot contention,
 // zero delays) and pins the exact ticks and Simulator::executed_events().
 // The numbers are those of the coroutine pump each unit replaced, so they
-// hold only if every unit emits its old event sequence.
+// hold only if every unit emits its old event sequence. The GPU and CPU
+// leaf-op pins hold the numbers of the coroutine ops the awaiters replaced.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/triggered.hpp"
+#include "cpu/cpu.hpp"
 #include "gpu/gpu.hpp"
 #include "mem/memory.hpp"
 #include "net/fabric.hpp"
@@ -235,6 +238,131 @@ TEST(EventPin, GpuWorkGroupSlots) {
   EXPECT_EQ(sim.now(), 6000000);
   EXPECT_EQ(sim.executed_events(), 17u);
   sim.reap_processes();
+}
+
+/// The tick a leaf op completes at and executed_events() after its run.
+using Done = std::pair<sim::Tick, std::uint64_t>;
+
+/// Runs the leaf op `make()` returns in a process of its own, to the end of
+/// the queue: one event for its delay (none when it completes inline) and
+/// one that reclaims the process.
+template <typename MakeOp>
+Done run_op(sim::Simulator& sim, MakeOp make) {
+  sim.spawn([](MakeOp m) -> sim::Task<> { co_await m(); }(std::move(make)),
+            "op");
+  sim.run();
+  return {sim.now(), sim.executed_events()};
+}
+
+/// Records the tick and value of each store to its MMIO window.
+struct MmioLog : mem::MmioHandler {
+  explicit MmioLog(sim::Simulator& s) : sim(&s) {}
+  void on_mmio_store(mem::Addr, std::uint64_t value) override {
+    stores.emplace_back(sim->now(), value);
+  }
+  sim::Simulator* sim;
+  std::vector<std::pair<sim::Tick, std::uint64_t>> stores;
+};
+
+TEST(EventPin, GpuLeafOps) {
+  sim::Simulator sim;
+  mem::Memory memory(1 << 22);
+  gpu::Gpu gpu(sim, memory, gpu_config());
+  gpu::WorkGroupCtx ctx(gpu, 0, 1, 64);
+  MmioLog log(sim);
+  mem::Addr doorbell = memory.map_mmio(8, &log);
+  mem::Addr word = memory.alloc(8);
+  std::vector<Done> done;
+  done.push_back(run_op(sim, [&] { return ctx.compute(ns(100)); }));
+  done.push_back(run_op(sim, [&] { return ctx.compute(0); }));  // inline
+  done.push_back(run_op(sim, [&] { return ctx.compute_flops(12800.0); }));
+  done.push_back(run_op(sim, [&] { return ctx.compute_mem(4096); }));
+  done.push_back(run_op(sim, [&] { return ctx.compute_mem(0); }));  // inline
+  done.push_back(run_op(sim, [&] { return ctx.barrier(); }));
+  done.push_back(run_op(sim, [&] { return ctx.diverged(3, ns(10)); }));
+  done.push_back(run_op(sim, [&] { return ctx.diverged(0, ns(10)); }));
+
+  // The fence clears the hazard state when it completes, not before.
+  ctx.mark_dirty();
+  bool dirty_during_fence = false;
+  sim.schedule_in(1, [&] { dirty_during_fence = ctx.has_unfenced_writes(); });
+  done.push_back(run_op(sim, [&] { return ctx.fence_system(); }));
+  EXPECT_TRUE(dirty_during_fence);
+  EXPECT_FALSE(ctx.has_unfenced_writes());
+
+  // A DRAM store lands when its latency has passed, not before.
+  std::uint64_t before_landing = 1;
+  sim.schedule_in(ns(80) - 1,
+                  [&] { before_landing = memory.load<std::uint64_t>(word); });
+  done.push_back(run_op(sim, [&] { return ctx.store_system(word, 7); }));
+  EXPECT_EQ(before_landing, 0u);
+  EXPECT_EQ(memory.load<std::uint64_t>(word), 7u);
+
+  // A trigger store with unfenced writes counts its hazard at the call;
+  // the MMIO store lands at the end of its delay.
+  ctx.mark_dirty();
+  std::uint64_t hazards_during_store = 0;
+  sim.schedule_in(1, [&] { hazards_during_store = gpu.memory_model_hazards(); });
+  done.push_back(run_op(sim, [&] { return ctx.store_system(doorbell, 9); }));
+  EXPECT_EQ(hazards_during_store, 1u);
+  EXPECT_EQ(gpu.memory_model_hazards(), 1u);
+  EXPECT_EQ(log.stores,
+            (std::vector<std::pair<sim::Tick, std::uint64_t>>{{776102, 9}}));
+
+  EXPECT_EQ(done, (std::vector<Done>{{100000, 2},
+                                     {100000, 3},
+                                     {200000, 5},
+                                     {486102, 7},
+                                     {486102, 8},
+                                     {516102, 10},
+                                     {546102, 12},
+                                     {556102, 14},
+                                     {616102, 17},
+                                     {696102, 20},
+                                     {776102, 23}}));
+}
+
+TEST(EventPin, CpuLeafOps) {
+  sim::Simulator sim;
+  mem::Memory memory(1 << 22);
+  cpu::Cpu cpu(sim, memory, cpu::CpuConfig{});
+  const obs::BusyTracker& util = cpu.util();
+  std::vector<Done> done;
+  /// The ledger after each op: busy unit-picoseconds and ops.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ledger;
+  auto step = [&](auto make) {
+    done.push_back(run_op(sim, make));
+    ledger.emplace_back(util.busy_ps(sim.now()), util.ops());
+  };
+  step([&] { return cpu.compute(ns(100)); });
+  step([&] { return cpu.compute(0); });  // inline: acquires and releases
+  step([&] { return cpu.compute_flops_serial(6400.0); });
+  // The parallel phase holds every core while it runs.
+  int in_use_during = 0;
+  sim.schedule_in(1, [&] { in_use_during = util.in_use(); });
+  step([&] { return cpu.compute_parallel(1e6, 1 << 20); });
+  EXPECT_EQ(in_use_during, cpu.config().cores);
+  step([&] { return cpu.compute_parallel(0.0, 0); });  // inline, all cores
+  step([&] { return cpu.staging_copy(1 << 20); });
+  step([&] { return cpu.staging_copy(0); });  // inline
+  EXPECT_EQ(util.in_use(), 0);
+  EXPECT_EQ(util.in_use_max(), cpu.config().cores);
+
+  EXPECT_EQ(done, (std::vector<Done>{{100000, 2},
+                                     {100000, 3},
+                                     {200000, 5},
+                                     {2641406, 8},
+                                     {2641406, 9},
+                                     {5082812, 11},
+                                     {5082812, 12}}));
+  EXPECT_EQ(ledger, (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                        {100000, 1},
+                        {100000, 2},
+                        {200000, 3},
+                        {19731248, 11},
+                        {19731248, 19},
+                        {22172654, 20},
+                        {22172654, 21}}));
 }
 
 }  // namespace

@@ -20,7 +20,11 @@ TEST(Cpu, SerialFlopsMatchSingleCoreRate) {
   cfg.clock_ghz = 4.0;
   cfg.flops_per_core_per_cycle = 16.0;  // 64 flops/ns single core
   Rig r(cfg);
-  r.sim.spawn(r.cpu.compute_flops_serial(64000.0), "serial");
+  r.sim.spawn(
+      [](Cpu& cpu) -> sim::Task<> {
+        co_await cpu.compute_flops_serial(64000.0);
+      }(r.cpu),
+      "serial");
   r.sim.run();
   EXPECT_EQ(r.sim.now(), sim::us(1));
 }

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -184,12 +185,45 @@ TEST(EventQueue, RunUntilStopsBetweenEqualTimestampBatches) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
+TEST(EventQueue, ThrowingEventLeavesTheRestOfItsBatchRunnable) {
+  // An event that throws counts as consumed. The rest of its batch stays
+  // runnable, in sequence order and ahead of what the batch scheduled at
+  // its own tick, and so does a later event of the same wheel block.
+  Simulator sim;
+  std::vector<int> order;
+  const Tick t = ns(10);
+  sim.schedule_at(t, [&] {
+    order.push_back(0);
+    sim.schedule_at(t, [&] { order.push_back(4); });
+  });
+  sim.schedule_at(t, [&] {
+    order.push_back(1);
+    throw std::runtime_error("event failed");
+  });
+  sim.schedule_at(t, [&] { order.push_back(2); });
+  sim.schedule_at(t, [&] { order.push_back(3); });
+  sim.schedule_at(t + 1, [&] { order.push_back(5); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.pending_events(), 4u);
+  EXPECT_EQ(sim.next_pending_time(), t);
+  EXPECT_EQ(sim.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(sim.now(), t + 1);
+}
+
 // Reference model: the engine contract in its simplest possible form — a
 // stable sort of (when, seq). Deliberately has none of the engine's
 // structure (no wheel, no tiers), so structural bugs cannot cancel out.
+// A reservation (Simulator::reserve_order) takes a seq and schedules
+// nothing; an event in its place records the reserved seq.
 class ReferenceQueue {
  public:
-  void schedule(Tick when, int id) { items_.push_back({when, seq_++, id}); }
+  void schedule(Tick when, int id) { schedule_at_seq(when, reserve(), id); }
+  std::uint64_t reserve() { return seq_++; }
+  void schedule_at_seq(Tick when, std::uint64_t seq, int id) {
+    items_.push_back({when, seq, id});
+  }
   std::vector<int> drain() {
     std::stable_sort(items_.begin(), items_.end(),
                      [](const Rec& a, const Rec& b) {
@@ -228,6 +262,12 @@ std::vector<int> run_randomized(std::uint64_t seed) {
   // A delay mix chosen to hit every tier: zero-delay (FIFO), clustered
   // short delays (wheel, with frequent equal timestamps thanks to the
   // coarse quantization), and occasional far jumps (overflow + promotion).
+  // Some events reserve a place, as a spin-wait does when it begins, and
+  // later ones schedule into reserved places (a spin-wait's reads) at a
+  // future tick or, while the place is yet to run, at the current one: an
+  // old seq lands behind newer items of its bucket, so buckets go out of
+  // order as one or several runs. The run stops at random limits, and
+  // events are scheduled between the stops too.
   Simulator sim;
   ReferenceQueue ref;
   std::vector<int> order;
@@ -236,12 +276,29 @@ std::vector<int> run_randomized(std::uint64_t seed) {
 
   constexpr int kInitial = 64;
   constexpr int kTotal = 5000;
+  /// A reserved place, and the tick of its latest event: a place takes
+  /// at most one event per tick, so (when, seq) keys stay unique.
+  struct Place {
+    Simulator::ReadOrder order;
+    Tick last = -1;
+  };
+  std::vector<Place> places;
   struct Driver {
     Simulator* sim;
     ReferenceQueue* ref;
     std::vector<int>* order;
     SplitMix* rng;
     int* next_id;
+    std::vector<Place>* places;
+    Tick delay() const {
+      switch (rng->next() % 8) {
+        case 0: return 0;                                      // FIFO
+        case 1: return static_cast<Tick>(rng->next() % 128);
+        case 7: return us(1) + static_cast<Tick>(rng->next() % ns(100));
+                                                               // overflow
+        default: return static_cast<Tick>(rng->next() % ns(100));
+      }
+    }
     void fire(int id) const {
       order->push_back(id);
       if (*next_id >= kTotal) return;
@@ -249,29 +306,60 @@ std::vector<int> run_randomized(std::uint64_t seed) {
       // set grows and shrinks and equal timestamps occur naturally.
       int n = 1 + static_cast<int>(rng->next() % 2);
       for (int i = 0; i < n && *next_id < kTotal; ++i) {
-        Tick d;
-        switch (rng->next() % 8) {
-          case 0: d = 0; break;                                  // FIFO
-          case 1: d = static_cast<Tick>(rng->next() % 128); break;
-          case 7: d = us(1) + static_cast<Tick>(rng->next() % ns(100));
-                  break;                                         // overflow
-          default: d = static_cast<Tick>(rng->next() % ns(100)); break;
+        // One successor in eight first reserves a place; three in eight
+        // take a reserved place when one is open.
+        std::uint64_t kind = rng->next() % 8;
+        if (kind == 0) {
+          Place p;
+          sim->reserve_order(p.order);
+          EXPECT_EQ(p.order.seq, ref->reserve());
+          places->push_back(p);
         }
         int id2 = (*next_id)++;
         Driver self = *this;
-        sim->schedule_in(d, [self, id2] { self.fire(id2); });
-        ref->schedule(sim->now() + d, id2);
+        if (kind <= 2 && !places->empty()) {
+          std::size_t k = rng->next() % places->size();
+          Place& p = (*places)[k];
+          Tick now = sim->now();
+          Tick when = now;
+          // The current tick only for a place reserved at an earlier one,
+          // as a spin-wait's first read comes a period after its start.
+          if (p.last >= now || p.order.t0 >= now ||
+              !sim->yet_to_run(p.order) || rng->next() % 2 == 0) {
+            when = std::max(now, p.last) + 1 + delay();
+          }
+          p.last = when;
+          sim->schedule_ordered(when, p.order, [self, id2] { self.fire(id2); });
+          ref->schedule_at_seq(when, p.order.seq, id2);
+          // A wait ends after some reads.
+          if (rng->next() % 4 == 0) {
+            (*places)[k] = places->back();
+            places->pop_back();
+          }
+        } else {
+          Tick d = delay();
+          sim->schedule_in(d, [self, id2] { self.fire(id2); });
+          ref->schedule(sim->now() + d, id2);
+        }
       }
     }
   };
-  Driver drv{&sim, &ref, &order, &rng, &next_id};
+  Driver drv{&sim, &ref, &order, &rng, &next_id, &places};
   for (int i = 0; i < kInitial; ++i) {
     Tick at = static_cast<Tick>(rng.next() % ns(50));
     int id = next_id++;
     sim.schedule_at(at, [drv, id] { drv.fire(id); });
     ref.schedule(at, id);
   }
-  sim.run();
+  while (sim.pending_events() > 0) {
+    sim.run_until(sim.now() + static_cast<Tick>(rng.next() % ns(200)));
+    if (next_id < kTotal && rng.next() % 2 == 0) {
+      Tick at = sim.now() + static_cast<Tick>(rng.next() % ns(100));
+      int id = next_id++;
+      sim.schedule_at(at, [drv, id] { drv.fire(id); });
+      ref.schedule(at, id);
+    }
+  }
   EXPECT_EQ(order.size(), static_cast<std::size_t>(kTotal));
   // The reference model cannot replay mid-run scheduling, but it recorded
   // every (when, seq) as the run produced it — its stable sort is the

@@ -93,5 +93,22 @@ TEST(Broadcast, RejectsBadConfigs) {
   EXPECT_THROW(run_broadcast(cfg), std::invalid_argument);
 }
 
+TEST(Broadcast, RejectsTooManyChunksBeforeBuilding) {
+  // A topology make_topology does not know: a run that got as far as
+  // building its cluster would throw on that instead.
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
+  sys.fabric.topology = "no-such-topology";
+  BroadcastConfig cfg;
+  cfg.nodes = 4;
+  cfg.bytes = 16;
+  cfg.chunks = 8;
+  try {
+    run_broadcast(cfg, sys);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "too many chunks");
+  }
+}
+
 }  // namespace
 }  // namespace gputn::workloads

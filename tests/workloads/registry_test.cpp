@@ -47,8 +47,7 @@ const std::vector<Case>& cases() {
        {{"strategy", "GPU-TN"}, {"mb", "0.0625"}, {"offload", ""}},
        "offlaod"},
       {"broadcast",
-       {{"strategy", "GPU-TN"}, {"drive", "HDN"}, {"mb", "0.0625"},
-        {"chunks", "4"}},
+       {{"drive", "HDN"}, {"mb", "0.0625"}, {"chunks", "4"}},
        "chunk"},
       {"serve",
        {{"strategy", "CPU"}, {"clients", "2"}, {"servers", "1"},
@@ -104,6 +103,19 @@ TEST(Registry, UnknownOptionsFailBeforeTheClusterIsBuilt) {
         EXPECT_EQ(e.what(), want);
       }
     }
+  }
+}
+
+TEST(Registry, BroadcastRefusesStrategyBeforeTheClusterIsBuilt) {
+  // broadcast's --drive picks what runs; a --strategy would be ignored.
+  cluster::SystemConfig sys = cluster::SystemConfig::table2();
+  sys.fabric.topology = "no-such-topology";
+  try {
+    reg().find("broadcast")->run(
+        quiet(), params({{"strategy", "GPU-TN"}, {"mb", "0.0625"}}), sys);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown option --strategy for broadcast");
   }
 }
 
