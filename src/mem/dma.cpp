@@ -44,16 +44,17 @@ void DmaEngine::complete() {
   // The functional move happens at completion time, through write() so a
   // transfer that lands on a polled flag wakes its spin-waits. Sources are
   // read through a const view, which a parked word does not refuse.
+  const Memory& from = *mem_;
   switch (t.kind) {
-    case Transfer::Kind::kCopy: {
-      const Memory& from = *mem_;
+    case Transfer::Kind::kCopy:
       mem_->write(t.dst, from.bytes(t.src, t.n).data(), t.n);
       break;
-    }
-    case Transfer::Kind::kRead:
-      t.into->resize(t.n);
-      mem_->read(t.src, t.into->data(), t.n);
+    case Transfer::Kind::kRead: {
+      // One copy: assign does not zero-fill the payload first.
+      auto src = from.bytes(t.src, t.n);
+      t.into->assign(src.begin(), src.end());
       break;
+    }
     case Transfer::Kind::kWrite:
       mem_->write(t.dst, t.from->data(), t.n);
       break;

@@ -369,8 +369,15 @@ WhatifReport run_whatif(const workloads::Registry& reg,
                         const workloads::RunOptions& base_opts,
                         const cluster::SystemConfig& sys,
                         const WhatifOptions& opt) {
-  if (reg.find(workload) == nullptr) {
+  const workloads::WorkloadEntry* entry = reg.find(workload);
+  if (entry == nullptr) {
     throw std::invalid_argument("unknown workload: " + workload);
+  }
+  if (!entry->takes_strategy) {
+    // Every strategy would run the same thing: refuse before any run.
+    throw std::invalid_argument("whatif compares strategies, and " +
+                                workload + " takes none (it takes " +
+                                entry->options_help + ")");
   }
   if (params.has("strategy")) {
     throw std::invalid_argument(

@@ -140,7 +140,11 @@ void Simulator::insert_into_wheel(Item&& item) {
   std::uint64_t bit = std::uint64_t{1} << (idx & 63);
   // A reserved seq (schedule_ordered) or a promoted item can be older than
   // the bucket's last item, so compare the full (when, seq) key.
-  if (!bucket.empty() && before(item, bucket.back())) w.dirty |= bit;
+  if (bucket.empty()) {
+    take_spare(bucket);
+  } else if (before(item, bucket.back())) {
+    w.dirty |= bit;
+  }
   bucket.push_back(std::move(item));
   w.occ |= bit;
   occ_summary_ |= std::uint64_t{1} << (idx >> 6);
@@ -258,9 +262,8 @@ inline bool Simulator::prepare_batch(std::uint64_t blk, Tick limit) {
     bool out_of_order = (w.dirty & bit) != 0;
     w.dirty &= ~bit;
     if (drain_.empty()) {
-      // O(1) hand-off: the whole bucket becomes the drain; the bucket
-      // inherits drain_'s old (empty) storage, so vector capacities
-      // circulate through the wheel and steady state never allocates.
+      // O(1) hand-off: the whole bucket becomes the drain, and drain_'s
+      // old (cleared) storage goes onto the spare stack.
       drain_.swap(bucket);
     } else {
       // Rare: new events landed in this block after it was swapped out
@@ -273,6 +276,7 @@ inline bool Simulator::prepare_batch(std::uint64_t blk, Tick limit) {
       bucket.clear();
       out_of_order = true;
     }
+    give_back(bucket);
     if (out_of_order) [[unlikely]] order_drain();
   }
   // drain_ is in (when, seq) order from its head: the head is the earliest

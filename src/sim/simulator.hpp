@@ -108,7 +108,11 @@ class Simulator {
       std::uint64_t bit = std::uint64_t{1} << (idx & 63);
       // A fresh seq is the largest yet, so only a later `when` already in
       // the bucket can put this insert out of order.
-      if (!bucket.empty() && when < bucket.back().when) w.dirty |= bit;
+      if (bucket.empty()) {
+        take_spare(bucket);
+      } else if (when < bucket.back().when) {
+        w.dirty |= bit;
+      }
       bucket.emplace_back(when, next_seq_ - 1, std::forward<F>(fn));
       w.occ |= bit;
       occ_summary_ |= std::uint64_t{1} << (idx >> 6);
@@ -283,6 +287,19 @@ class Simulator {
   /// every cur_blk_ increase so no overflow item is ever behind the cursor.
   void promote_overflow();
   void insert_into_wheel(Item&& item);
+  /// An empty bucket holds no storage: before its first insert it takes
+  /// the top of spare_, if any, and otherwise grows its own.
+  void take_spare(std::vector<Item>& bucket) {
+    if (spare_.empty()) return;
+    bucket.swap(spare_.back());
+    spare_.pop_back();
+  }
+  /// Moves an emptied vector's storage onto spare_, leaving it none.
+  void give_back(std::vector<Item>& v) {
+    if (v.capacity() == 0) return;
+    spare_.emplace_back();
+    spare_.back().swap(v);
+  }
 
   void finish_process(std::shared_ptr<ProcessHandle::State> state);
 
@@ -310,8 +327,14 @@ class Simulator {
   // cursor reaches a bucket, a clean one is already in (when, seq) order
   // and runs as it is; a dirty one is merged or sorted ONCE. Every
   // same-timestamp batch is then a run off the head — O(1) per event,
-  // already in sequence order, no matter how deep the bucket is.
+  // already in sequence order, no matter how deep the bucket is. A bucket
+  // holds storage only while it holds events (take_spare / give_back).
   std::array<std::vector<Item>, kBuckets> wheel_;
+  // Storage given up by drains, handed to the next empty bucket that takes
+  // an event. The spares, the occupied buckets and drain_ hold all of the
+  // calendar's storage: at most (peak occupied buckets + 1) vectors, and a
+  // steady state allocates nothing.
+  std::vector<std::vector<Item>> spare_;
   // Occupancy ("has events") and dirty ("out of order") bitmaps, word-
   // interleaved so an insert updates both with one cache line touched.
   struct OccWord {

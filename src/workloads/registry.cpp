@@ -255,7 +255,7 @@ void register_builtin_workloads(Registry& reg) {
            run_allreduce_entry});
   reg.add({"broadcast", "pipelined ring broadcast / NIC trigger chains",
            "--drive HDN|GPU-TN|NIC-chain --nodes <n> --mb <size> --chunks <c>",
-           run_broadcast_entry});
+           run_broadcast_entry, /*takes_strategy=*/false});
   reg.add({"serve",
            "Zipf-skewed multi-tenant KV serving with tail-latency SLOs",
            "--strategy CPU|GPU-TN --clients <n> --servers <m> --tenants <t> "

@@ -72,6 +72,10 @@ struct WorkloadEntry {
   std::string description;   ///< one-liner for the usage text
   std::string options_help;  ///< workload-specific flags for the usage text
   WorkloadRunner run;
+  /// False for a workload whose runner never reads RunOptions::strategy
+  /// (broadcast picks what runs with --drive), so that a driver varying
+  /// the strategy can refuse it.
+  bool takes_strategy = true;
 };
 
 /// Name -> runner table. Entries keep registration order for usage text.

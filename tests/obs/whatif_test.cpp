@@ -216,5 +216,21 @@ TEST(Whatif, MalformedAndInvalidInputsThrow) {
                std::invalid_argument);
 }
 
+TEST(Whatif, RefusesWorkloadThatTakesNoStrategy) {
+  // broadcast picks what runs with --drive: every strategy section would
+  // be the same run, so the profiler refuses it before running anything.
+  WhatifOptions opt;
+  workloads::RunOptions run;
+  run.nodes = 4;
+  try {
+    run_whatif(reg(), "broadcast", workloads::WorkloadParams{}, run,
+               cluster::SystemConfig::table2(), opt);
+    ADD_FAILURE() << "whatif ran broadcast";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--drive"), std::string::npos)
+        << e.what();
+  }
+}
+
 }  // namespace
 }  // namespace gputn::obs

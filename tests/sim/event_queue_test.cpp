@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/max_rss.hpp"
 #include "sim/units.hpp"
 
 namespace gputn::sim {
@@ -210,6 +211,34 @@ TEST(EventQueue, ThrowingEventLeavesTheRestOfItsBatchRunnable) {
   EXPECT_EQ(sim.run(), 4u);
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(sim.now(), t + 1);
+}
+
+TEST(EventQueue, DrainedBucketsKeepNoStorage) {
+  // A 256-event burst per 128 ps block, for a wheel lap of 4096 blocks plus
+  // 8; the last event of each burst schedules the next. At most two buckets
+  // hold events at once, so the wheel needs storage for two bursts. Drained
+  // buckets that kept theirs would hold ~64 MiB by the end of the lap.
+  constexpr int kBurst = 256;
+  constexpr int kBlocks = 4096 + 8;
+  struct Bursts {
+    Simulator sim;
+    int block = 0;
+    std::uint64_t ran = 0;
+    void schedule() {
+      const Tick t = Tick{++block} * 128;
+      for (int i = 1; i < kBurst; ++i) sim.schedule_at(t, [this] { ++ran; });
+      sim.schedule_at(t, [this] {
+        ++ran;
+        if (block < kBlocks) schedule();
+      });
+    }
+  };
+  const long before = test::max_rss_kb();
+  Bursts b;
+  b.schedule();
+  b.sim.run();
+  EXPECT_EQ(b.ran, std::uint64_t{kBurst} * kBlocks);
+  EXPECT_LT(test::max_rss_kb() - before, 16 * 1024);
 }
 
 // Reference model: the engine contract in its simplest possible form — a
