@@ -37,10 +37,10 @@ void TriggeredNic::register_op(Tag tag, std::uint64_t threshold,
                                std::optional<nic::Command> cmd,
                                std::vector<Tag> chain) {
   std::vector<nic::Command> ready;
-  table_.register_op(TriggeredOp{tag, threshold, std::move(cmd),
-                                 /*fired=*/false, /*sequence=*/0,
-                                 std::move(chain)},
-                     ready);
+  table_.register_op(
+      TriggeredOp{tag, threshold, std::move(cmd), /*fired=*/false,
+                  std::move(chain)},
+      ready);
   if (!ready.empty()) {
     log_.debug("tag %llu registered with threshold already met; firing",
                static_cast<unsigned long long>(tag));

@@ -26,8 +26,8 @@ TEST(TriggerChains, FiringIncrementsChainedCounter) {
   TriggerTable t(TriggerTableConfig{});
   std::vector<nic::Command> fired;
   // Op A on tag 1 chains to tag 2; op B on tag 2 fires a put.
-  t.register_op(TriggeredOp{1, 1, std::nullopt, false, 0, {2}}, fired);
-  t.register_op(TriggeredOp{2, 1, dummy_put(), false, 0, {}}, fired);
+  t.register_op(TriggeredOp{1, 1, std::nullopt, false, {2}}, fired);
+  t.register_op(TriggeredOp{2, 1, dummy_put(), false, {}}, fired);
   auto r = t.find_or_create(1);
   int hops = 0;
   t.increment(*r.counter, fired, &hops);
@@ -39,10 +39,10 @@ TEST(TriggerChains, MultiHopCascade) {
   TriggerTable t(TriggerTableConfig{});
   std::vector<nic::Command> fired;
   // 1 -> 2 -> 3 -> 4(put)
-  t.register_op(TriggeredOp{1, 1, std::nullopt, false, 0, {2}}, fired);
-  t.register_op(TriggeredOp{2, 1, std::nullopt, false, 0, {3}}, fired);
-  t.register_op(TriggeredOp{3, 1, std::nullopt, false, 0, {4}}, fired);
-  t.register_op(TriggeredOp{4, 1, dummy_put(), false, 0, {}}, fired);
+  t.register_op(TriggeredOp{1, 1, std::nullopt, false, {2}}, fired);
+  t.register_op(TriggeredOp{2, 1, std::nullopt, false, {3}}, fired);
+  t.register_op(TriggeredOp{3, 1, std::nullopt, false, {4}}, fired);
+  t.register_op(TriggeredOp{4, 1, dummy_put(), false, {}}, fired);
   auto r = t.find_or_create(1);
   int hops = 0;
   t.increment(*r.counter, fired, &hops);
@@ -55,9 +55,9 @@ TEST(TriggerChains, ChainIntoThresholdAccumulates) {
   // a hardware AND-gate (both events must occur).
   TriggerTable t(TriggerTableConfig{});
   std::vector<nic::Command> fired;
-  t.register_op(TriggeredOp{1, 1, std::nullopt, false, 0, {10}}, fired);
-  t.register_op(TriggeredOp{2, 1, std::nullopt, false, 0, {10}}, fired);
-  t.register_op(TriggeredOp{10, 2, dummy_put(), false, 0, {}}, fired);
+  t.register_op(TriggeredOp{1, 1, std::nullopt, false, {10}}, fired);
+  t.register_op(TriggeredOp{2, 1, std::nullopt, false, {10}}, fired);
+  t.register_op(TriggeredOp{10, 2, dummy_put(), false, {}}, fired);
   auto r1 = t.find_or_create(1);
   t.increment(*r1.counter, fired);
   EXPECT_TRUE(fired.empty()) << "AND gate must wait for both inputs";
@@ -69,8 +69,8 @@ TEST(TriggerChains, ChainIntoThresholdAccumulates) {
 TEST(TriggerChains, CommandAndChainFireTogether) {
   TriggerTable t(TriggerTableConfig{});
   std::vector<nic::Command> fired;
-  t.register_op(TriggeredOp{1, 1, dummy_put(7), false, 0, {2}}, fired);
-  t.register_op(TriggeredOp{2, 1, dummy_put(8), false, 0, {}}, fired);
+  t.register_op(TriggeredOp{1, 1, dummy_put(7), false, {2}}, fired);
+  t.register_op(TriggeredOp{2, 1, dummy_put(8), false, {}}, fired);
   auto r = t.find_or_create(1);
   t.increment(*r.counter, fired);
   ASSERT_EQ(fired.size(), 2u);
@@ -81,13 +81,13 @@ TEST(TriggerChains, CommandAndChainFireTogether) {
 TEST(TriggerChains, CycleDetected) {
   TriggerTable t(TriggerTableConfig{});
   std::vector<nic::Command> fired;
-  t.register_op(TriggeredOp{1, 1, std::nullopt, false, 0, {2}}, fired);
+  t.register_op(TriggeredOp{1, 1, std::nullopt, false, {2}}, fired);
   // 2 chains back into 1 — but op 1 already fired, so no infinite loop; a
   // genuine cycle needs re-firable ops, modelled here with high thresholds
   // that keep feeding each other. The depth guard must trip.
   for (std::uint64_t th = 2; th < 100; ++th) {
-    t.register_op(TriggeredOp{1, th, std::nullopt, false, 0, {2}}, fired);
-    t.register_op(TriggeredOp{2, th - 1, std::nullopt, false, 0, {1}}, fired);
+    t.register_op(TriggeredOp{1, th, std::nullopt, false, {2}}, fired);
+    t.register_op(TriggeredOp{2, th - 1, std::nullopt, false, {1}}, fired);
   }
   auto r = t.find_or_create(1);
   EXPECT_THROW(
