@@ -65,21 +65,32 @@ net::FaultVerdict LinkFaultInjector::classify(const net::Packet& p) {
 
   if (drop) {
     v.drop = true;
-    ++stats_->counter("fault.drops");
-    ++stats_->counter("fault." + name_ + ".drops");
+    count(drops_, "drops");
     return v;  // a dropped packet is neither corrupted nor delayed
   }
   if (corrupt) {
     v.corrupt = true;
-    ++stats_->counter("fault.corruptions");
-    ++stats_->counter("fault." + name_ + ".corruptions");
+    count(corruptions_, "corruptions");
   }
   if (jitter > 0) {
     v.extra_delay = jitter;
-    ++stats_->counter("fault.delays");
-    stats_->accumulator("fault.jitter_ns").add(sim::to_ns(jitter));
+    if (delays_ == nullptr) {
+      delays_ = &stats_->counter("fault.delays");
+      jitter_ns_ = &stats_->accumulator("fault.jitter_ns");
+    }
+    ++*delays_;
+    jitter_ns_->add(sim::to_ns(jitter));
   }
   return v;
+}
+
+void LinkFaultInjector::count(std::uint64_t* (&handles)[2], const char* what) {
+  if (handles[0] == nullptr) {
+    handles[0] = &stats_->counter(std::string("fault.") + what);
+    handles[1] = &stats_->counter("fault." + name_ + "." + what);
+  }
+  ++*handles[0];
+  ++*handles[1];
 }
 
 FaultModel::FaultModel(FaultConfig config) : config_(std::move(config)) {}

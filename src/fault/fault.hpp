@@ -111,6 +111,17 @@ class LinkFaultInjector final : public net::FaultInjector {
   /// Scripted entries keyed by packet index; multimap allows e.g. a delay
   /// and a corrupt on the same packet.
   std::multimap<std::uint64_t, ScriptedFault> script_;
+  /// Stat handles in *stats_, each looked up on its first use (a stat
+  /// enters the export only once it counts something) and held after, so
+  /// a faulted packet builds no key. drops_ and corruptions_ pair the
+  /// aggregate counter with this link's.
+  std::uint64_t* drops_[2] = {};
+  std::uint64_t* corruptions_[2] = {};
+  std::uint64_t* delays_ = nullptr;
+  sim::Accumulator* jitter_ns_ = nullptr;
+
+  /// Bump `fault.<what>` and `fault.<link>.<what>` through `handles`.
+  void count(std::uint64_t* (&handles)[2], const char* what);
 };
 
 class FaultModel {

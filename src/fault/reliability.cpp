@@ -1,6 +1,7 @@
 #include "fault/reliability.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -16,6 +17,18 @@ ReliabilityLayer::ReliabilityLayer(
       config_(config),
       stats_(&stats),
       deliver_up_(std::move(deliver_up)) {}
+
+std::uint64_t& ReliabilityLayer::counter(Stat stat) {
+  static constexpr const char* kName[] = {
+      "rel.tx_data",     "rel.retransmits",     "rel.acks_tx",
+      "rel.nacks_tx",    "rel.acks_rx",         "rel.nacks_rx",
+      "rel.rx_data",     "rel.corrupt_dropped", "rel.dup_dropped",
+      "rel.reorder_buffered"};
+  static_assert(std::size(kName) == kNumStats);
+  std::uint64_t*& c = counters_[stat];
+  if (c == nullptr) c = &stats_->counter(kName[stat]);
+  return *c;
+}
 
 std::size_t ReliabilityLayer::unacked() const {
   std::size_t n = 0;
@@ -43,7 +56,7 @@ void ReliabilityLayer::send(net::Message&& msg) {
   PeerTx& tx = tx_[peer];
   msg.reliable = true;
   msg.seq = tx.next_seq++;
-  ++stats_->counter("rel.tx_data");
+  ++counter(kTxData);
 
   Outstanding out;
   out.rto = rto_for(msg);
@@ -89,11 +102,14 @@ void ReliabilityLayer::retransmit_head(net::NodeId peer, PeerTx& tx,
         std::to_string(peer) + " exceeded max retries — protocol bug or "
         "pathological fault configuration");
   }
-  ++stats_->counter("rel.retransmits");
+  ++counter(kRetransmits);
   // The window copy is the template for every resend: bumping it here means
   // the copy that finally lands reports how many wire attempts preceded it.
   ++head.msg.retransmits;
-  stats_->accumulator("rel.timeout_us").add(sim::to_us(head.rto));
+  if (timeout_us_ == nullptr) {
+    timeout_us_ = &stats_->accumulator("rel.timeout_us");
+  }
+  timeout_us_->add(sim::to_us(head.rto));
   head.rto = std::min<sim::Tick>(
       static_cast<sim::Tick>(static_cast<double>(head.rto) * config_.backoff),
       config_.max_rto);
@@ -110,7 +126,7 @@ void ReliabilityLayer::retransmit_head(net::NodeId peer, PeerTx& tx,
 
 void ReliabilityLayer::send_ack(net::NodeId dst, net::Ctrl ctrl,
                                 std::uint64_t cumulative) {
-  ++stats_->counter(ctrl == net::Ctrl::kAck ? "rel.acks_tx" : "rel.nacks_tx");
+  ++counter(ctrl == net::Ctrl::kAck ? kAcksTx : kNacksTx);
   net::Message ack;
   ack.src = self_;
   ack.dst = dst;
@@ -120,8 +136,7 @@ void ReliabilityLayer::send_ack(net::NodeId dst, net::Ctrl ctrl,
 }
 
 void ReliabilityLayer::handle_ack(const net::Message& msg) {
-  ++stats_->counter(msg.ctrl == net::Ctrl::kAck ? "rel.acks_rx"
-                                                : "rel.nacks_rx");
+  ++counter(msg.ctrl == net::Ctrl::kAck ? kAcksRx : kNacksRx);
   auto it = tx_.find(msg.src);
   if (it == tx_.end()) return;
   PeerTx& tx = it->second;
@@ -160,7 +175,7 @@ void ReliabilityLayer::on_wire_receive(net::Message&& msg) {
     if (msg.corrupted) {
       // No reliability protocol to recover it: drop, as hardware drops a
       // frame with a bad checksum. The loss is visible in this counter.
-      ++stats_->counter("rel.corrupt_dropped");
+      ++counter(kCorruptDropped);
       fabric_->payload_pool().release(std::move(msg.payload));
       return;
     }
@@ -179,26 +194,26 @@ void ReliabilityLayer::on_wire_receive(net::Message&& msg) {
   if (msg.corrupted) {
     // A corrupted header cannot be trusted, so the NACK requests
     // retransmission from the receive cursor rather than naming msg.seq.
-    ++stats_->counter("rel.corrupt_dropped");
+    ++counter(kCorruptDropped);
     fabric_->payload_pool().release(std::move(msg.payload));
     send_ack(msg.src, net::Ctrl::kNack, rx.expected);
     return;
   }
   if (msg.seq < rx.expected) {
     // Duplicate — our ACK was probably lost; repeat it.
-    ++stats_->counter("rel.dup_dropped");
+    ++counter(kDupDropped);
     fabric_->payload_pool().release(std::move(msg.payload));
     send_ack(msg.src, net::Ctrl::kAck, rx.expected);
     return;
   }
   net::NodeId peer = msg.src;
   if (msg.seq == rx.expected) {
-    ++stats_->counter("rel.rx_data");
+    ++counter(kRxData);
     deliver_in_order(rx, std::move(msg));
   } else {
     // Out of order (jitter reordering or a loss ahead of us): park it.
     // emplace keeps the first copy if a retransmission already landed here.
-    ++stats_->counter("rel.reorder_buffered");
+    ++counter(kReorderBuffered);
     rx.reorder.emplace(msg.seq, std::move(msg));
   }
   send_ack(peer, net::Ctrl::kAck, rx.expected);

@@ -27,6 +27,7 @@
 // this code (verified by tests/fault/reliability_test.cpp).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -118,6 +119,15 @@ class ReliabilityLayer {
   void send_ack(net::NodeId dst, net::Ctrl ctrl, std::uint64_t cumulative);
   void deliver_in_order(PeerRx& rx, net::Message&& msg);
 
+  enum Stat {
+    kTxData, kRetransmits, kAcksTx, kNacksTx, kAcksRx, kNacksRx, kRxData,
+    kCorruptDropped, kDupDropped, kReorderBuffered, kNumStats
+  };
+  /// The rel.* counter `stat`, looked up in *stats_ on its first use (a
+  /// counter enters the export only once it counts something) and held
+  /// after, so an event costs no string lookup.
+  std::uint64_t& counter(Stat stat);
+
   sim::Simulator* sim_;
   net::Fabric* fabric_;
   net::NodeId self_;
@@ -128,6 +138,9 @@ class ReliabilityLayer {
   std::map<net::NodeId, PeerRx> rx_;
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;
+  /// counter()'s handles, and rel.timeout_us's, resolved the same way.
+  std::array<std::uint64_t*, kNumStats> counters_{};
+  sim::Accumulator* timeout_us_ = nullptr;
 };
 
 }  // namespace gputn::fault

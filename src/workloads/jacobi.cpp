@@ -1,5 +1,6 @@
 #include "workloads/jacobi.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <memory>
 #include <span>
@@ -66,8 +67,8 @@ inline double relax(double up, double down, double left, double right) {
   return 0.25 * (up + down + left + right);
 }
 
-/// Per-node simulated state: an (n+2)^2 ghost-padded grid pair plus packed
-/// edge (tx) and halo landing (rx) buffers, all in node memory.
+/// Per-node simulated state: an (n+2)^2 ghost-padded grid plus packed edge
+/// (tx) and halo landing (rx) buffers, all in node memory.
 ///
 /// The functional loops take one typed view per buffer per call, so an
 /// access is an indexed span read or write, bounds-checked under
@@ -77,23 +78,22 @@ struct NodeData {
   int n = 0;
   int id = 0;
   mem::Memory* mem = nullptr;
-  mem::Addr grid[2] = {0, 0};  // current / next, (n+2)^2 doubles
-  int cur = 0;
+  mem::Addr grid = 0;            // (n+2)^2 doubles, updated in place
   mem::Addr tx[2][4] = {};       // packed outgoing edges (ping-pong), n doubles
   mem::Addr rx[2][4] = {};       // halo landing buffers (ping-pong)
   mem::Addr flag[4] = {};        // arrival flags, value = iter + 1
   mem::Addr local_flag[4] = {};  // GPU-TN local completion, value = iter + 1
+  std::vector<double> rows;      // stencil's two new rows, host-side
 
   std::size_t row_bytes() const { return static_cast<std::size_t>(n) * 8; }
   std::size_t pitch() const { return static_cast<std::size_t>(n) + 2; }
 
-  /// Grid `gridsel`, indexed [i * pitch() + j] with i, j in [0, n+2).
-  std::span<double> grid_out(int gridsel) {
-    return mem->typed<double>(grid[gridsel], pitch() * pitch());
+  /// The grid, indexed [i * pitch() + j] with i, j in [0, n+2).
+  std::span<double> grid_out() {
+    return mem->typed<double>(grid, pitch() * pitch());
   }
-  std::span<const double> grid_in(int gridsel) const {
-    return std::as_const(*mem).typed<double>(grid[gridsel],
-                                             pitch() * pitch());
+  std::span<const double> grid_in() const {
+    return std::as_const(*mem).typed<double>(grid, pitch() * pitch());
   }
   /// An n-double edge or halo buffer.
   std::span<double> edge_out(mem::Addr a) {
@@ -107,9 +107,7 @@ struct NodeData {
     n = n_;
     id = id_;
     mem = &m;
-    std::size_t cells = pitch() * pitch();
-    grid[0] = m.alloc(cells * 8);
-    grid[1] = m.alloc(cells * 8);
+    grid = m.alloc(pitch() * pitch() * 8);
     for (int p = 0; p < 2; ++p) {
       for (int s = 0; s < 4; ++s) {
         tx[p][s] = m.alloc(row_bytes());
@@ -122,12 +120,13 @@ struct NodeData {
       local_flag[s] = m.alloc(8);
       m.store<std::uint64_t>(local_flag[s], 0);
     }
+    rows.resize(2 * static_cast<std::size_t>(n));
   }
 
-  /// Fills grid 0's interior. Grid 1 stays as mapped: fresh DRAM reads
-  /// zero, and the stencil writes each cell of it before reading it.
+  /// Fills the grid's interior. The ghost layer is filled by unpack_halos
+  /// before the first stencil reads it.
   void init_values() {
-    auto g = grid_out(0);
+    auto g = grid_out();
     const std::size_t p = pitch();
     int r0 = (id / kCols) * n, c0 = (id % kCols) * n;
     for (int i = 0; i < n; ++i) {
@@ -137,9 +136,9 @@ struct NodeData {
     }
   }
 
-  /// Pack the four interior edges of `gridsel` into tx[parity].
-  void pack_edges(int gridsel, int parity) {
-    auto g = grid_in(gridsel);
+  /// Pack the grid's four interior edges into tx[parity].
+  void pack_edges(int parity) {
+    auto g = grid_in();
     auto north = edge_out(tx[parity][kNorth]);
     auto south = edge_out(tx[parity][kSouth]);
     auto west = edge_out(tx[parity][kWest]);
@@ -155,9 +154,9 @@ struct NodeData {
     }
   }
 
-  /// Unpack rx[parity] halos into the ghost layer of `gridsel`.
-  void unpack_halos(int gridsel, int parity) {
-    auto g = grid_out(gridsel);
+  /// Unpack rx[parity] halos into the grid's ghost layer.
+  void unpack_halos(int parity) {
+    auto g = grid_out();
     auto north = edge_in(rx[parity][kNorth]);
     auto south = edge_in(rx[parity][kSouth]);
     auto west = edge_in(rx[parity][kWest]);
@@ -173,20 +172,28 @@ struct NodeData {
     }
   }
 
-  /// 5-point Jacobi step: cur -> next (functional; timing modelled by the
-  /// executing agent).
+  /// 5-point Jacobi step, in place (functional; timing modelled by the
+  /// executing agent). New row i is computed from grid rows i-1, i and
+  /// i+1 into `rows`, and the buffered row i-1 goes back once row i is
+  /// done, so every point reads the previous iteration's values. The ghost
+  /// layer is read, never written.
   void stencil() {
-    int nx = 1 - cur;
-    auto from = grid_in(cur);
-    auto to = grid_out(nx);
+    auto g = grid_out();
     const std::size_t p = pitch(), e = static_cast<std::size_t>(n);
+    std::span<double> buf[2] = {std::span(rows).first(e),
+                                std::span(rows).last(e)};
+    auto put_back = [&](std::size_t i) {
+      std::ranges::copy(buf[i % 2], g.subspan(i * p + 1, e).begin());
+    };
     for (std::size_t i = 1; i <= e; ++i) {
+      std::span<double> out = buf[i % 2];
       for (std::size_t j = 1; j <= e; ++j) {
         std::size_t c = i * p + j;
-        to[c] = relax(from[c - p], from[c + p], from[c - 1], from[c + 1]);
+        out[j - 1] = relax(g[c - p], g[c + p], g[c - 1], g[c + 1]);
       }
+      if (i > 1) put_back(i - 1);
     }
-    cur = nx;
+    put_back(e);
   }
 };
 
@@ -230,7 +237,7 @@ sim::Task<> cpu_node(Workspace& w, int id) {
   auto& node = w.cluster.node(id);
   auto& d = w.data[id];
   const int n = w.config.n;
-  d.pack_edges(d.cur, 0);
+  d.pack_edges(0);
   co_await node.cpu().compute_parallel(0, pack_bytes(n));
 
   for (int k = 0; k < w.config.iterations; ++k) {
@@ -248,9 +255,9 @@ sim::Task<> cpu_node(Workspace& w, int id) {
           "recv"));
     }
     co_await sim::join_all(std::move(ops));
-    d.unpack_halos(d.cur, p);
+    d.unpack_halos(p);
     d.stencil();
-    d.pack_edges(d.cur, (k + 1) % 2);
+    d.pack_edges((k + 1) % 2);
     co_await node.cpu().compute_parallel(
         stencil_flops(n), cpu_stencil_bytes(n) + pack_bytes(n));
   }
@@ -267,9 +274,9 @@ gpu::KernelDesc make_stencil_kernel(Workspace& w, int id, int parity) {
   k.num_wgs = w.config.num_wgs;
   k.fn = [&d, n, parity](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
     if (ctx.wg_id() == 0) {
-      d.unpack_halos(d.cur, parity);
+      d.unpack_halos(parity);
       d.stencil();
-      d.pack_edges(d.cur, 1 - parity);
+      d.pack_edges(1 - parity);
       ctx.mark_dirty();
     }
     co_await ctx.compute_mem((stencil_bytes(n) + pack_bytes(n)) /
@@ -281,7 +288,7 @@ gpu::KernelDesc make_stencil_kernel(Workspace& w, int id, int parity) {
 sim::Task<> hdn_node(Workspace& w, int id) {
   auto& node = w.cluster.node(id);
   auto& d = w.data[id];
-  d.pack_edges(d.cur, 0);
+  d.pack_edges(0);
   co_await node.cpu().compute(sim::ns(200));  // initial host pack
 
   for (int k = 0; k < w.config.iterations; ++k) {
@@ -307,7 +314,7 @@ sim::Task<> hdn_node(Workspace& w, int id) {
 sim::Task<> gds_node(Workspace& w, int id) {
   auto& node = w.cluster.node(id);
   auto& d = w.data[id];
-  d.pack_edges(d.cur, 0);
+  d.pack_edges(0);
   co_await node.cpu().compute(sim::ns(200));
 
   // Pre-post the whole stream: [4 puts | 4 waits | kernel] per iteration.
@@ -341,7 +348,7 @@ sim::Task<> gputn_node(Workspace& w, int id) {
   const int n = w.config.n;
   const int iters = w.config.iterations;
   const int wgs = w.config.num_wgs;
-  d.pack_edges(d.cur, 0);
+  d.pack_edges(0);
   co_await node.cpu().compute(sim::ns(200));
 
   auto register_iter = [&](int k) -> sim::Task<> {
@@ -398,9 +405,9 @@ sim::Task<> gputn_node(Workspace& w, int id) {
         co_await ctx.wait_value_ge(d.flag[s], static_cast<std::uint64_t>(k) + 1);
       }
       if (ctx.wg_id() == 0) {
-        d.unpack_halos(d.cur, p);
+        d.unpack_halos(p);
         d.stencil();
-        d.pack_edges(d.cur, 1 - p);
+        d.pack_edges(1 - p);
         ctx.mark_dirty();
       }
       std::uint64_t remaining =
@@ -424,37 +431,71 @@ sim::Task<> gputn_node(Workspace& w, int id) {
   co_await rec->done.wait();
 }
 
-/// Scalar reference: the full 2N x 2N torus. Once `stop` is requested (the
-/// run is unwinding and nobody will read the result) it returns at its next
-/// iteration.
+/// Iterations the reference advances per pass over its array: a pass keeps
+/// about 5 rows per iteration, so eight keep it in cache.
+constexpr std::size_t kRefLevels = 8;
+
+/// Scalar reference: the full 2N x 2N torus in one array, swept in place.
+///
+/// A pass advances L <= kRefLevels iterations as one wavefront. Level k of
+/// the pass holds iteration k's values (level 0 is the array as the pass
+/// found it) and visits global rows k, k+1, ..., g-1, 0, ..., k-1: its j-th
+/// row is computed at step j + 2k from level k-1's j-th, (j+1)-th and
+/// (j+2)-th rows as up, mid and down, after level k-1 computed the last of
+/// them in the same step. Each level keeps its first two rows aside for
+/// the wrap (rows g and g+1 are rows 0 and 1) and its others in a ring of
+/// three; level 0's first two are copies of array rows 0 and 1, and its
+/// others are the array's. Level L's j-th row goes back into array row
+/// (L + j) mod g at step j + 2L + 2, after level 1's last read of that row
+/// (step L + j + 2). Every point is relax of the previous iteration's
+/// values, so every double is a two-array sweep's. Once `stop` is
+/// requested (the run is unwinding and nobody will read the result) it
+/// returns at its next wavefront step.
 std::vector<double> reference(int n, int iterations, std::stop_token stop) {
-  int g = 2 * n;
-  std::vector<double> cur(static_cast<std::size_t>(g) * g);
-  std::vector<double> nxt(cur.size());
-  for (int i = 0; i < g; ++i) {
-    for (int j = 0; j < g; ++j) cur[static_cast<std::size_t>(i) * g + j] = initial_value(i, j);
-  }
-  // The torus wraps once per row (row pointers for i-1, i, i+1) and at
-  // columns 0 and g-1, so the inner loop takes no modulo.
-  auto row = [g](std::vector<double>& v, int i) {
-    return v.data() + static_cast<std::size_t>((i + g) % g) * g;
-  };
-  for (int k = 0; k < iterations && !stop.stop_requested(); ++k) {
-    for (int i = 0; i < g; ++i) {
-      const double* up = row(cur, i - 1);
-      const double* mid = row(cur, i);
-      const double* down = row(cur, i + 1);
-      double* out = row(nxt, i);
-      auto point = [&](int j, int left, int right) {
-        out[j] = relax(up[j], down[j], mid[left], mid[right]);
-      };
-      point(0, g - 1, 1);
-      for (int j = 1; j < g - 1; ++j) point(j, j - 1, j + 1);
-      point(g - 1, g - 2, 0);
+  const std::size_t g = 2 * static_cast<std::size_t>(n);
+  std::vector<double> a(g * g);
+  for (std::size_t i = 0; i < g; ++i) {
+    for (std::size_t j = 0; j < g; ++j) {
+      a[i * g + j] = initial_value(static_cast<int>(i), static_cast<int>(j));
     }
-    cur.swap(nxt);
   }
-  return cur;
+  std::vector<double> kept(2 * (kRefLevels + 1) * g);  // levels 0..L, 2 rows
+  std::vector<double> ring(3 * kRefLevels * g);        // levels 1..L, 3 rows
+  // Level k's row idx, for 0 <= idx < g + 2.
+  auto at = [&](std::size_t k, std::size_t idx) -> double* {
+    if (idx >= g) idx -= g;
+    if (idx < 2) return kept.data() + (2 * k + idx) * g;
+    if (k == 0) return a.data() + idx * g;
+    return ring.data() + (3 * (k - 1) + idx % 3) * g;
+  };
+  for (int done = 0; done < iterations;) {
+    const std::size_t levels =
+        std::min(kRefLevels, static_cast<std::size_t>(iterations - done));
+    std::copy_n(a.begin(), 2 * g, kept.begin());
+    for (std::size_t step = 2; step < g + 2 * levels + 2; ++step) {
+      if (stop.stop_requested()) return a;
+      for (std::size_t k = 1; k <= levels && 2 * k <= step; ++k) {
+        const std::size_t j = step - 2 * k;
+        if (j >= g) continue;
+        const double* up = at(k - 1, j);
+        const double* mid = at(k - 1, j + 1);
+        const double* down = at(k - 1, j + 2);
+        double* out = at(k, j);
+        auto point = [&](std::size_t c, std::size_t left, std::size_t right) {
+          out[c] = relax(up[c], down[c], mid[left], mid[right]);
+        };
+        point(0, g - 1, 1);
+        for (std::size_t c = 1; c < g - 1; ++c) point(c, c - 1, c + 1);
+        point(g - 1, g - 2, 0);
+      }
+      if (step >= 2 * levels + 2) {
+        const std::size_t j = step - 2 * levels - 2;
+        std::copy_n(at(levels, j), g, a.begin() + ((levels + j) % g) * g);
+      }
+    }
+    done += static_cast<int>(levels);
+  }
+  return a;
 }
 
 }  // namespace
@@ -467,6 +508,10 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
                                 "]");
   }
   cluster::SystemConfig adjusted = sys;
+  // Room for two grids, though a node allocates one: perfbench.cpp mirrors
+  // this formula, the bump allocator needs only an upper bound, and an
+  // untouched range of the lazy mapping costs nothing. At n = 1024 either
+  // formula gives Table 2's 64 MiB.
   std::uint64_t grid_bytes =
       2ull * (cfg.n + 2) * (cfg.n + 2) * 8 + 16ull * cfg.n * 8 + (1 << 20);
   adjusted.dram_bytes = std::max(adjusted.dram_bytes, grid_bytes + (4u << 20));
@@ -542,7 +587,7 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
   double checksum = 0.0;
   for (int node = 0; node < kNodes && ok; ++node) {
     const NodeData& d = w.data[node];
-    auto grid = d.grid_in(d.cur);
+    auto grid = d.grid_in();
     const std::size_t p = d.pitch();
     std::size_t r0 = (node / kCols) * n, c0 = (node % kCols) * n;
     for (std::size_t i = 0; i < n && ok; ++i) {

@@ -29,10 +29,9 @@
 
 namespace gputn::workloads {
 
-/// Largest local grid edge. A run touches about 128·n² bytes: the four
-/// nodes' two ghost-padded grids and the reference's two (2n)² arrays,
-/// 2 GiB at this edge. run_jacobi rejects a larger grid before it builds
-/// anything.
+/// Largest local grid edge. A run touches about 64·n² bytes: the four
+/// nodes' ghost-padded grids and the reference's (2n)² array, 1 GiB at
+/// this edge. run_jacobi rejects a larger grid before it builds anything.
 inline constexpr int kMaxN = 4096;
 
 /// Strategy/trace/nodes come from RunOptions; the 2x2 decomposition fixes

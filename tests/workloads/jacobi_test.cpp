@@ -57,6 +57,26 @@ TEST(Jacobi, AllStrategiesAgreeOnChecksum) {
   }
 }
 
+TEST(Jacobi, ChecksumPinnedAcrossReferenceBlocks) {
+  // The reference sweeps its torus several iterations per pass. These pins
+  // cover a two-row torus (n = 1), iteration counts that fill whole passes
+  // and that leave a one-iteration last pass, and runs of several passes.
+  struct Case {
+    int n, iterations;
+    double checksum;
+  };
+  for (Case c : {Case{1, 8, 0x1.fab8be054742p-3},
+                 Case{3, 16, 0x1.28674c38ddb0ep+2},
+                 Case{5, 9, 0x1.907e817c0a8eap+3},
+                 Case{12, 17, 0x1.1e2190ecdea37p+6}}) {
+    for (Strategy s : kAllStrategies) {
+      JacobiResult res = run_jacobi(small(s, c.n, c.iterations));
+      ASSERT_TRUE(res.correct) << strategy_name(s) << " n=" << c.n;
+      EXPECT_EQ(res.checksum, c.checksum) << strategy_name(s) << " n=" << c.n;
+    }
+  }
+}
+
 TEST(Jacobi, SingleIterationWorks) {
   for (Strategy s : kAllStrategies) {
     JacobiResult res = run_jacobi(small(s, 12, 1));
