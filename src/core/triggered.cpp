@@ -13,8 +13,7 @@ TriggeredNic::TriggeredNic(sim::Simulator& sim, nic::Nic& nic,
       table_(config.table),
       trigger_addr_(memory.map_mmio(sizeof(std::uint64_t), this)),
       dyn_trigger_addr_(memory.map_mmio(sizeof(std::uint64_t), this)),
-      fifo_(sim, sim::method<&TriggeredNic::match>(this)),
-      log_("trig" + std::to_string(nic.node_id()), sim.now_ptr()) {
+      fifo_(sim, sim::method<&TriggeredNic::match>(this)) {
   // Counting receive events (puts that carry a trigger tag) feed the same
   // matching FIFO as GPU trigger stores.
   nic_->set_rx_trigger_hook([this](std::uint64_t tag) {
@@ -42,8 +41,7 @@ void TriggeredNic::register_op(Tag tag, std::uint64_t threshold,
                   std::move(chain)},
       ready);
   if (!ready.empty()) {
-    log_.debug("tag %llu registered with threshold already met; firing",
-               static_cast<unsigned long long>(tag));
+    // The threshold was already met (relaxed synchronization): fire now.
     // Note: a *dynamic* put cannot legally reach here — orphan counters do
     // not retain the event's target, so dynamic ops do not compose with
     // trigger-before-post (fire() faults on the -1 target). The triggering
@@ -91,12 +89,7 @@ void TriggeredNic::match(TriggerEvent&& ev) {
 
 void TriggeredNic::update() {
   Tag tag = cur_.tag();
-  auto [counter, lookup_cost, created] = table_.find_or_create(tag);
-  (void)lookup_cost;
-  if (created) {
-    log_.debug("orphan counter created for tag %llu (relaxed sync)",
-               static_cast<unsigned long long>(tag));
-  }
+  TriggerCounter* counter = table_.find_or_create(tag).counter;
   int chain_hops = 0;
   table_.increment(*counter, ready_, &chain_hops);
   if (chain_hops > 0) {

@@ -25,7 +25,6 @@
 #include "core/trigger_table.hpp"
 #include "mem/memory.hpp"
 #include "nic/nic.hpp"
-#include "sim/log.hpp"
 #include "sim/trace.hpp"
 #include "sim/sync.hpp"
 
@@ -142,7 +141,6 @@ class TriggeredNic : public mem::MmioHandler {
   std::uint64_t fifo_high_water_ = 0;
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;
-  sim::Logger log_;
 };
 
 }  // namespace gputn::core

@@ -45,7 +45,7 @@ WorkGroupCtx::Store WorkGroupCtx::store_system(mem::Addr addr,
   if (mem().is_mmio(addr) && dirty_) {
     // §4.2.6: triggering the NIC while buffer writes are still only
     // work-group-visible races the DMA read against the GPU caches.
-    gpu_->note_hazard();
+    ++gpu_->hazards_;
   }
   return Store{compute(gpu_->config().store_system_latency), this, addr,
                value};
@@ -76,8 +76,7 @@ Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
       stream_(sim, sim::method<&Gpu::start_op>(this)),
       cus_(sim, config.cu_count * std::max(1, config.max_wgs_per_cu),
            sim::method<&Gpu::start_work_group>(this)),
-      cu_util_(config.cu_count * std::max(1, config.max_wgs_per_cu)),
-      log_("gpu", sim.now_ptr()) {
+      cu_util_(config.cu_count * std::max(1, config.max_wgs_per_cu)) {
   if (config.cu_count <= 0) throw std::invalid_argument("cu_count <= 0");
 }
 
@@ -99,11 +98,6 @@ void Gpu::enqueue_gds_put(nic::Nic& nic, nic::Command cmd) {
 
 void Gpu::enqueue_gds_wait(mem::Addr addr, std::uint64_t value) {
   stream_.push(GdsWaitOp{addr, value});
-}
-
-void Gpu::note_hazard() {
-  ++hazards_;
-  log_.warn("memory-model hazard: trigger store with unfenced buffer writes");
 }
 
 void Gpu::start_op(StreamOp&& op) {
@@ -183,8 +177,7 @@ void Gpu::kernel_done() {
 }
 
 void Gpu::start_work_group(int&& wg) {
-  sim_->spawn(run_work_group(wg), std::get<KernelOp>(op_).desc.name +
-                                      ".wg" + std::to_string(wg));
+  sim_->spawn(run_work_group(wg), std::get<KernelOp>(op_).desc.name);
 }
 
 sim::Task<> Gpu::run_work_group(int wg_id) {

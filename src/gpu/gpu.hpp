@@ -248,7 +248,6 @@ class Gpu {
   /// Work-group `wg` got a CU slot: spawn its process.
   void start_work_group(int&& wg);
   sim::Task<> run_work_group(int wg_id);
-  void note_hazard();
 
   sim::Simulator* sim_;
   mem::Memory* mem_;
@@ -267,7 +266,6 @@ class Gpu {
   std::uint64_t hazards_ = 0;
   sim::TraceRecorder* trace_ = nullptr;
   std::string trace_lane_;
-  sim::Logger log_;
 };
 
 }  // namespace gputn::gpu

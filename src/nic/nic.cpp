@@ -18,8 +18,7 @@ Nic::Nic(sim::Simulator& sim, mem::Memory& memory, net::Fabric& fabric,
       tx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
       rx_dma_(sim, memory, config.dma_bandwidth, config.dma_startup),
       reliability_(sim, fabric, node_id_, config.reliability, stats_,
-                   [this](net::Message&& m) { rx_queue_.push(std::move(m)); }),
-      log_("nic" + std::to_string(node_id_), sim.now_ptr()) {
+                   [this](net::Message&& m) { rx_queue_.push(std::move(m)); }) {
   if (config_.rate_limit.ops_per_sec > 0.0) {
     rate_ = std::make_unique<TokenBucket>(config_.rate_limit);
   }

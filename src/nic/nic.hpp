@@ -373,7 +373,6 @@ class Nic : public net::MessageSink {
   /// Declared after stats_ (it publishes counters there) and after
   /// node_id_/rx_queue_ (it addresses ACKs and feeds the RX queue).
   fault::ReliabilityLayer reliability_;
-  sim::Logger log_;
 };
 
 }  // namespace gputn::nic

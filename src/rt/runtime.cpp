@@ -8,12 +8,20 @@ mem::Addr NodeRuntime::alloc_flag() {
   return f;
 }
 
+mem::Addr NodeRuntime::take_flag() {
+  if (spare_flags_.empty()) return alloc_flag();
+  mem::Addr f = spare_flags_.back();
+  spare_flags_.pop_back();
+  mem_->store<std::uint64_t>(f, 0);
+  return f;
+}
+
 sim::Task<> NodeRuntime::send(net::NodeId dst, std::uint64_t tag,
                               mem::Addr buf, std::uint64_t bytes,
                               bool host_staging) {
   co_await cpu_->compute(cpu_->config().send_stack_cost);
   if (host_staging) co_await cpu_->staging_copy(bytes);
-  mem::Addr flag = alloc_flag();
+  mem::Addr flag = take_flag();
   nic::SendDesc s;
   s.target = dst;
   s.local_addr = buf;
@@ -22,13 +30,14 @@ sim::Task<> NodeRuntime::send(net::NodeId dst, std::uint64_t tag,
   s.local_flag = flag;
   nic_->ring_doorbell(s);
   co_await cpu_->wait_value_ge(flag, 1);
+  spare_flags_.push_back(flag);
 }
 
 sim::Task<> NodeRuntime::recv(net::NodeId src, std::uint64_t tag,
                               mem::Addr buf, std::uint64_t max_bytes,
                               bool host_staging) {
   co_await cpu_->compute(cpu_->config().recv_stack_cost);
-  mem::Addr flag = alloc_flag();
+  mem::Addr flag = take_flag();
   nic::RecvDesc r;
   r.src = src;
   r.tag = tag;
@@ -37,6 +46,7 @@ sim::Task<> NodeRuntime::recv(net::NodeId src, std::uint64_t tag,
   r.flag = flag;
   nic_->post_recv(r);
   co_await cpu_->wait_value_ge(flag, 1);
+  spare_flags_.push_back(flag);
   if (host_staging) co_await cpu_->staging_copy(max_bytes);
 }
 
@@ -46,11 +56,13 @@ sim::Task<> NodeRuntime::put_nb(nic::PutDesc put) {
 }
 
 sim::Task<> NodeRuntime::put(nic::PutDesc put) {
-  if (put.local_flag == 0) put.local_flag = alloc_flag();
+  const bool own_flag = put.local_flag == 0;
+  if (own_flag) put.local_flag = take_flag();
   mem::Addr flag = put.local_flag;
   std::uint64_t value = put.flag_value;
   co_await put_nb(put);
   co_await cpu_->wait_value_ge(flag, value);
+  if (own_flag) spare_flags_.push_back(flag);
 }
 
 sim::Task<> NodeRuntime::trig_put(core::Tag tag, std::uint64_t threshold,

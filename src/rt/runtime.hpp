@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/triggered.hpp"
 #include "cpu/cpu.hpp"
@@ -84,12 +85,19 @@ class NodeRuntime {
   void gds_stream_wait(mem::Addr addr, std::uint64_t value);
 
  private:
+  /// A completion flag at 0 for send, recv or a put() without a flag of
+  /// its own: a spare one reset, or a new one. The op gives it back once
+  /// its wait is done (the NIC raises a flag once per operation), so node
+  /// DRAM holds a flag per operation in flight, not per operation made.
+  mem::Addr take_flag();
+
   sim::Simulator* sim_;
   cpu::Cpu* cpu_;
   gpu::Gpu* gpu_;
   nic::Nic* nic_;
   core::TriggeredNic* trig_;
   mem::Memory* mem_;
+  std::vector<mem::Addr> spare_flags_;
 };
 
 }  // namespace gputn::rt

@@ -554,32 +554,28 @@ ServeResult run_serve(const ServeConfig& cfg,
   }
 
   Workspace w(adjusted, cfg);
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
+  workloads::attach_observers(w.cluster, cfg);
 
   for (int c = 0; c < cfg.clients; ++c) {
     w.sim.spawn(reactor_loop(w, c), "serve-reactor");
   }
-  std::vector<sim::ProcessHandle> workers;
+  std::vector<sim::Task<>> workers;
   std::vector<sim::Tick> ready(static_cast<std::size_t>(cfg.servers), -1);
   for (int s = 0; s < cfg.servers; ++s) {
-    workers.push_back(w.sim.spawn(
+    workers.push_back(
         cfg.strategy == workloads::Strategy::kGpuTn
             ? gputn_server(w, s, ready[static_cast<std::size_t>(s)])
-            : cpu_server(w, s, ready[static_cast<std::size_t>(s)]),
-        "serve-server"));
+            : cpu_server(w, s, ready[static_cast<std::size_t>(s)]));
   }
   for (int t = 0; t < cfg.tenants; ++t) {
     for (int wk = 0; wk < cfg.window; ++wk) {
-      workers.push_back(w.sim.spawn(client_worker(w, t, wk), "serve-client"));
+      workers.push_back(client_worker(w, t, wk));
     }
   }
-  // Completion monitor (see allreduce.cpp for rationale); reactors are
-  // excluded — they idle forever and are reaped at teardown.
+  // The reactors are not ranks: they idle forever and are reaped at
+  // teardown.
   sim::Tick finished_at = -1;
-  w.sim.spawn(sim::join_all_at(w.sim, std::move(workers), finished_at),
-              "monitor");
+  workloads::spawn_ranks(w.sim, std::move(workers), finished_at);
 
   // Phase A — server setup, run tick by tick until every server is ready,
   // so the clock stops at the traffic-release tick max(ready).

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdio>
-#include <stdexcept>
 #include <utility>
 
 namespace gputn::sim {
@@ -23,53 +22,25 @@ std::string format_time(Tick t) {
   return buf;
 }
 
-struct ProcessHandle::State {
-  Simulator* sim = nullptr;
-  std::string name;
-  bool finished = false;
-  std::exception_ptr exception;
-  std::vector<std::coroutine_handle<>> waiters;
-  std::coroutine_handle<> frame;  // detached wrapper frame, owned by Simulator
-  static constexpr std::size_t kReaped = ~std::size_t{0};
-  std::size_t slot = 0;  // index in Simulator::live_states_, or kReaped
-};
-
-bool ProcessHandle::finished() const {
-  return state_ != nullptr && state_->finished;
-}
-
-Task<> ProcessHandle::join() {
-  struct JoinAwaiter {
-    State* s;
-    bool await_ready() const noexcept { return s->finished; }
-    void await_suspend(std::coroutine_handle<> h) { s->waiters.push_back(h); }
-    void await_resume() const noexcept {}
-  };
-  if (!state_) throw std::logic_error("join() on empty ProcessHandle");
-  co_await JoinAwaiter{state_.get()};
-  if (state_->exception) std::rethrow_exception(state_->exception);
-}
-
-Simulator::Simulator() : log_("sim", &now_) {}
+Simulator::Simulator() = default;
 
 Simulator::~Simulator() { reap_processes(); }
 
 void Simulator::reap_processes() {
   // Destroy still-suspended detached frames (a deadlocked rank, a
-  // persistent work-group parked on a flag). Destroying a suspended
-  // coroutine runs its locals' destructors; nothing is resumed.
+  // persistent work-group parked on a flag, a process that threw).
+  // Destroying a suspended coroutine runs its locals' destructors; nothing
+  // is resumed. Every process not yet finished is on the list, so none is
+  // left live.
   for (auto& state : live_states_) {
     if (state->frame) {
       state->frame.destroy();
       state->frame = nullptr;
     }
-    if (!state->finished) {
-      state->finished = true;
-      --live_processes_;
-    }
-    state->slot = ProcessHandle::State::kReaped;
+    state->slot = Process::kReaped;
   }
   live_states_.clear();
+  live_processes_ = 0;
 }
 
 void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
@@ -409,82 +380,37 @@ std::uint64_t Simulator::run_until(Tick until) {
   return executed;
 }
 
-namespace {
-
-/// Fire-and-forget wrapper coroutine: starts eagerly, stays suspended at its
-/// final suspend point so the Simulator (which owns the handle via the
-/// process state) can destroy the frame. The wrapped Task's frame lives in
-/// this frame and is destroyed with it.
-struct Detached {
-  struct promise_type {
-    Detached get_return_object() noexcept {
-      return Detached{
-          std::coroutine_handle<promise_type>::from_promise(*this)};
-    }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
-    void return_void() noexcept {}
-    void unhandled_exception() noexcept { std::terminate(); }
-  };
-  std::coroutine_handle<> handle;
-};
-
-}  // namespace
-
-void Simulator::finish_process(std::shared_ptr<ProcessHandle::State> state) {
-  state->finished = true;
+void Simulator::finish_process(const Process& p) {
   --live_processes_;
-  if (state->exception) {
-    log_.warn("process '%s' finished with an exception", state->name.c_str());
-  }
-  for (auto waiter : state->waiters) {
-    wake(waiter);
-  }
-  state->waiters.clear();
   // The frame is currently executing (about to reach final_suspend); reclaim
   // it once it has suspended. The state stays in live_states_ until the
   // frame is actually destroyed so ~Simulator can still reclaim it if the
   // destroy event never runs (e.g. run_until stopped early).
-  schedule_in(0, [this, state] {
+  schedule_in(0, [this, state = live_states_[p.slot]] {
     if (state->frame) {
       state->frame.destroy();
       state->frame = nullptr;
     }
     // Swap-remove, unless reap_processes() already dropped it.
     std::size_t i = state->slot;
-    if (i == ProcessHandle::State::kReaped) return;
+    if (i == Process::kReaped) return;
     std::swap(live_states_[i], live_states_.back());
     live_states_[i]->slot = i;
     live_states_.pop_back();
   });
 }
 
-ProcessHandle Simulator::spawn(Task<> task, std::string name) {
-  auto state = std::make_shared<ProcessHandle::State>();
-  state->sim = this;
-  state->name = std::move(name);
+void Simulator::spawn(Task<> task, std::string_view /*name*/) {
+  auto state = std::make_shared<Process>();
   ++live_processes_;
   state->slot = live_states_.size();
   live_states_.push_back(state);
-
-  auto runner = [](Simulator* sim, Task<> t,
-                   std::shared_ptr<ProcessHandle::State> st) -> Detached {
-    try {
-      co_await std::move(t);
-    } catch (...) {
-      st->exception = std::current_exception();
-    }
-    sim->finish_process(st);
-  };
-  Detached d = runner(this, std::move(task), state);
-  // The coroutine may already have finished (synchronously); only record the
-  // frame if it is still alive so we do not double-destroy.
-  if (!state->finished) {
-    state->frame = d.handle;
-  } else {
-    d.handle.destroy();
-  }
-  return ProcessHandle(std::move(state));
+  // The state owns the frame before it first runs, so a process that
+  // throws on its way out of spawn() is still reaped.
+  state->frame = detail::run_then(std::move(task), [this, p = state.get()] {
+                   finish_process(*p);
+                 }).handle;
+  state->frame.resume();
 }
 
 }  // namespace gputn::sim

@@ -16,11 +16,10 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/event_fn.hpp"
-#include "sim/log.hpp"
 #include "sim/task.hpp"
 #include "sim/units.hpp"
 
@@ -41,31 +40,12 @@ struct [[nodiscard]] Delay {
   void await_resume() const noexcept {}
 };
 
-/// Join handle for a detached process started with Simulator::spawn.
-/// Cheap to copy; all copies refer to the same process.
-class ProcessHandle {
- public:
-  ProcessHandle() = default;
-
-  bool valid() const { return state_ != nullptr; }
-  bool finished() const;
-  /// Suspends until the process finishes; rethrows its exception, if any.
-  Task<> join();
-
- private:
-  friend class Simulator;
-  struct State;
-  explicit ProcessHandle(std::shared_ptr<State> s) : state_(std::move(s)) {}
-  std::shared_ptr<State> state_;
-};
-
 /// Ownership rule (parallel experiments): a Simulator and everything built
 /// on it — Cluster, nodes, stats registries, trace recorders, buffer pools,
 /// RNGs, workload state — form one isolated world confined to a single
-/// thread at a time. The simulation path holds no mutable globals (the two
-/// process-wide objects, workloads::Registry and sim::LogConfig, are
-/// written only before workers start — the registry is append-only at
-/// startup and the log level is an atomic), so exp::Runner may execute any
+/// thread at a time. The simulation path holds no mutable globals (the one
+/// process-wide object, workloads::Registry, is append-only at startup and
+/// written only before workers start), so exp::Runner may execute any
 /// number of Simulators concurrently, one per run point, and their results
 /// are bit-identical to serial execution. Anything a run mutates must be
 /// owned by (or reachable only from) its own Simulator/Cluster. A run may
@@ -79,7 +59,8 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   Tick now() const { return now_; }
-  /// Stable pointer to the current time, for Logger construction.
+  /// Stable pointer to the current time, for observers that stamp records
+  /// without holding the Simulator (obs::FlightSpool).
   const Tick* now_ptr() const { return &now_; }
 
   /// Schedule a callback at absolute time `when` (must be >= now()).
@@ -182,13 +163,17 @@ class Simulator {
   }
 
   /// Start a detached process. The coroutine runs immediately until its
-  /// first suspension; its frame is destroyed when it completes. The
-  /// returned handle can be joined or ignored.
-  ProcessHandle spawn(Task<> task, std::string name = "process");
+  /// first suspension; its frame is destroyed in one event at the tick it
+  /// completes. Nothing joins a process: a coroutine that waits for tasks
+  /// runs them as its children (sim::all). An exception that leaves the
+  /// process leaves spawn() or the event that resumed it — and so run() —
+  /// unchanged; its frame stays owned until reap_processes(). `name` is
+  /// for the reader of the call site; nothing stores it.
+  void spawn(Task<> task, std::string_view name = {});
 
   /// Number of processes spawned that have not yet finished. A nonzero value
   /// after run() returns indicates a deadlocked process (e.g. waiting on an
-  /// event nobody will trigger).
+  /// event nobody will trigger) or one that threw.
   int live_processes() const { return live_processes_; }
 
   std::uint64_t executed_events() const { return executed_events_; }
@@ -209,7 +194,13 @@ class Simulator {
   void reap_processes();
 
  private:
-  friend class ProcessHandle;
+  /// A spawned process: its top frame, and its index in live_states_ (or
+  /// kReaped once reap_processes() dropped it).
+  struct Process {
+    static constexpr std::size_t kReaped = ~std::size_t{0};
+    std::coroutine_handle<> frame;
+    std::size_t slot = 0;
+  };
 
   // Calendar geometry: 4096 buckets of 128 ps each give a ~0.52 us horizon
   // — enough that the per-packet delays (wire hops, doorbells, DMA, all
@@ -301,7 +292,9 @@ class Simulator {
     spare_.back().swap(v);
   }
 
-  void finish_process(std::shared_ptr<ProcessHandle::State> state);
+  /// Called by a process's frame as its task returns: schedules the reap
+  /// event that destroys the frame once it has suspended.
+  void finish_process(const Process& p);
 
   Tick now_ = 0;
   std::uint64_t cur_blk_ = 0;  // invariant: block_of(now_) <= cur_blk_
@@ -365,12 +358,11 @@ class Simulator {
   // Cached so the per-advance "anything to promote?" check is one compare
   // against a hot member instead of a heap peek behind a function call.
   std::uint64_t overflow_min_blk_ = ~std::uint64_t{0};
-  /// Detached process frames still running; destroyed (suspended) frames are
-  /// reclaimed when the process finishes, and any remainder in ~Simulator.
-  /// Unordered: a finished process leaves in O(1), by a swap-remove at the
-  /// slot its State records.
-  std::vector<std::shared_ptr<ProcessHandle::State>> live_states_;
-  Logger log_;
+  /// Process frames not yet reclaimed: a finished process's frame is
+  /// destroyed in its reap event, and any remainder (a parked process, one
+  /// that threw) by reap_processes(). Unordered: a reaped process leaves in
+  /// O(1), by a swap-remove at the slot it records.
+  std::vector<std::shared_ptr<Process>> live_states_;
 };
 
 inline void Delay::await_suspend(std::coroutine_handle<> h) const {

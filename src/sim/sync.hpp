@@ -1,5 +1,6 @@
-// Synchronization primitives: coroutine waits for simulated processes
-// (Event, Condition, join_all) and the passive hardware queues (Fifo, Slots).
+// Synchronization primitives: coroutine waits (Event, Condition), the
+// fork/join of child tasks (all), and the passive hardware queues (Fifo,
+// Slots).
 //
 // Every primitive resumes waiters or starts queued items *through the
 // simulator's event queue* at the current tick rather than inline. This
@@ -237,17 +238,82 @@ class Slots {
   std::size_t handing_ = 0;  ///< queued requests with a hand-off scheduled
 };
 
-/// Await completion of a set of process handles (fork/join helper).
-inline Task<> join_all(std::vector<ProcessHandle> handles) {
-  for (auto& h : handles) co_await h.join();
-}
+/// Awaiter of sim::all(sim, children): runs each task as a child of the
+/// awaiting coroutine (the parent) and resumes the parent once every child
+/// has returned. A child is not a process: it has no reap event and no
+/// name, and the awaiter owns its frame, which dies with the parent's.
+///   * At the co_await each child starts, in order, and runs until its
+///     first suspension. If every child has returned, the parent does not
+///     suspend.
+///   * Otherwise the parent waits for the children in order: child 0, then
+///     child 1, and so on. When the child it waits for returns, one event
+///     is scheduled at now(). That event skips the children that have
+///     returned and resumes the parent inline when none is left, or waits
+///     for the next one. So a child that returns later in the same tick
+///     than the one waited for, and schedules an event there, finds the
+///     parent resumed ahead of that event.
+///   * An exception that leaves a child leaves the event that resumed it,
+///     and so Simulator::run(); the parent never passes that child. A
+///     child that throws as it starts throws out of the co_await, which
+///     unwinds the parent and destroys the children started before it, so
+///     their pending events must not run: such a run is over.
+class [[nodiscard]] All {
+ public:
+  All(Simulator& sim, std::vector<Task<>> children)
+      : sim_(&sim), tasks_(std::move(children)) {}
+  All(const All&) = delete;
+  All& operator=(const All&) = delete;
+  ~All() {
+    for (Child& c : children_) c.frame.destroy();
+  }
 
-/// A run's completion monitor: join every handle in order, then record in
-/// `done` the tick the last one finished. `done` must outlive the process.
-inline Task<> join_all_at(Simulator& sim, std::vector<ProcessHandle> handles,
-                          Tick& done) {
-  co_await join_all(std::move(handles));
-  done = sim.now();
+  bool await_ready() {
+    // The children's frames point at this awaiter, so they are made here,
+    // where it no longer moves.
+    children_.reserve(tasks_.size());
+    for (std::size_t i = 0; i < tasks_.size(); ++i) {
+      children_.push_back(
+          {detail::run_then(std::move(tasks_[i]),
+                            [this, i] { on_return(i); })
+               .handle});
+      children_.back().frame.resume();
+    }
+    skip_returned();
+    return next_ == children_.size();
+  }
+  void await_suspend(std::coroutine_handle<> parent) { parent_ = parent; }
+  void await_resume() const noexcept {}
+
+ private:
+  struct Child {
+    std::coroutine_handle<> frame;
+    bool returned = false;
+  };
+
+  void on_return(std::size_t i) {
+    children_[i].returned = true;
+    if (i != next_ || !parent_) return;  // not the one waited for
+    sim_->schedule_at(sim_->now(), [this] {
+      skip_returned();
+      // The parent's resumption ends this awaiter, so it is the last act.
+      if (next_ == children_.size()) parent_.resume();
+    });
+  }
+  void skip_returned() {
+    while (next_ < children_.size() && children_[next_].returned) ++next_;
+  }
+
+  Simulator* sim_;
+  std::vector<Task<>> tasks_;
+  std::vector<Child> children_;
+  std::size_t next_ = 0;  // the first child that has not returned
+  std::coroutine_handle<> parent_;
+};
+
+/// Runs `children` as children of the awaiting coroutine:
+/// `co_await sim::all(sim, std::move(tasks))`. See All.
+inline All all(Simulator& sim, std::vector<Task<>> children) {
+  return All(sim, std::move(children));
 }
 
 }  // namespace gputn::sim

@@ -4,12 +4,14 @@
 // and resumes its awaiter on completion via symmetric transfer. Workload
 // code (host ranks, GPU work-groups, the runtime and serving loops) is
 // written as `Task<>` coroutines that `co_await` delays, events, and each
-// other; the `Simulator` (see simulator.hpp) owns detached top-level
-// processes. Hardware queues are not processes (sim/sync.hpp's Fifo and
-// Slots).
+// other. A task runs at the top of a chain in one of two ways: as a process
+// the `Simulator` owns (Simulator::spawn), or as a child of the coroutine
+// that awaits `sim::all` (sim/sync.hpp). Hardware queues are not processes
+// (sim/sync.hpp's Fifo and Slots).
 //
 // Tasks are single-owner move-only values. Exceptions thrown inside a task
-// propagate to the awaiter at `co_await`.
+// propagate to the awaiter at `co_await`; one that leaves a process or a
+// child leaves the event that resumed it, and so Simulator::run().
 #pragma once
 
 #include <cassert>
@@ -115,10 +117,6 @@ class [[nodiscard]] Task {
     return Awaiter{handle_};
   }
 
-  /// Release ownership of the coroutine frame (used by Simulator::spawn,
-  /// which then manages the frame's lifetime).
-  Handle release() { return std::exchange(handle_, {}); }
-
  private:
   void destroy() {
     if (handle_) {
@@ -138,6 +136,31 @@ Task<T> Promise<T>::get_return_object() noexcept {
 
 inline Task<void> Promise<void>::get_return_object() noexcept {
   return Task<void>(std::coroutine_handle<Promise<void>>::from_promise(*this));
+}
+
+/// The frame at the top of a process or a child of sim::all: made suspended,
+/// it runs its task when first resumed and stops at its final suspend point,
+/// where its owner destroys it (or anywhere else, at teardown). An exception
+/// that leaves the task leaves resume() too, unchanged, and the frame stops
+/// at its final suspend point all the same.
+struct Runner {
+  struct promise_type {
+    Runner get_return_object() noexcept {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_always final_suspend() noexcept { return {}; }
+    void return_void() noexcept {}
+    void unhandled_exception() { throw; }
+  };
+  std::coroutine_handle<promise_type> handle;
+};
+
+/// Runs `task`, then calls `done()`; an exception skips `done`.
+template <typename F>
+Runner run_then(Task<> task, F done) {
+  co_await std::move(task);
+  done();
 }
 
 }  // namespace detail

@@ -106,16 +106,13 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
     mem::Addr land =
         step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
-    std::vector<sim::ProcessHandle> ops;
-    ops.push_back(w.sim.spawn(
-        node.rt().send(step.to, tag, w.chunk_addr(r, step.send_chunk),
-                       w.chunk_bytes(r, step.send_chunk), staging),
-        "send"));
-    ops.push_back(w.sim.spawn(
-        node.rt().recv(step.from, tag, land,
-                       w.chunk_bytes(r, step.recv_chunk), staging),
-        "recv"));
-    co_await sim::join_all(std::move(ops));
+    std::vector<sim::Task<>> ops;
+    ops.push_back(node.rt().send(step.to, tag,
+                                 w.chunk_addr(r, step.send_chunk),
+                                 w.chunk_bytes(r, step.send_chunk), staging));
+    ops.push_back(node.rt().recv(step.from, tag, land,
+                                 w.chunk_bytes(r, step.recv_chunk), staging));
+    co_await sim::all(w.sim, std::move(ops));
 
     if (step.reduce) {
       std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
@@ -125,6 +122,31 @@ sim::Task<> cpu_rank(Workspace& w, int r, bool staging) {
           cpu_reduce_traffic(w.chunk_bytes(r, step.recv_chunk)));
     }
   }
+}
+
+/// The reduce kernel shared by HDN and GDS: combine the chunk `step`
+/// receives, landed at `land`, into rank `r`'s vector. Work-group 0
+/// performs the functional combine, every work-group accounts its share of
+/// the traffic.
+gpu::KernelDesc make_reduce_kernel(Workspace& w, int r,
+                                   const rt::RingStep& step, mem::Addr land) {
+  std::size_t elems = w.states[r].plan.chunk_elems(step.recv_chunk);
+  mem::Addr dst = w.chunk_addr(r, step.recv_chunk);
+  std::uint64_t bytes = w.chunk_bytes(r, step.recv_chunk);
+  gpu::KernelDesc k;
+  k.name = "reduce";
+  k.num_wgs = w.config.num_wgs;
+  auto* mp = &w.cluster.node(r).memory();
+  k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
+      -> sim::Task<> {
+    if (ctx.wg_id() == 0) {
+      combine(*mp, dst, land, elems);
+      ctx.mark_dirty();
+    }
+    co_await ctx.compute_mem(reduce_traffic(bytes) /
+                             static_cast<std::uint64_t>(ctx.num_wgs()));
+  };
+  return k;
 }
 
 // ---------------------------------------------------------------------------
@@ -139,35 +161,16 @@ sim::Task<> hdn_rank(Workspace& w, int r) {
     mem::Addr land =
         step.reduce ? st.rx[p] : w.chunk_addr(r, step.recv_chunk);
 
-    std::vector<sim::ProcessHandle> ops;
-    ops.push_back(w.sim.spawn(
-        node.rt().send(step.to, tag, w.chunk_addr(r, step.send_chunk),
-                       w.chunk_bytes(r, step.send_chunk)),
-        "send"));
-    ops.push_back(w.sim.spawn(
-        node.rt().recv(step.from, tag, land,
-                       w.chunk_bytes(r, step.recv_chunk)),
-        "recv"));
-    co_await sim::join_all(std::move(ops));
+    std::vector<sim::Task<>> ops;
+    ops.push_back(node.rt().send(step.to, tag,
+                                 w.chunk_addr(r, step.send_chunk),
+                                 w.chunk_bytes(r, step.send_chunk)));
+    ops.push_back(node.rt().recv(step.from, tag, land,
+                                 w.chunk_bytes(r, step.recv_chunk)));
+    co_await sim::all(w.sim, std::move(ops));
 
     if (step.reduce) {
-      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
-      mem::Addr dst = w.chunk_addr(r, step.recv_chunk);
-      std::uint64_t bytes = w.chunk_bytes(r, step.recv_chunk);
-      gpu::KernelDesc k;
-      k.name = "reduce";
-      k.num_wgs = w.config.num_wgs;
-      auto* mp = &node.memory();
-      k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
-          -> sim::Task<> {
-        if (ctx.wg_id() == 0) {
-          combine(*mp, dst, land, elems);
-          ctx.mark_dirty();
-        }
-        co_await ctx.compute_mem(reduce_traffic(bytes) /
-                                 static_cast<std::uint64_t>(ctx.num_wgs()));
-      };
-      co_await node.rt().launch_sync(std::move(k));
+      co_await node.rt().launch_sync(make_reduce_kernel(w, r, step, land));
     }
   }
 }
@@ -202,24 +205,8 @@ sim::Task<> gds_rank(Workspace& w, int r) {
     node.rt().gds_stream_wait(st.step_flag, round + 1);
 
     if (step.reduce) {
-      std::size_t elems = st.plan.chunk_elems(step.recv_chunk);
-      mem::Addr dst = w.chunk_addr(r, step.recv_chunk);
-      mem::Addr land = st.rx[p];
-      std::uint64_t bytes = w.chunk_bytes(r, step.recv_chunk);
-      gpu::KernelDesc k;
-      k.name = "reduce";
-      k.num_wgs = w.config.num_wgs;
-      auto* mp = &node.memory();
-      k.fn = [mp, dst, land, elems, bytes](gpu::WorkGroupCtx& ctx)
-          -> sim::Task<> {
-        if (ctx.wg_id() == 0) {
-          combine(*mp, dst, land, elems);
-          ctx.mark_dirty();
-        }
-        co_await ctx.compute_mem(reduce_traffic(bytes) /
-                                 static_cast<std::uint64_t>(ctx.num_wgs()));
-      };
-      last = co_await node.rt().launch(std::move(k));
+      last =
+          co_await node.rt().launch(make_reduce_kernel(w, r, step, st.rx[p]));
     }
   }
   // Allgather rounds end with a wait; ensure the final round's data arrived.
@@ -383,45 +370,29 @@ AllreduceResult run_allreduce(const AllreduceConfig& cfg,
   }
 
   Workspace w(adjusted, cfg);
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<sim::ProcessHandle> ranks;
+  std::vector<sim::Task<>> ranks;
   for (int r = 0; r < cfg.nodes; ++r) {
-    sim::ProcessHandle h;
     switch (cfg.strategy) {
       case Strategy::kCpu:
-        h = w.sim.spawn(cpu_rank(w, r, /*staging=*/true), "cpu_rank");
+        ranks.push_back(cpu_rank(w, r, /*staging=*/true));
         break;
       case Strategy::kHdn:
-        h = w.sim.spawn(hdn_rank(w, r), "hdn_rank");
+        ranks.push_back(hdn_rank(w, r));
         break;
       case Strategy::kGds:
-        h = w.sim.spawn(gds_rank(w, r), "gds_rank");
+        ranks.push_back(gds_rank(w, r));
         break;
       case Strategy::kGpuTn:
-        h = w.sim.spawn(gputn_rank(w, r), "gputn_rank");
+        ranks.push_back(gputn_rank(w, r));
         break;
       case Strategy::kGhn:
       case Strategy::kGnn:
         throw std::invalid_argument(
             "allreduce: GHN/GNN are microbenchmark-only strategies");
     }
-    ranks.push_back(h);
   }
-  // Completion monitor + watchdog: a protocol bug that livelocks would
-  // otherwise spin the event queue forever (a spin-wait whose flag never
-  // arrives just leaves it empty, see mem/spin_wait.hpp); and run_until
-  // pads the clock, so the collective's end time is captured when the
-  // last rank finishes.
-  sim::Tick finished_at = -1;
-  w.sim.spawn(sim::join_all_at(w.sim, std::move(ranks), finished_at),
-              "monitor");
-  w.sim.run_until(sim::sec(10));
-  if (finished_at < 0) {
-    throw std::runtime_error("allreduce: deadlocked (rank never finished)");
-  }
-  w.cluster.flush_flight();
+  sim::Tick finished_at = run_ranks(w.cluster, cfg, std::move(ranks),
+                                    "allreduce");
 
   AllreduceResult res;
   res.strategy = cfg.strategy;

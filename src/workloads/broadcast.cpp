@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
-#include "sim/sync.hpp"
 
 namespace gputn::workloads {
 
@@ -160,32 +159,17 @@ BroadcastResult run_broadcast(const BroadcastConfig& cfg,
   }
 
   Workspace w(adjusted, cfg);
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<sim::ProcessHandle> nodes;
+  const bool chain = cfg.drive == BroadcastDrive::kNicChain;
+  std::vector<sim::Task<>> nodes;
   for (int n = 0; n < cfg.nodes; ++n) {
-    sim::ProcessHandle h;
-    switch (cfg.drive) {
-      case BroadcastDrive::kHdn:
-        h = w.sim.spawn(hdn_node(w, n), "bcast");
-        break;
-      case BroadcastDrive::kGpuTn:
-        h = w.sim.spawn(gputn_node(w, n, false), "bcast");
-        break;
-      case BroadcastDrive::kNicChain:
-        h = w.sim.spawn(gputn_node(w, n, true), "bcast");
-        break;
+    if (cfg.drive == BroadcastDrive::kHdn) {
+      nodes.push_back(hdn_node(w, n));
+    } else {
+      nodes.push_back(gputn_node(w, n, chain));
     }
-    nodes.push_back(h);
   }
-  // Completion monitor + watchdog (see allreduce.cpp for rationale).
-  sim::Tick finished_at = -1;
-  w.sim.spawn(sim::join_all_at(w.sim, std::move(nodes), finished_at),
-              "monitor");
-  w.sim.run_until(sim::sec(10));
-  if (finished_at < 0) throw std::runtime_error("broadcast: deadlocked");
-  w.cluster.flush_flight();
+  sim::Tick finished_at = run_ranks(w.cluster, cfg, std::move(nodes),
+                                    "broadcast");
 
   BroadcastResult res;
   res.drive = cfg.drive;

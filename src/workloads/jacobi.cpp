@@ -243,18 +243,16 @@ sim::Task<> cpu_node(Workspace& w, int id) {
   for (int k = 0; k < w.config.iterations; ++k) {
     int p = k % 2;
     // Non-blocking sends/recvs (staging copies: pure-CPU eager protocol).
-    std::vector<sim::ProcessHandle> ops;
+    std::vector<sim::Task<>> ops;
     for (int s = 0; s < 4; ++s) {
-      ops.push_back(w.sim.spawn(
-          node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
-                         d.tx[p][s], d.row_bytes(), /*host_staging=*/true),
-          "send"));
-      ops.push_back(w.sim.spawn(
-          node.rt().recv(neighbor(id, s), halo_tag(k, s), d.rx[p][s],
-                         d.row_bytes(), /*host_staging=*/true),
-          "recv"));
+      ops.push_back(node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
+                                   d.tx[p][s], d.row_bytes(),
+                                   /*host_staging=*/true));
+      ops.push_back(node.rt().recv(neighbor(id, s), halo_tag(k, s),
+                                   d.rx[p][s], d.row_bytes(),
+                                   /*host_staging=*/true));
     }
-    co_await sim::join_all(std::move(ops));
+    co_await sim::all(w.sim, std::move(ops));
     d.unpack_halos(p);
     d.stencil();
     d.pack_edges((k + 1) % 2);
@@ -295,18 +293,14 @@ sim::Task<> hdn_node(Workspace& w, int id) {
     int p = k % 2;
     // Kernel boundary: control is on the host, which drives MPI-style
     // send/recv (GPUDirect: zero copy).
-    std::vector<sim::ProcessHandle> ops;
+    std::vector<sim::Task<>> ops;
     for (int s = 0; s < 4; ++s) {
-      ops.push_back(w.sim.spawn(
-          node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
-                         d.tx[p][s], d.row_bytes()),
-          "send"));
-      ops.push_back(w.sim.spawn(
-          node.rt().recv(neighbor(id, s), halo_tag(k, s), d.rx[p][s],
-                         d.row_bytes()),
-          "recv"));
+      ops.push_back(node.rt().send(neighbor(id, s), halo_tag(k, opposite(s)),
+                                   d.tx[p][s], d.row_bytes()));
+      ops.push_back(node.rt().recv(neighbor(id, s), halo_tag(k, s),
+                                   d.rx[p][s], d.row_bytes()));
     }
-    co_await sim::join_all(std::move(ops));
+    co_await sim::all(w.sim, std::move(ops));
     co_await node.rt().launch_sync(make_stencil_kernel(w, id, p));
   }
 }
@@ -531,41 +525,28 @@ JacobiResult run_jacobi(const JacobiConfig& cfg,
       ref_error = std::current_exception();
     }
   });
-  if (cfg.trace != nullptr) w.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) w.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) w.cluster.attach_flight(*cfg.flight);
-  std::vector<sim::ProcessHandle> nodes;
+  std::vector<sim::Task<>> nodes;
   for (int i = 0; i < kNodes; ++i) {
-    sim::ProcessHandle h;
     switch (cfg.strategy) {
       case Strategy::kCpu:
-        h = w.sim.spawn(cpu_node(w, i), "cpu_node");
+        nodes.push_back(cpu_node(w, i));
         break;
       case Strategy::kHdn:
-        h = w.sim.spawn(hdn_node(w, i), "hdn_node");
+        nodes.push_back(hdn_node(w, i));
         break;
       case Strategy::kGds:
-        h = w.sim.spawn(gds_node(w, i), "gds_node");
+        nodes.push_back(gds_node(w, i));
         break;
       case Strategy::kGpuTn:
-        h = w.sim.spawn(gputn_node(w, i), "gputn_node");
+        nodes.push_back(gputn_node(w, i));
         break;
       case Strategy::kGhn:
       case Strategy::kGnn:
         throw std::invalid_argument(
             "jacobi: GHN/GNN are microbenchmark-only strategies");
     }
-    nodes.push_back(h);
   }
-  // Completion monitor + watchdog (see allreduce.cpp for rationale).
-  sim::Tick finished_at = -1;
-  w.sim.spawn(sim::join_all_at(w.sim, std::move(nodes), finished_at),
-              "monitor");
-  w.sim.run_until(sim::sec(10));
-  if (finished_at < 0) {
-    throw std::runtime_error("jacobi: deadlocked (node never finished)");
-  }
-  w.cluster.flush_flight();
+  sim::Tick finished_at = run_ranks(w.cluster, cfg, std::move(nodes), "jacobi");
 
   JacobiResult res;
   res.strategy = cfg.strategy;

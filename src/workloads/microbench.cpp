@@ -363,9 +363,7 @@ MicrobenchResult run_cpu(Rig& r) {
 MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
                                 const cluster::SystemConfig& config) {
   Rig r(config);
-  if (cfg.trace != nullptr) r.cluster.enable_tracing(*cfg.trace);
-  if (cfg.timeseries != nullptr) r.cluster.attach_timeseries(*cfg.timeseries);
-  if (cfg.flight != nullptr) r.cluster.attach_flight(*cfg.flight);
+  attach_observers(r.cluster, cfg);
   MicrobenchResult res;
   switch (cfg.strategy) {
     case Strategy::kCpu:

@@ -1,6 +1,11 @@
 #include "workloads/options.hpp"
 
 #include <cstdio>
+#include <stdexcept>
+#include <utility>
+
+#include "cluster/cluster.hpp"
+#include "sim/sync.hpp"
 
 namespace gputn::workloads {
 
@@ -81,6 +86,40 @@ std::string flag_matrix() {
     out += std::string("  ") + r.a + " + " + r.b + ": " + r.why + "\n";
   }
   return out;
+}
+
+void attach_observers(cluster::Cluster& cluster, const RunOptions& opts) {
+  if (opts.trace != nullptr) cluster.enable_tracing(*opts.trace);
+  if (opts.timeseries != nullptr) cluster.attach_timeseries(*opts.timeseries);
+  if (opts.flight != nullptr) cluster.attach_flight(*opts.flight);
+}
+
+void spawn_ranks(sim::Simulator& sim, std::vector<sim::Task<>> ranks,
+                 sim::Tick& done) {
+  sim.spawn(
+      [](sim::Simulator& s, std::vector<sim::Task<>> rs,
+         sim::Tick& at) -> sim::Task<> {
+        co_await sim::all(s, std::move(rs));
+        at = s.now();
+      }(sim, std::move(ranks), done),
+      "ranks");
+}
+
+sim::Tick run_ranks(cluster::Cluster& cluster, const RunOptions& opts,
+                    std::vector<sim::Task<>> ranks,
+                    const std::string& workload) {
+  attach_observers(cluster, opts);
+  sim::Simulator& sim = cluster.simulator();
+  sim::Tick finished_at = -1;
+  spawn_ranks(sim, std::move(ranks), finished_at);
+  sim.run_until(sim::sec(10));
+  if (finished_at < 0) {
+    throw std::runtime_error(workload +
+                             ": deadlocked (a rank had not finished after 10 "
+                             "s of simulated time)");
+  }
+  cluster.flush_flight();
+  return finished_at;
 }
 
 std::string ResultBase::stats_json() const {

@@ -9,13 +9,17 @@
 // `res.total_time`, `res.net_stats` call sites are untouched) and the CLI
 // drives a single `report()`/`stats_json()` path for every workload. The
 // hardware, fabric selection included, is the cluster::SystemConfig each
-// runner takes beside its config; RunOptions holds none of it.
+// runner takes beside its config; RunOptions holds none of it. Every runner
+// attaches its observers through attach_observers(), and those whose ranks
+// all finish run them through one shell, run_ranks().
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "sim/stats.hpp"
+#include "sim/task.hpp"
 #include "sim/trace.hpp"
 #include "sim/units.hpp"
 #include "workloads/strategy.hpp"
@@ -24,6 +28,14 @@ namespace gputn::obs {
 class FlightRecorder;
 class TimeSeries;
 }  // namespace gputn::obs
+
+namespace gputn::cluster {
+class Cluster;
+}  // namespace gputn::cluster
+
+namespace gputn::sim {
+class Simulator;
+}  // namespace gputn::sim
 
 namespace gputn::workloads {
 
@@ -81,6 +93,30 @@ std::string flag_conflict(const ActiveFlags& f);
 /// the docs. Covers every {--replicas, --trace, --timeseries, --flight}
 /// pair with the reason a pair is rejected or allowed.
 std::string flag_matrix();
+
+/// Attaches the observers `opts` names (trace, timeseries, flight) to
+/// `cluster`. A runner calls it once its cluster and inputs are built and
+/// before the first event: the timeseries takes its first row here, which
+/// perfbench reads as the end of setup.
+void attach_observers(cluster::Cluster& cluster, const RunOptions& opts);
+
+/// Spawns the one process that runs `ranks` as its children (sim::all) and
+/// sets `done` to the tick the last of them finished. `done` must outlive
+/// the process.
+void spawn_ranks(sim::Simulator& sim, std::vector<sim::Task<>> ranks,
+                 sim::Tick& done);
+
+/// The run shell of allreduce, jacobi and broadcast: attaches the
+/// observers, spawns the ranks (spawn_ranks), runs the simulation up to
+/// 10 s of simulated time and flushes the flight recorder. Returns the tick
+/// the last rank finished. The limit is the watchdog: a protocol bug that
+/// livelocks would otherwise run forever (a spin-wait whose flag never
+/// arrives just empties the queue), so a rank unfinished by then throws
+/// "<workload>: deadlocked (...)". An exception that leaves a rank leaves
+/// this call unchanged.
+sim::Tick run_ranks(cluster::Cluster& cluster, const RunOptions& opts,
+                    std::vector<sim::Task<>> ranks,
+                    const std::string& workload);
 
 /// Result fields shared by every workload, plus the single report/export
 /// path. Workload results inherit this; the Registry returns it by value

@@ -11,6 +11,11 @@
 namespace gputn::sim {
 namespace {
 
+struct CountOnDestroy {
+  int* count;
+  ~CountOnDestroy() { ++*count; }
+};
+
 TEST(Simulator, ExecutesEventsInTimeOrder) {
   Simulator sim;
   std::vector<int> order;
@@ -87,42 +92,109 @@ TEST(Simulator, TaskReturnValuesPropagate) {
   EXPECT_EQ(result, 99);
 }
 
-TEST(Simulator, JoinWaitsForProcess) {
+TEST(Simulator, ParentResumesWhenItsChildrenReturn) {
   Simulator sim;
-  auto h = sim.spawn(
-      [](Simulator& s) -> Task<> { co_await s.delay(us(5)); }(sim), "w");
   Tick joined_at = -1;
   sim.spawn(
-      [](Simulator& s, ProcessHandle ph, Tick& out) -> Task<> {
-        co_await ph.join();
+      [](Simulator& s, Tick& out) -> Task<> {
+        std::vector<Task<>> kids;
+        kids.push_back([](Simulator& s2) -> Task<> {
+          co_await s2.delay(us(5));
+        }(s));
+        co_await all(s, std::move(kids));
         out = s.now();
-      }(sim, h, joined_at),
-      "joiner");
+      }(sim, joined_at),
+      "parent");
   sim.run();
   EXPECT_EQ(joined_at, us(5));
-  EXPECT_TRUE(h.finished());
+  EXPECT_EQ(sim.live_processes(), 0);
 }
 
-TEST(Simulator, ExceptionsPropagateThroughJoin) {
+/// Throws std::runtime_error("boom") at 1 ns; `count` counts its locals'
+/// destruction.
+Task<> throws_at_1ns(Simulator& s, int& count) {
+  CountOnDestroy c{&count};
+  co_await s.delay(ns(1));
+  throw std::runtime_error("boom");
+}
+
+/// Runs `sim` expecting std::runtime_error("boom") out of run().
+void expect_boom(Simulator& sim) {
+  try {
+    sim.run();
+    ADD_FAILURE() << "run() returned";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+}
+
+TEST(Simulator, ProcessExceptionLeavesRun) {
+  int destroyed = 0;
+  Tick later = -1;
+  {
+    Simulator sim;
+    sim.spawn(throws_at_1ns(sim, destroyed), "thrower");
+    sim.spawn(
+        [](Simulator& s, Tick& out) -> Task<> {
+          co_await s.delay(ns(2));
+          out = s.now();
+        }(sim, later),
+        "bystander");
+    expect_boom(sim);
+    EXPECT_EQ(sim.now(), ns(1));
+    EXPECT_EQ(destroyed, 1);  // the throw unwound the task's locals
+    // A later run goes on with the rest; the thrower stays unfinished
+    // until teardown reaps its frame.
+    sim.run();
+    EXPECT_EQ(later, ns(2));
+    EXPECT_EQ(sim.live_processes(), 1);
+  }
+  EXPECT_EQ(destroyed, 1);
+}
+
+TEST(Simulator, ProcessThatThrowsAtOnceLeavesSpawn) {
+  // The process owns its frame before it first runs, so teardown still
+  // reaps a frame that threw before its first suspension.
   Simulator sim;
-  auto h = sim.spawn(
-      [](Simulator& s) -> Task<> {
-        co_await s.delay(ns(1));
-        throw std::runtime_error("boom");
-      }(sim),
-      "thrower");
-  bool caught = false;
-  sim.spawn(
-      [](ProcessHandle ph, bool& out) -> Task<> {
-        try {
-          co_await ph.join();
-        } catch (const std::runtime_error&) {
+  auto thrower = []() -> Task<> {
+    throw std::logic_error("at once");
+    co_return;
+  };
+  EXPECT_THROW(sim.spawn(thrower(), "thrower"), std::logic_error);
+  EXPECT_EQ(sim.live_processes(), 1);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+TEST(Simulator, ChildExceptionLeavesRun) {
+  int destroyed = 0;
+  int parent_destroyed = 0;
+  bool resumed = false;
+  {
+    Simulator sim;
+    sim.spawn(
+        [](Simulator& s, int& count, int& parent_count,
+           bool& out) -> Task<> {
+          CountOnDestroy c{&parent_count};
+          std::vector<Task<>> kids;
+          kids.push_back([](Simulator& s2) -> Task<> {
+            co_await s2.delay(ns(3));
+          }(s));
+          kids.push_back(throws_at_1ns(s, count));
+          co_await all(s, std::move(kids));
           out = true;
-        }
-      }(h, caught),
-      "catcher");
-  sim.run();
-  EXPECT_TRUE(caught);
+        }(sim, destroyed, parent_destroyed, resumed),
+        "parent");
+    expect_boom(sim);
+    EXPECT_EQ(sim.now(), ns(1));
+    // A later run finishes the other child; the parent never passes the
+    // child that threw.
+    sim.run();
+    EXPECT_EQ(sim.now(), ns(3));
+    EXPECT_FALSE(resumed);
+    EXPECT_EQ(parent_destroyed, 0);
+  }
+  EXPECT_EQ(parent_destroyed, 1);  // teardown reaped the parent's frame
+  EXPECT_EQ(destroyed, 1);
 }
 
 TEST(Simulator, ExceptionsPropagateThroughAwait) {
@@ -148,14 +220,14 @@ TEST(Simulator, ExceptionsPropagateThroughAwait) {
 TEST(Simulator, SynchronouslyCompletingProcess) {
   Simulator sim;
   bool ran = false;
-  auto h = sim.spawn(
+  sim.spawn(
       [](bool& out) -> Task<> {
         out = true;
         co_return;
       }(ran),
       "sync");
   EXPECT_TRUE(ran);
-  EXPECT_TRUE(h.finished());
+  EXPECT_EQ(sim.live_processes(), 0);
   sim.run();
   EXPECT_EQ(sim.live_processes(), 0);
 }
@@ -172,11 +244,6 @@ TEST(Simulator, ReapProcessesKillsServiceLoops) {
   sim.reap_processes();
   EXPECT_EQ(sim.live_processes(), 0);
 }
-
-struct CountOnDestroy {
-  int* count;
-  ~CountOnDestroy() { ++*count; }
-};
 
 TEST(Simulator, ManyShortProcessesFinishAmongLongLivedOnes) {
   // A finished process leaves the live list by swap-remove, which reorders

@@ -52,7 +52,6 @@
 //                          default 1 = every op); exemplars ignore P
 //   --flight-capacity N    op-ring capacity (default 4096, oldest evicted)
 //   --flight-exemplars K   slowest ops kept per tenant (default 4)
-//   --log-level L      trace|debug|info|warn|error|off (default warn)
 //
 // `gputn analyze` turns a flight dump into a critical-path blame report:
 // per-path (put/get/oneway) category tables at p50/p99/p999, the tail
@@ -80,7 +79,11 @@
 // and --top [0, 2^20].
 //
 // Exit code is 1 on verification failure, a regression past --threshold,
-// or an unreadable input or artifact; 2 on bad arguments (naming the flag).
+// an unreadable input or artifact, or a failed run; 2 on bad arguments
+// (naming the flag). A run fails with its own error: the deadlock watchdog,
+// the reliability layer giving up, a hardware unit's fault, or any other
+// exception that leaves a rank (std::bad_alloc when node DRAM runs out),
+// printed as "gputn: <what>". There is no log.
 #include <algorithm>
 #include <cerrno>
 #include <climits>
@@ -108,7 +111,6 @@
 #include "obs/report.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/whatif.hpp"
-#include "sim/log.hpp"
 #include "sim/stats.hpp"
 #include "sim/trace.hpp"
 #include "sim/units.hpp"
@@ -161,8 +163,7 @@ namespace {
       "  observability (any workload): --trace <file> --stats-json <file> "
       "--timeseries <file> --sample-interval <ns> "
       "--flight <file> --flight-sample <p> --flight-capacity <n> "
-      "--flight-exemplars <k> "
-      "--log-level trace|debug|info|warn|error|off\n");
+      "--flight-exemplars <k>\n");
   std::exit(2);
 }
 
@@ -198,34 +199,13 @@ class Args {
   std::vector<std::string> operands_;
 };
 
-void apply_log_level(const Args& args) {
-  if (!args.has("log-level")) return;
-  std::string l = args.get("log-level", "warn");
-  if (l == "trace") {
-    sim::LogConfig::set_level(sim::LogLevel::kTrace);
-  } else if (l == "debug") {
-    sim::LogConfig::set_level(sim::LogLevel::kDebug);
-  } else if (l == "info") {
-    sim::LogConfig::set_level(sim::LogLevel::kInfo);
-  } else if (l == "warn") {
-    sim::LogConfig::set_level(sim::LogLevel::kWarn);
-  } else if (l == "error") {
-    sim::LogConfig::set_level(sim::LogLevel::kError);
-  } else if (l == "off") {
-    sim::LogConfig::set_level(sim::LogLevel::kOff);
-  } else {
-    std::fprintf(stderr, "unknown log level '%s'\n", l.c_str());
-    std::exit(2);
-  }
-}
-
 /// The RunOptions fields and driver-level flags everything shares; the rest
 /// of the command line becomes the workload's WorkloadParams.
 bool is_driver_key(const std::string& k) {
   return k == "nodes" || k == "trace" || k == "stats-json" ||
-         k == "timeseries" || k == "sample-interval" || k == "log-level" ||
-         k == "loss" || k == "seed" || k == "jobs" || k == "replicas" ||
-         k == "flight" || k == "flight-sample" || k == "flight-capacity" ||
+         k == "timeseries" || k == "sample-interval" || k == "loss" ||
+         k == "seed" || k == "jobs" || k == "replicas" || k == "flight" ||
+         k == "flight-sample" || k == "flight-capacity" ||
          k == "flight-exemplars" || k == "topology" || k == "routing" ||
          k == "credits";
 }
@@ -689,7 +669,6 @@ int run_whatif_cmd(int argc, char** argv) {
   std::string workload = argv[2];
   Args args(argc, argv, 3);
   if (!args.operands().empty()) usage();
-  apply_log_level(args);
 
   // The profiler owns its own plan, recorders and parallelism; the
   // single-run observer and multi-run flags do not compose with it.
@@ -798,12 +777,10 @@ int main(int argc, char** argv) {
     if (cmd == "report") return run_report(args);
     if (cmd == "analyze") return run_analyze(args);
     if (!args.operands().empty()) usage();
-    apply_log_level(args);
     if (cmd == "config") {
       for (const auto& [key, value] : args.all()) {
         if (key != "nodes" && key != "topology" && key != "routing" &&
-            key != "credits" && key != "loss" && key != "seed" &&
-            key != "log-level") {
+            key != "credits" && key != "loss" && key != "seed") {
           throw std::invalid_argument("unknown option --" + key +
                                       " for config");
         }
