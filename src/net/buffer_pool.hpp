@@ -14,13 +14,13 @@
 // bit-identical. Hit/miss accessors exist for benchmarks but are
 // deliberately not exported into StatRegistry.
 //
-// The pool is shared by every NIC on a fabric; the freelist is
-// mutex-guarded.
+// The pool belongs to one fabric and is shared by that fabric's NICs. A
+// fabric belongs to one run, which one thread drives at a time (the
+// isolation rule in sim/simulator.hpp), so the pool takes no lock.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -34,7 +34,6 @@ class BufferPool {
 
   /// A cleared buffer, reusing pooled capacity when available.
   std::vector<std::byte> acquire() {
-    std::lock_guard<std::mutex> lk(mu_);
     if (free_.empty()) {
       ++misses_;
       return {};
@@ -51,28 +50,17 @@ class BufferPool {
   /// freed so an allocation burst cannot pin memory forever.
   void release(std::vector<std::byte>&& v) {
     if (v.capacity() == 0) return;
-    std::lock_guard<std::mutex> lk(mu_);
     if (free_.size() >= kMaxFree) return;
     v.clear();
     free_.push_back(std::move(v));
   }
 
-  std::size_t pooled() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return free_.size();
-  }
-  std::uint64_t hits() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return hits_;
-  }
-  std::uint64_t misses() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return misses_;
-  }
+  std::size_t pooled() const { return free_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
 
  private:
   static constexpr std::size_t kMaxFree = 256;
-  mutable std::mutex mu_;
   std::vector<std::vector<std::byte>> free_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

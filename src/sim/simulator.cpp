@@ -27,20 +27,10 @@ Simulator::Simulator() = default;
 Simulator::~Simulator() { reap_processes(); }
 
 void Simulator::reap_processes() {
-  // Destroy still-suspended detached frames (a deadlocked rank, a
-  // persistent work-group parked on a flag, a process that threw).
   // Destroying a suspended coroutine runs its locals' destructors; nothing
-  // is resumed. Every process not yet finished is on the list, so none is
-  // left live.
-  for (auto& state : live_states_) {
-    if (state->frame) {
-      state->frame.destroy();
-      state->frame = nullptr;
-    }
-    state->slot = Process::kReaped;
-  }
-  live_states_.clear();
-  live_processes_ = 0;
+  // is resumed, so no frame leaves the list while it is walked.
+  for (detail::Runner::Handle h : live_) h.destroy();
+  live_.clear();
 }
 
 void Simulator::schedule_overflow(Tick when, std::uint64_t seq, EventFn fn) {
@@ -380,37 +370,14 @@ std::uint64_t Simulator::run_until(Tick until) {
   return executed;
 }
 
-void Simulator::finish_process(const Process& p) {
-  --live_processes_;
-  // The frame is currently executing (about to reach final_suspend); reclaim
-  // it once it has suspended. The state stays in live_states_ until the
-  // frame is actually destroyed so ~Simulator can still reclaim it if the
-  // destroy event never runs (e.g. run_until stopped early).
-  schedule_in(0, [this, state = live_states_[p.slot]] {
-    if (state->frame) {
-      state->frame.destroy();
-      state->frame = nullptr;
-    }
-    // Swap-remove, unless reap_processes() already dropped it.
-    std::size_t i = state->slot;
-    if (i == Process::kReaped) return;
-    std::swap(live_states_[i], live_states_.back());
-    live_states_[i]->slot = i;
-    live_states_.pop_back();
-  });
-}
-
 void Simulator::spawn(Task<> task, std::string_view /*name*/) {
-  auto state = std::make_shared<Process>();
-  ++live_processes_;
-  state->slot = live_states_.size();
-  live_states_.push_back(state);
-  // The state owns the frame before it first runs, so a process that
-  // throws on its way out of spawn() is still reaped.
-  state->frame = detail::run_then(std::move(task), [this, p = state.get()] {
-                   finish_process(*p);
-                 }).handle;
-  state->frame.resume();
+  detail::Runner::Handle h = detail::run_then(std::move(task), [] {}).handle;
+  // Listed before it first runs, so a process that throws on its way out
+  // of spawn() is still reaped.
+  h.promise().live = &live_;
+  h.promise().slot = live_.size();
+  live_.push_back(h);
+  h.resume();
 }
 
 }  // namespace gputn::sim

@@ -15,7 +15,6 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -163,18 +162,19 @@ class Simulator {
   }
 
   /// Start a detached process. The coroutine runs immediately until its
-  /// first suspension; its frame is destroyed in one event at the tick it
-  /// completes. Nothing joins a process: a coroutine that waits for tasks
-  /// runs them as its children (sim::all). An exception that leaves the
-  /// process leaves spawn() or the event that resumed it — and so run() —
-  /// unchanged; its frame stays owned until reap_processes(). `name` is
-  /// for the reader of the call site; nothing stores it.
+  /// first suspension; its frame frees itself as its task returns, with no
+  /// event (detail::Runner). Nothing joins a process: a coroutine that
+  /// waits for tasks runs them as its children (sim::all). An exception
+  /// that leaves the process leaves spawn() or the event that resumed it —
+  /// and so run() — unchanged; its frame stays listed until
+  /// reap_processes(). `name` is for the reader of the call site; nothing
+  /// stores it.
   void spawn(Task<> task, std::string_view name = {});
 
-  /// Number of processes spawned that have not yet finished. A nonzero value
-  /// after run() returns indicates a deadlocked process (e.g. waiting on an
-  /// event nobody will trigger) or one that threw.
-  int live_processes() const { return live_processes_; }
+  /// Number of processes spawned that have not yet returned. A nonzero
+  /// value after run() returns indicates a deadlocked process (e.g. waiting
+  /// on an event nobody will trigger) or one that threw.
+  int live_processes() const { return static_cast<int>(live_.size()); }
 
   std::uint64_t executed_events() const { return executed_events_; }
   std::uint64_t scheduled_events() const { return next_seq_; }
@@ -187,21 +187,14 @@ class Simulator {
   /// forever.
   std::uint64_t pending_events() const { return pending_; }
 
-  /// Destroy all still-suspended detached process frames. Owners of
-  /// simulated hardware (e.g. Cluster) call this in their destructors so
-  /// processes left suspended (a deadlocked rank, a parked work-group) die
-  /// before the objects they reference.
+  /// Destroy the frames of the processes that did not return (a
+  /// deadlocked rank, a parked work-group, a process that threw); a
+  /// returned process has freed its own. Owners of simulated hardware (e.g.
+  /// Cluster) call this in their destructors so those frames die before
+  /// the objects they reference.
   void reap_processes();
 
  private:
-  /// A spawned process: its top frame, and its index in live_states_ (or
-  /// kReaped once reap_processes() dropped it).
-  struct Process {
-    static constexpr std::size_t kReaped = ~std::size_t{0};
-    std::coroutine_handle<> frame;
-    std::size_t slot = 0;
-  };
-
   // Calendar geometry: 4096 buckets of 128 ps each give a ~0.52 us horizon
   // — enough that the per-packet delays (wire hops, doorbells, DMA, all
   // under ~0.5 us) stay on the wheel and only coarse timeouts and kernel
@@ -292,10 +285,6 @@ class Simulator {
     spare_.back().swap(v);
   }
 
-  /// Called by a process's frame as its task returns: schedules the reap
-  /// event that destroys the frame once it has suspended.
-  void finish_process(const Process& p);
-
   Tick now_ = 0;
   std::uint64_t cur_blk_ = 0;  // invariant: block_of(now_) <= cur_blk_
   std::uint64_t next_seq_ = 0;
@@ -305,7 +294,6 @@ class Simulator {
   // events run and between runs, since every read of a spin-wait due at
   // now() was reserved before now() and so ran ahead of them.
   std::uint64_t cur_seq_ = ~std::uint64_t{0};
-  int live_processes_ = 0;
   // schedule_ordered's current-tick events, waiting for merge_late.
   std::vector<Item> late_;
 
@@ -358,11 +346,10 @@ class Simulator {
   // Cached so the per-advance "anything to promote?" check is one compare
   // against a hot member instead of a heap peek behind a function call.
   std::uint64_t overflow_min_blk_ = ~std::uint64_t{0};
-  /// Process frames not yet reclaimed: a finished process's frame is
-  /// destroyed in its reap event, and any remainder (a parked process, one
-  /// that threw) by reap_processes(). Unordered: a reaped process leaves in
-  /// O(1), by a swap-remove at the slot it records.
-  std::vector<std::shared_ptr<Process>> live_states_;
+  /// The top frames of the processes that have not returned. Unordered: a
+  /// returning frame takes itself off in O(1), by a swap-remove at the slot
+  /// its promise records; reap_processes() destroys the rest.
+  std::vector<detail::Runner::Handle> live_;
 };
 
 inline void Delay::await_suspend(std::coroutine_handle<> h) const {

@@ -240,8 +240,10 @@ class Slots {
 
 /// Awaiter of sim::all(sim, children): runs each task as a child of the
 /// awaiting coroutine (the parent) and resumes the parent once every child
-/// has returned. A child is not a process: it has no reap event and no
-/// name, and the awaiter owns its frame, which dies with the parent's.
+/// has returned. A child is not a process: it has no name and is on no
+/// live list. Its frame frees itself as it returns, as a process's does;
+/// the awaiter owns the frame of a child that has not returned (parked, or
+/// thrown out of), which dies with the parent's.
 ///   * At the co_await each child starts, in order, and runs until its
 ///     first suspension. If every child has returned, the parent does not
 ///     suspend.
@@ -264,7 +266,9 @@ class [[nodiscard]] All {
   All(const All&) = delete;
   All& operator=(const All&) = delete;
   ~All() {
-    for (Child& c : children_) c.frame.destroy();
+    for (Child& c : children_) {
+      if (!c.returned) c.frame.destroy();
+    }
   }
 
   bool await_ready() {

@@ -6,8 +6,11 @@
 // written as `Task<>` coroutines that `co_await` delays, events, and each
 // other. A task runs at the top of a chain in one of two ways: as a process
 // the `Simulator` owns (Simulator::spawn), or as a child of the coroutine
-// that awaits `sim::all` (sim/sync.hpp). Hardware queues are not processes
-// (sim/sync.hpp's Fifo and Slots).
+// that awaits `sim::all` (sim/sync.hpp). Either way its top frame
+// (detail::Runner) frees itself as the task returns, with no event; only a
+// frame that never returned (parked, or thrown out of) is left for its
+// owner to destroy. Hardware queues are not processes (sim/sync.hpp's Fifo
+// and Slots).
 //
 // Tasks are single-owner move-only values. Exceptions thrown inside a task
 // propagate to the awaiter at `co_await`; one that leaves a process or a
@@ -16,8 +19,10 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
+#include <vector>
 
 namespace gputn::sim {
 
@@ -139,21 +144,48 @@ inline Task<void> Promise<void>::get_return_object() noexcept {
 }
 
 /// The frame at the top of a process or a child of sim::all: made suspended,
-/// it runs its task when first resumed and stops at its final suspend point,
-/// where its owner destroys it (or anywhere else, at teardown). An exception
-/// that leaves the task leaves resume() too, unchanged, and the frame stops
-/// at its final suspend point all the same.
+/// it runs its task when first resumed. When the task returns, the frame
+/// frees itself at its final suspend point: it leaves its owner's live list
+/// (a process's; a child has none) and destroys itself, so nothing touches
+/// it after the resume in which it returned. An exception that leaves the
+/// task leaves resume() too, unchanged; the frame then counts as suspended
+/// at its final suspend point without reaching it, and stays for its owner
+/// to destroy.
 struct Runner {
+  struct promise_type;
+  using Handle = std::coroutine_handle<promise_type>;
+
   struct promise_type {
+    /// The list of live frames this one is on, and its index there; null
+    /// for a child of sim::all, whose awaiter tracks it instead.
+    std::vector<Handle>* live = nullptr;
+    std::size_t slot = 0;
+
     Runner get_return_object() noexcept {
-      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      return {Handle::from_promise(*this)};
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
-    std::suspend_always final_suspend() noexcept { return {}; }
+    auto final_suspend() noexcept {
+      struct FreeSelf {
+        bool await_ready() const noexcept { return false; }
+        void await_suspend(Handle h) const noexcept {
+          if (std::vector<Handle>* list = h.promise().live) {
+            // Swap-remove, and tell the moved frame its new slot.
+            std::size_t i = h.promise().slot;
+            (*list)[i] = list->back();
+            (*list)[i].promise().slot = i;
+            list->pop_back();
+          }
+          h.destroy();
+        }
+        void await_resume() const noexcept {}
+      };
+      return FreeSelf{};
+    }
     void return_void() noexcept {}
     void unhandled_exception() { throw; }
   };
-  std::coroutine_handle<promise_type> handle;
+  Handle handle;
 };
 
 /// Runs `task`, then calls `done()`; an exception skips `done`.

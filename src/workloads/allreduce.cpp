@@ -183,7 +183,6 @@ sim::Task<> gds_rank(Workspace& w, int r) {
   auto& node = w.cluster.node(r);
   auto& st = w.states[r];
   std::shared_ptr<gpu::KernelRecord> last;
-  sim::Event all_posted(w.sim);
 
   for (const rt::RingStep& step : st.plan.steps()) {
     const auto round = static_cast<std::uint64_t>(step.index);

@@ -1,10 +1,10 @@
 #include "workloads/microbench.hpp"
 
-#include <algorithm>
-#include <stdexcept>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
-#include "sim/sync.hpp"
 
 namespace gputn::workloads {
 
@@ -48,147 +48,96 @@ struct Rig {
   mem::Addr rflag = 0;
 };
 
-/// Target-side observer: polls the completion flag on the host CPU.
-sim::Task<> target_poll(Rig& r, sim::Tick& completion) {
-  co_await r.target.cpu().wait_value_ge(r.rflag, 1);
-  completion = r.sim.now();
+/// GHN's initiator-side words: the kernel's bounce buffer, the request
+/// flag it raises, and the flag that stops the helper thread.
+struct Ghn {
+  mem::Addr bounce = 0;
+  mem::Addr request = 0;
+  mem::Addr stop = 0;
+};
+
+/// CPU and HDN send two-sided; the other strategies put one-sided.
+bool two_sided(Strategy s) {
+  return s == Strategy::kCpu || s == Strategy::kHdn;
 }
 
-/// The kernel body shared by the GPU strategies: copy one cache line from
-/// `input` to `src`.
-sim::Task<> copy_kernel_body(gpu::WorkGroupCtx& ctx, mem::Addr input,
-                             mem::Addr src) {
-  std::uint64_t v = ctx.load_data<std::uint64_t>(input);
-  ctx.store_data<std::uint64_t>(src, v);
+/// What a work-group runs once its cache line is copied: the strategy's
+/// hand-off to the network. Empty for HDN and GDS, which send at the
+/// kernel boundary.
+using Handoff = std::function<sim::Task<>(gpu::WorkGroupCtx&)>;
+
+sim::Task<> ubench_body(gpu::WorkGroupCtx& ctx, mem::Addr in, mem::Addr out,
+                        Handoff handoff) {
+  std::uint64_t v = ctx.load_data<std::uint64_t>(in);
+  ctx.store_data<std::uint64_t>(out, v);
   co_await ctx.compute(kCopyTime);
+  if (handoff) co_await handoff(ctx);
 }
 
-MicrobenchResult run_hdn(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kHdn;
-
-  sim::Tick target_done = -1;
-  r.sim.spawn(
-      [](Rig& rr, sim::Tick& out) -> sim::Task<> {
-        // Two-sided target: post the receive, wait for the payload.
-        co_await rr.target.rt().recv(0, /*tag=*/1, rr.dst, kPayloadBytes);
-        rr.target.memory().store<std::uint64_t>(rr.rflag, 1);
-        out = rr.sim.now();
-      }(r, target_done),
-      "target");
-
-  std::shared_ptr<gpu::KernelRecord> rec;
-  sim::Tick send_begin = -1, send_end = -1;
-  r.sim.spawn(
-      [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
-         sim::Tick& sb, sim::Tick& se) -> sim::Task<> {
-        gpu::KernelDesc k;
-        k.name = "ubench";
-        k.num_wgs = 1;
-        mem::Addr in = rr.input, out = rr.src;
-        k.fn = [in, out](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
-          co_await copy_kernel_body(ctx, in, out);
-        };
-        auto rec = co_await rr.initiator.rt().launch(std::move(k));
-        rec_out = rec;
-        co_await rec->done.wait();  // host waits on the kernel boundary
-        sb = rr.sim.now();
-        co_await rr.initiator.rt().send(1, /*tag=*/1, rr.src, kPayloadBytes);
-        se = rr.sim.now();
-      }(r, rec, send_begin, send_end),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"launch", rec->launch_begin, rec->exec_begin},
-      {"kernel", rec->exec_begin, rec->exec_end},
-      {"teardown", rec->exec_end, rec->done_time},
-      {"send", send_begin, send_end},
+/// The kernel every GPU strategy launches: one work-group copies the cache
+/// line at `in` to `out`, then runs `handoff`.
+gpu::KernelDesc ubench(mem::Addr in, mem::Addr out, Handoff handoff = {}) {
+  gpu::KernelDesc k;
+  k.name = "ubench";
+  k.num_wgs = 1;
+  k.fn = [in, out, handoff = std::move(handoff)](gpu::WorkGroupCtx& ctx) {
+    return ubench_body(ctx, in, out, handoff);
   };
-  res.target_completion = target_done;
-  res.initiator_completion = send_end;
-  return res;
+  return k;
 }
 
-MicrobenchResult run_gds(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kGds;
-
-  sim::Tick target_done = -1;
-  r.sim.spawn(target_poll(r, target_done), "target");
-
-  std::shared_ptr<gpu::KernelRecord> rec;
-  sim::Tick host_done = -1;
-  r.sim.spawn(
-      [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
-         sim::Tick& hd) -> sim::Task<> {
-        gpu::KernelDesc k;
-        k.name = "ubench";
-        k.num_wgs = 1;
-        mem::Addr in = rr.input, out = rr.src;
-        k.fn = [in, out](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
-          co_await copy_kernel_body(ctx, in, out);
-        };
-        // Pre-post: kernel followed by the put on the same stream; the GPU
-        // front-end rings the doorbell at the kernel boundary.
-        auto rec = co_await rr.initiator.rt().launch(std::move(k));
-        rec_out = rec;
-        co_await rr.initiator.rt().gds_stream_put(rr.put_desc());
-        co_await rec->done.wait();
-        hd = rr.sim.now();
-      }(r, rec, host_done),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"launch", rec->launch_begin, rec->exec_begin},
-      {"kernel", rec->exec_begin, rec->exec_end},
-      {"teardown", rec->exec_end, rec->done_time},
-  };
-  res.target_completion = target_done;
-  res.initiator_completion = host_done;
-  return res;
+/// GPU-TN's and GHN's hand-off: fence, then store 1 at system scope to
+/// `addr` (the NIC's trigger address with tag 1, or the helper's request
+/// flag).
+sim::Task<> signal(gpu::WorkGroupCtx& ctx, mem::Addr addr) {
+  co_await ctx.fence_system();
+  co_await ctx.store_system(addr, 1);
 }
 
-MicrobenchResult run_gputn(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kGpuTn;
+// GPU Native Networking (§1, §5.1.1): the kernel itself builds the network
+// command — serial, scalar, divergence-prone work a GPU is bad at — and
+// writes it to the NIC command queue with a series of uncached MMIO
+// stores. No CPU anywhere, but the in-kernel critical path is long.
+sim::Task<> build_and_ring(gpu::WorkGroupCtx& ctx, nic::Nic* nic,
+                           nic::PutDesc put) {
+  // In-kernel packet construction cost: serial pointer chasing through QP
+  // state held in global memory; a single lane does the work while the
+  // wavefront idles (cf. Oden et al. [31], GPUrdma [8]).
+  constexpr sim::Tick kGpuPacketBuild = sim::ns(700);
+  constexpr int kCommandWords = 5;  // WQE descriptor written over MMIO
+  co_await ctx.fence_system();
+  co_await ctx.compute(kGpuPacketBuild);  // build the WQE in-kernel
+  for (int wq = 0; wq < kCommandWords; ++wq) {
+    co_await ctx.compute(ctx.gpu().config().store_system_latency);
+  }
+  nic->ring_doorbell(put);  // the completed command
+}
 
-  sim::Tick target_done = -1;
-  r.sim.spawn(target_poll(r, target_done), "target");
-
-  std::shared_ptr<gpu::KernelRecord> rec;
-  r.sim.spawn(
-      [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out) -> sim::Task<> {
-        // Figure 6: register the triggered put, then launch the kernel that
-        // triggers it from inside (Figure 7c with one work-group).
-        co_await rr.initiator.rt().trig_put(/*tag=*/1, /*threshold=*/1,
-                                            rr.put_desc());
-        mem::Addr trig = rr.initiator.rt().trigger_addr();
-        gpu::KernelDesc k;
-        k.name = "ubench";
-        k.num_wgs = 1;
-        mem::Addr in = rr.input, out = rr.src;
-        k.fn = [in, out, trig](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
-          co_await copy_kernel_body(ctx, in, out);
-          co_await ctx.fence_system();
-          co_await ctx.store_system(trig, /*tag=*/1);
-        };
-        auto rec = co_await rr.initiator.rt().launch(std::move(k));
-        rec_out = rec;
-        co_await rec->done.wait();
-      }(r, rec),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"launch", rec->launch_begin, rec->exec_begin},
-      {"kernel", rec->exec_begin, rec->exec_end},
-      {"teardown", rec->exec_end, rec->done_time},
-  };
-  res.target_completion = target_done;
-  res.initiator_completion = rec->done_time;
-  return res;
+gpu::KernelDesc kernel_for(Rig& r, Strategy s, const Ghn& ghn) {
+  switch (s) {
+    case Strategy::kGpuTn: {
+      // Figure 7c with one work-group: trigger the registered put.
+      mem::Addr trig = r.initiator.rt().trigger_addr();
+      return ubench(r.input, r.src, [trig](gpu::WorkGroupCtx& ctx) {
+        return signal(ctx, trig);
+      });
+    }
+    case Strategy::kGhn: {
+      // Copy into the bounce buffer, then ask the helper to send it.
+      mem::Addr request = ghn.request;
+      return ubench(r.input, ghn.bounce, [request](gpu::WorkGroupCtx& ctx) {
+        return signal(ctx, request);
+      });
+    }
+    case Strategy::kGnn:
+      return ubench(r.input, r.src,
+                    [nic = &r.initiator.nic(),
+                     put = r.put_desc()](gpu::WorkGroupCtx& ctx) {
+                      return build_and_ring(ctx, nic, put);
+                    });
+    default:
+      return ubench(r.input, r.src);
+  }
 }
 
 // GPU Host Networking (§1, §5.1.1): the kernel writes the payload to a
@@ -196,166 +145,74 @@ MicrobenchResult run_gputn(Rig& r) {
 // polls the flag, builds the network packet (full send-side stack on the
 // critical path), and rings the NIC. The GPU never leaves the kernel, but
 // a host core is burned polling and the stack cost precedes every message.
-MicrobenchResult run_ghn(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kGhn;
-
-  sim::Tick target_done = -1;
-  r.sim.spawn(target_poll(r, target_done), "target");
-
-  mem::Addr bounce = r.initiator.memory().alloc(kPayloadBytes);
-  mem::Addr request = r.initiator.rt().alloc_flag();
-  mem::Addr helper_stop = r.initiator.rt().alloc_flag();
-
-  // The helper thread: poll for GPU requests, service them.
-  r.sim.spawn(
-      [](Rig& rr, mem::Addr bounce, mem::Addr request,
-         mem::Addr stop) -> sim::Task<> {
-        auto& cpu = rr.initiator.cpu();
-        auto& mem = rr.initiator.memory();
-        for (;;) {
-          while (mem.load<std::uint64_t>(request) == 0) {
-            if (mem.load<std::uint64_t>(stop) != 0) co_return;
-            co_await cpu.compute(cpu.config().poll_interval);
-          }
-          mem.store<std::uint64_t>(request, 0);
-          // Critical-path packet construction (the GPU-TN design moves
-          // this off the critical path).
-          co_await cpu.compute(cpu.config().send_stack_cost);
-          nic::PutDesc put;
-          put.target = 1;
-          put.local_addr = bounce;
-          put.bytes = kPayloadBytes;
-          put.remote_addr = rr.dst;
-          put.remote_flag = rr.rflag;
-          rr.initiator.nic().ring_doorbell(put);
-        }
-      }(r, bounce, request, helper_stop),
-      "helper-thread");
-
-  std::shared_ptr<gpu::KernelRecord> rec;
-  r.sim.spawn(
-      [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
-         mem::Addr bounce, mem::Addr request, mem::Addr stop) -> sim::Task<> {
-        gpu::KernelDesc k;
-        k.name = "ubench";
-        k.num_wgs = 1;
-        mem::Addr in = rr.input;
-        k.fn = [in, bounce, request](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
-          // Copy the cache line into the bounce buffer, then hand off.
-          co_await copy_kernel_body(ctx, in, bounce);
-          co_await ctx.fence_system();
-          co_await ctx.store_system(request, 1);
-        };
-        auto rec = co_await rr.initiator.rt().launch(std::move(k));
-        rec_out = rec;
-        co_await rec->done.wait();
-        // Tear the helper down once the message is out (bench hygiene).
-        rr.initiator.memory().store<std::uint64_t>(stop, 1);
-      }(r, rec, bounce, request, helper_stop),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"launch", rec->launch_begin, rec->exec_begin},
-      {"kernel", rec->exec_begin, rec->exec_end},
-      {"teardown", rec->exec_end, rec->done_time},
-  };
-  res.target_completion = target_done;
-  res.initiator_completion = rec->done_time;
-  return res;
+sim::Task<> ghn_helper(Rig& r, Ghn ghn) {
+  auto& cpu = r.initiator.cpu();
+  auto& mem = r.initiator.memory();
+  for (;;) {
+    while (mem.load<std::uint64_t>(ghn.request) == 0) {
+      if (mem.load<std::uint64_t>(ghn.stop) != 0) co_return;
+      co_await cpu.compute(cpu.config().poll_interval);
+    }
+    mem.store<std::uint64_t>(ghn.request, 0);
+    // Critical-path packet construction (the GPU-TN design moves this off
+    // the critical path).
+    co_await cpu.compute(cpu.config().send_stack_cost);
+    nic::PutDesc put = r.put_desc();
+    put.local_addr = ghn.bounce;
+    r.initiator.nic().ring_doorbell(put);
+  }
 }
 
-// GPU Native Networking (§1, §5.1.1): the kernel itself builds the network
-// command — serial, scalar, divergence-prone work a GPU is bad at — and
-// writes it to the NIC command queue with a series of uncached MMIO
-// stores. No CPU anywhere, but the in-kernel critical path is long.
-MicrobenchResult run_gnn(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kGnn;
-
-  sim::Tick target_done = -1;
-  r.sim.spawn(target_poll(r, target_done), "target");
-
-  // In-kernel packet construction cost: serial pointer chasing through QP
-  // state held in global memory; a single lane does the work while the
-  // wavefront idles (cf. Oden et al. [31], GPUrdma [8]).
-  constexpr sim::Tick kGpuPacketBuild = sim::ns(700);
-  constexpr int kCommandWords = 5;  // WQE descriptor written over MMIO
-
-  std::shared_ptr<gpu::KernelRecord> rec;
-  nic::PutDesc put = r.put_desc();
-  r.sim.spawn(
-      [](Rig& rr, std::shared_ptr<gpu::KernelRecord>& rec_out,
-         nic::PutDesc put) -> sim::Task<> {
-        gpu::KernelDesc k;
-        k.name = "ubench";
-        k.num_wgs = 1;
-        mem::Addr in = rr.input, out = rr.src;
-        auto* nic = &rr.initiator.nic();
-        k.fn = [in, out, put, nic](gpu::WorkGroupCtx& ctx) -> sim::Task<> {
-          co_await copy_kernel_body(ctx, in, out);
-          co_await ctx.fence_system();
-          co_await ctx.compute(kGpuPacketBuild);  // build the WQE in-kernel
-          for (int wq = 0; wq < kCommandWords; ++wq) {
-            co_await ctx.compute(ctx.gpu().config().store_system_latency);
-          }
-          // Ring the doorbell with the completed command.
-          nic->ring_doorbell(put);
-        };
-        auto rec = co_await rr.initiator.rt().launch(std::move(k));
-        rec_out = rec;
-        co_await rec->done.wait();
-      }(r, rec, put),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"launch", rec->launch_begin, rec->exec_begin},
-      {"kernel", rec->exec_begin, rec->exec_end},
-      {"teardown", rec->exec_end, rec->done_time},
-  };
-  res.target_completion = target_done;
-  res.initiator_completion = rec->done_time;
-  return res;
+/// The target: a two-sided receive (host-staged for CPU), or a host poll
+/// on the completion flag a put raises. Records when it saw the payload.
+sim::Task<> target_side(Rig& r, Strategy s, MicrobenchResult& res) {
+  if (two_sided(s)) {
+    co_await r.target.rt().recv(0, /*tag=*/1, r.dst, kPayloadBytes,
+                                /*host_staging=*/s == Strategy::kCpu);
+    r.target.memory().store<std::uint64_t>(r.rflag, 1);
+  } else {
+    co_await r.target.cpu().wait_value_ge(r.rflag, 1);
+  }
+  res.target_completion = r.sim.now();
 }
 
-MicrobenchResult run_cpu(Rig& r) {
-  MicrobenchResult res;
-  res.strategy = Strategy::kCpu;
-
-  sim::Tick target_done = -1;
-  r.sim.spawn(
-      [](Rig& rr, sim::Tick& out) -> sim::Task<> {
-        co_await rr.target.rt().recv(0, 1, rr.dst, kPayloadBytes,
-                                     /*host_staging=*/true);
-        rr.target.memory().store<std::uint64_t>(rr.rflag, 1);
-        out = rr.sim.now();
-      }(r, target_done),
-      "target");
-
-  sim::Tick copy_begin = -1, send_begin = -1, send_end = -1;
-  r.sim.spawn(
-      [](Rig& rr, sim::Tick& cb, sim::Tick& sb, sim::Tick& se) -> sim::Task<> {
-        cb = rr.sim.now();
-        std::uint64_t v = rr.initiator.memory().load<std::uint64_t>(rr.input);
-        rr.initiator.memory().store<std::uint64_t>(rr.src, v);
-        co_await rr.initiator.cpu().compute(sim::ns(40));  // 64B copy
-        sb = rr.sim.now();
-        co_await rr.initiator.rt().send(1, 1, rr.src, kPayloadBytes,
-                                        /*host_staging=*/true);
-        se = rr.sim.now();
-      }(r, copy_begin, send_begin, send_end),
-      "initiator");
-
-  r.sim.run();
-  res.initiator_phases = {
-      {"copy", copy_begin, send_begin},
-      {"send", send_begin, send_end},
-  };
-  res.target_completion = target_done;
-  res.initiator_completion = send_end;
-  return res;
+/// The initiator. CPU copies the line on the host; a GPU strategy launches
+/// the ubench kernel and waits for its boundary. GPU-TN registers its
+/// triggered put before the launch (Figure 6), GDS queues its put behind
+/// the kernel on the stream, and GHN stops its helper once the message is
+/// out. CPU and HDN then send two-sided.
+sim::Task<> initiator_side(Rig& r, Strategy s, const Ghn& ghn,
+                           MicrobenchResult& res) {
+  auto& rt = r.initiator.rt();
+  if (s == Strategy::kCpu) {
+    sim::Tick copy_begin = r.sim.now();
+    std::uint64_t v = r.initiator.memory().load<std::uint64_t>(r.input);
+    r.initiator.memory().store<std::uint64_t>(r.src, v);
+    co_await r.initiator.cpu().compute(sim::ns(40));  // 64B copy
+    res.initiator_phases.push_back({"copy", copy_begin, r.sim.now()});
+  } else {
+    if (s == Strategy::kGpuTn) {
+      co_await rt.trig_put(/*tag=*/1, /*threshold=*/1, r.put_desc());
+    }
+    auto rec = co_await rt.launch(kernel_for(r, s, ghn));
+    if (s == Strategy::kGds) co_await rt.gds_stream_put(r.put_desc());
+    co_await rec->done.wait();
+    res.initiator_phases = {
+        {"launch", rec->launch_begin, rec->exec_begin},
+        {"kernel", rec->exec_begin, rec->exec_end},
+        {"teardown", rec->exec_end, rec->done_time},
+    };
+    if (s == Strategy::kGhn) {
+      r.initiator.memory().store<std::uint64_t>(ghn.stop, 1);
+    }
+  }
+  if (two_sided(s)) {
+    sim::Tick send_begin = r.sim.now();
+    co_await rt.send(1, /*tag=*/1, r.src, kPayloadBytes,
+                     /*host_staging=*/s == Strategy::kCpu);
+    res.initiator_phases.push_back({"send", send_begin, r.sim.now()});
+  }
+  res.initiator_completion = r.sim.now();
 }
 
 }  // namespace
@@ -363,33 +220,21 @@ MicrobenchResult run_cpu(Rig& r) {
 MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
                                 const cluster::SystemConfig& config) {
   Rig r(config);
-  attach_observers(r.cluster, cfg);
   MicrobenchResult res;
-  switch (cfg.strategy) {
-    case Strategy::kCpu:
-      res = run_cpu(r);
-      break;
-    case Strategy::kHdn:
-      res = run_hdn(r);
-      break;
-    case Strategy::kGds:
-      res = run_gds(r);
-      break;
-    case Strategy::kGpuTn:
-      res = run_gputn(r);
-      break;
-    case Strategy::kGhn:
-      res = run_ghn(r);
-      break;
-    case Strategy::kGnn:
-      res = run_gnn(r);
-      break;
+  res.strategy = cfg.strategy;
+  Ghn ghn;
+  if (cfg.strategy == Strategy::kGhn) {
+    ghn.bounce = r.initiator.memory().alloc(kPayloadBytes);
+    ghn.request = r.initiator.rt().alloc_flag();
+    ghn.stop = r.initiator.rt().alloc_flag();
   }
-  r.cluster.flush_flight();
+  std::vector<sim::Task<>> sides;
+  sides.push_back(target_side(r, cfg.strategy, res));
+  if (cfg.strategy == Strategy::kGhn) sides.push_back(ghn_helper(r, ghn));
+  sides.push_back(initiator_side(r, cfg.strategy, ghn, res));
+  run_ranks(r.cluster, cfg, std::move(sides), "microbench");
+
   res.correct = r.target.memory().load<std::uint64_t>(r.dst) == kMagic;
-  if (res.target_completion <= 0) {
-    throw std::runtime_error("microbench: target never observed the payload");
-  }
   res.nodes = 2;
   res.label = "microbench";
   res.detail = "one cache line, initiator -> target";
@@ -398,16 +243,10 @@ MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
   return res;
 }
 
-MicrobenchResult run_microbench(const MicrobenchConfig& cfg) {
-  return run_microbench(cfg, cluster::SystemConfig::table2());
-}
-
 MicrobenchResult run_microbench(Strategy strategy,
-                                const cluster::SystemConfig& config,
-                                sim::TraceRecorder* trace) {
+                                const cluster::SystemConfig& config) {
   MicrobenchConfig cfg;
   cfg.strategy = strategy;
-  cfg.trace = trace;
   return run_microbench(cfg, config);
 }
 

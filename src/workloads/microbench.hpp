@@ -20,8 +20,8 @@ struct PhaseSpan {
   double us() const { return sim::to_us(end - begin); }
 };
 
-/// The microbenchmark always pairs two nodes (initiator + target); only
-/// strategy and trace from RunOptions matter.
+/// The microbenchmark always pairs two nodes (initiator + target); of
+/// RunOptions it reads the strategy and the observers.
 struct MicrobenchConfig : RunOptions {
   MicrobenchConfig() { nodes = 2; }
 };
@@ -38,18 +38,16 @@ struct MicrobenchResult : ResultBase {
   sim::Tick end_to_end() const { return target_completion; }
 };
 
-/// Run the one-cache-line microbenchmark on a fresh 2-node cluster. Pass
-/// cfg.trace to record a Chrome trace of the run (observability only —
-/// does not perturb timing).
+/// Run the one-cache-line microbenchmark on a fresh 2-node cluster, through
+/// the run shell (run_ranks): the target, GHN's helper thread and the
+/// initiator are its ranks, started in that order. cfg's observers record
+/// the run without perturbing it.
 MicrobenchResult run_microbench(const MicrobenchConfig& cfg,
                                 const cluster::SystemConfig& config);
-MicrobenchResult run_microbench(const MicrobenchConfig& cfg);
 
-/// Convenience overloads predating MicrobenchConfig; still the tersest way
-/// to sweep strategies in benches.
+/// Shorthands for benches that sweep strategies.
 MicrobenchResult run_microbench(Strategy strategy,
-                                const cluster::SystemConfig& config,
-                                sim::TraceRecorder* trace = nullptr);
+                                const cluster::SystemConfig& config);
 MicrobenchResult run_microbench(Strategy strategy);
 
 }  // namespace gputn::workloads

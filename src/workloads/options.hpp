@@ -106,8 +106,8 @@ void attach_observers(cluster::Cluster& cluster, const RunOptions& opts);
 void spawn_ranks(sim::Simulator& sim, std::vector<sim::Task<>> ranks,
                  sim::Tick& done);
 
-/// The run shell of allreduce, jacobi and broadcast: attaches the
-/// observers, spawns the ranks (spawn_ranks), runs the simulation up to
+/// The run shell of microbench, allreduce, jacobi and broadcast: attaches
+/// the observers, spawns the ranks (spawn_ranks), runs the simulation up to
 /// 10 s of simulated time and flushes the flight recorder. Returns the tick
 /// the last rank finished. The limit is the watchdog: a protocol bug that
 /// livelocks would otherwise run forever (a spin-wait whose flag never

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -277,8 +278,9 @@ TEST(Simulator, ManyShortProcessesFinishAmongLongLivedOnes) {
 }
 
 TEST(Simulator, ReclaimAfterReapLeavesLaterProcessesAlone) {
-  // The finished process's reclaim is still queued when reap_processes()
-  // empties the live list; it must not remove the process spawned next.
+  // The returned process has already freed its frame and left the live
+  // list when reap_processes() runs; neither may touch the process spawned
+  // next.
   int reaped = 0;
   {
     Simulator sim;
@@ -295,6 +297,28 @@ TEST(Simulator, ReclaimAfterReapLeavesLaterProcessesAlone) {
     EXPECT_EQ(sim.live_processes(), 1);
   }
   EXPECT_EQ(reaped, 1);
+}
+
+/// Holds `token` for `d`. A by-value parameter lives in the frame, so the
+/// token dies with the frame, not as the task returns.
+Task<> hold(Simulator& s, [[maybe_unused]] std::shared_ptr<int> token,
+            Tick d) {
+  co_await s.delay(d);
+}
+
+TEST(Simulator, ReturnedProcessFreesItsFrameAtOnce) {
+  // The process returns at tick 10, in the event its delay scheduled; an
+  // event at tick 10 scheduled after the spawn runs next and finds the
+  // frame already freed.
+  Simulator sim;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> alive = token;
+  sim.spawn(hold(sim, std::move(token), 10), "hold");
+  bool freed_by_10 = false;
+  sim.schedule_at(10, [&] { freed_by_10 = alive.expired(); });
+  sim.run();
+  EXPECT_TRUE(freed_by_10);
+  EXPECT_EQ(sim.executed_events(), 2u);  // the delay and the probe
 }
 
 TEST(Simulator, DeterministicEventCounts) {

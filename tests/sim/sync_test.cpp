@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,8 +88,9 @@ TEST(Condition, WaitUntilReevaluatesPredicate) {
 // Each case pins the parent's resume tick, the order of everything it logs,
 // and the events a run executes. The ticks and orders are those of the
 // code sim::all replaced, which spawned each child as a process and joined
-// them in order, and each event count is that code's (in the comment) less
-// one reap event per child it spawned.
+// them in order. Each event count is that code's (in the comment) less one
+// reap event per process it spawned, the parent's included: a child frees
+// its frame as it returns, and so does a process.
 
 /// Waits `d1`, then `d2`; logs `name` as it returns. With `mark`, it first
 /// schedules, at its return tick, an event that logs 'M'.
@@ -138,7 +140,7 @@ TEST(All, ChildrenFinishingAtDifferentTicksInOrder) {
   });
   EXPECT_EQ(r.at, us(2));
   EXPECT_EQ(r.log, "abP");
-  EXPECT_EQ(r.events, 5u);  // 2 delays, 2 wakes, the parent's reap (7 - 2)
+  EXPECT_EQ(r.events, 4u);  // 2 delays and 2 wakes (7 - 3)
 }
 
 TEST(All, ChildrenFinishingAtDifferentTicksOutOfOrder) {
@@ -148,7 +150,7 @@ TEST(All, ChildrenFinishingAtDifferentTicksOutOfOrder) {
   });
   EXPECT_EQ(r.at, us(2));
   EXPECT_EQ(r.log, "baP");
-  EXPECT_EQ(r.events, 4u);  // 6 - 2
+  EXPECT_EQ(r.events, 3u);  // 6 - 3
 }
 
 TEST(All, SameTickInOrderResumesTheParentBeforeALaterChildsEvent) {
@@ -162,7 +164,7 @@ TEST(All, SameTickInOrderResumesTheParentBeforeALaterChildsEvent) {
   });
   EXPECT_EQ(r.at, us(5));
   EXPECT_EQ(r.log, "abPM");
-  EXPECT_EQ(r.events, 5u);  // 7 - 2
+  EXPECT_EQ(r.events, 4u);  // 7 - 3
 }
 
 TEST(All, SameTickOutOfOrder) {
@@ -174,7 +176,7 @@ TEST(All, SameTickOutOfOrder) {
   });
   EXPECT_EQ(r.at, us(5));
   EXPECT_EQ(r.log, "baMP");
-  EXPECT_EQ(r.events, 6u);  // 8 - 2
+  EXPECT_EQ(r.events, 5u);  // 8 - 3
 }
 
 TEST(All, ChildThatReturnsAtOnce) {
@@ -183,7 +185,7 @@ TEST(All, ChildThatReturnsAtOnce) {
   });
   EXPECT_EQ(r.at, us(1));
   EXPECT_EQ(r.log, "abP");
-  EXPECT_EQ(r.events, 3u);  // b's delay, the wake, the reap (5 - 2)
+  EXPECT_EQ(r.events, 2u);  // b's delay and the wake (5 - 3)
 }
 
 TEST(All, EveryChildReturnedAtOnceLeavesTheParentUnsuspended) {
@@ -195,7 +197,7 @@ TEST(All, EveryChildReturnedAtOnceLeavesTheParentUnsuspended) {
             "parent");
   EXPECT_EQ(log, "abP");  // before any event
   EXPECT_EQ(at, 0);
-  EXPECT_EQ(sim.run(), 1u);  // the parent's reap (3 - 2)
+  EXPECT_EQ(sim.run(), 0u);  // 3 - 3
 }
 
 TEST(All, EmptyListLeavesTheParentUnsuspended) {
@@ -205,7 +207,7 @@ TEST(All, EmptyListLeavesTheParentUnsuspended) {
   sim.spawn(parent(sim, log, 'P', {}, at), "parent");
   EXPECT_EQ(log, "P");
   EXPECT_EQ(at, 0);
-  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_EQ(sim.run(), 0u);
 }
 
 TEST(All, Nested) {
@@ -221,7 +223,34 @@ TEST(All, Nested) {
   EXPECT_EQ(q_at, us(3));
   EXPECT_EQ(r.at, us(3));
   EXPECT_EQ(r.log, "acbQP");
-  EXPECT_EQ(r.events, 7u);  // 11 - 4: Q, c, and Q's a and b were spawned
+  EXPECT_EQ(r.events, 6u);  // 11 - 5: P, Q, c, and Q's a and b were spawned
+}
+
+/// Holds `token` for `d`. A by-value parameter lives in the frame, so the
+/// token dies with the frame, not as the task returns.
+Task<> hold(Simulator& s, [[maybe_unused]] std::shared_ptr<int> token,
+            Tick d) {
+  co_await s.delay(d);
+}
+
+TEST(All, ReturnedChildFreesItsFrameAtOnce) {
+  // Child 0 returns at 5 us while child 1 runs to 10 us: an event at 7 us
+  // finds child 0's frame freed, not kept until the parent resumes.
+  Simulator sim;
+  std::string log;
+  Tick at = -1;
+  auto token = std::make_shared<int>(0);
+  std::weak_ptr<int> alive = token;
+  sim.spawn(parent(sim, log, 'P',
+                   tasks(hold(sim, std::move(token), us(5)),
+                         kid(sim, log, 'b', us(10))),
+                   at),
+            "parent");
+  bool freed_by_7 = false;
+  sim.schedule_at(us(7), [&] { freed_by_7 = alive.expired(); });
+  sim.run();
+  EXPECT_TRUE(freed_by_7);
+  EXPECT_EQ(at, us(10));
 }
 
 TEST(All, ChildrenStartInOrderAtTheAwait) {
