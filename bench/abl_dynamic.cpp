@@ -17,6 +17,9 @@ using namespace gputn;
 
 namespace {
 
+/// Runs that printed a failure marker; main exits 1 if any did.
+int failures = 0;
+
 constexpr int kMessages = 32;
 constexpr std::uint64_t kBytes = 512;
 
@@ -92,6 +95,7 @@ double run_scatter(bool dynamic, int nodes) {
     int t = pattern(i, peers);
     if (cl.node(t).memory().load<std::uint64_t>(flag[t]) == 0) {
       std::printf("  [message %d never arrived!]\n", i);
+      ++failures;
     }
   }
   return sim::to_us(sim.now());
@@ -117,5 +121,5 @@ int main() {
       "computation (divergence) + NIC decode, a few percent here — the\n"
       "flexibility/performance continuum of §3.4. When the host CANNOT\n"
       "predict the pattern, only the dynamic scheme works at all.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -19,6 +19,9 @@ using namespace gputn;
 
 namespace {
 
+/// Runs that printed a failure marker; main exits 1 if any did.
+int failures = 0;
+
 struct Result {
   double total_us;
   std::uint64_t messages;
@@ -88,7 +91,10 @@ Result run_granularity(int num_msgs, int writes_per_msg, int num_wgs) {
       }(b, flags, all_arrived),
       "target");
   sim.run();
-  if (all_arrived < 0) std::printf("  [messages never completed!]\n");
+  if (all_arrived < 0) {
+    std::printf("  [messages never completed!]\n");
+    ++failures;
+  }
 
   Result r;
   r.total_us = sim::to_us(all_arrived);
@@ -125,5 +131,5 @@ int main() {
       "\n§4.2.3: the threshold/counter pair lets the programmer trade\n"
       "message count against per-message overhead freely — pairs use half\n"
       "the messages of work-item granularity with the same trigger count.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

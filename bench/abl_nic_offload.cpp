@@ -22,6 +22,9 @@ using namespace gputn;
 
 namespace {
 
+/// Runs that printed a failure marker; main exits 1 if any did.
+int failures = 0;
+
 constexpr std::uint64_t kBytes = 4096;
 
 cluster::SystemConfig config() {
@@ -74,6 +77,7 @@ double run_gpu_relay(int n) {
   if (last.memory().load<std::uint64_t>(r.flag[n - 1]) != 1 ||
       last.memory().load<std::uint64_t>(r.buf[n - 1]) != 0xFEEDFACE) {
     std::printf("  [gpu relay failed!]\n");
+    ++failures;
   }
   // Subtract the one-time launch cost of the origin kernel so the per-hop
   // comparison is clean: measure from origin trigger availability.
@@ -119,6 +123,7 @@ double run_nic_relay(int n) {
   if (last.memory().load<std::uint64_t>(r.flag[n - 1]) != 1 ||
       last.memory().load<std::uint64_t>(r.buf[n - 1]) != 0xFEEDFACE) {
     std::printf("  [nic relay failed!]\n");
+    ++failures;
   }
   return sim::to_us(sim.now());
 }
@@ -146,5 +151,5 @@ int main() {
       "scope trigger store (plus keeping a kernel resident); the NIC chain\n"
       "forwards in the rx pipeline. This is the §6 triggered-operations\n"
       "lineage (Underwood et al.) that GPU-TN builds on.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -14,6 +14,9 @@ using namespace gputn;
 
 namespace {
 
+/// Runs that printed a failure marker; main exits 1 if any did.
+int failures = 0;
+
 double run_once(int ops, bool relaxed) {
   sim::Simulator sim;
   cluster::SystemConfig cfg = cluster::SystemConfig::table2();
@@ -66,7 +69,10 @@ double run_once(int ops, bool relaxed) {
 
   // Completion = all target flags set.
   for (auto f : flags) {
-    if (b.memory().load<std::uint64_t>(f) != 1) std::printf("  [missing put!]\n");
+    if (b.memory().load<std::uint64_t>(f) != 1) {
+      std::printf("  [missing put!]\n");
+      ++failures;
+    }
   }
   return sim::to_us(sim.now());
 }
@@ -87,5 +93,5 @@ int main() {
       "\nRelaxed synchronization hides the serial host posting cost behind\n"
       "the kernel launch; early GPU triggers allocate orphan counters and\n"
       "fire on late registration — no software synchronization needed.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

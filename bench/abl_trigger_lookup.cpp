@@ -17,6 +17,9 @@ using namespace gputn;
 
 namespace {
 
+/// Runs that printed a failure marker; main exits 1 if any did.
+int failures = 0;
+
 /// Time from trigger MMIO store to target-side completion, with the target
 /// tag registered *behind* `occupancy - 1` other active entries.
 double trigger_latency_us(core::LookupKind kind, int occupancy) {
@@ -55,7 +58,10 @@ double trigger_latency_us(core::LookupKind kind, int occupancy) {
   sim.run();
   double us = sim::to_us(sim.now());
   sim.reap_processes();
-  if (m1.load<std::uint64_t>(rflag) != 1) std::printf("  [did not fire!]\n");
+  if (m1.load<std::uint64_t>(rflag) != 1) {
+    std::printf("  [did not fire!]\n");
+    ++failures;
+  }
   return us;
 }
 
@@ -77,5 +83,5 @@ int main() {
       "hash is flat and unbounded; the linked list degrades linearly with\n"
       "active entries — why §3.3 recommends bounding active entries or\n"
       "hashing.\n");
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -20,7 +20,9 @@ int main() {
       run_microbench(Strategy::kHdn),
   };
 
+  bool all_correct = true;
   for (const auto& r : results) {
+    all_correct = all_correct && r.correct;
     std::printf("%-7s initiator:", strategy_name(r.strategy));
     for (const auto& ph : r.initiator_phases) {
       std::printf("  %s=%.2f", ph.label.c_str(), ph.us());
@@ -42,5 +44,5 @@ int main() {
               results[0].target_completion < results[0].initiator_completion
                   ? "BEFORE"
                   : "AFTER");
-  return 0;
+  return all_correct ? 0 : 1;
 }

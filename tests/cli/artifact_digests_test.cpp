@@ -3,6 +3,8 @@
 // FNV-1a-64 digest of stdout and of every artifact it writes must equal
 // the one committed in artifact_digests.txt. A workload run writes
 // --stats-json, --flight, --trace and --timeseries; `whatif` writes --json.
+// Each bench below is pinned the same way by its stdout alone. Every run
+// must exit 0.
 // A change that moves a digest on purpose states the old digest, the new
 // one and the reason in CHANGES.md, and replaces the file's lines with the
 // ones the failure prints.
@@ -75,6 +77,27 @@ const Config kConfigs[] = {
     {"whatif_jacobi", "whatif jacobi --n 32 --iterations 4 --jobs 2"},
 };
 
+/// Benches run with no arguments. Outside unit tests these are the only
+/// end-to-end runs of the linked-list lookup, dynamic puts, the
+/// relaxed-sync race and the launch models.
+struct Bench {
+  const char* name;
+  const char* path;
+};
+
+void PrintTo(const Bench& b, std::ostream* os) { *os << b.name; }
+
+const Bench kBenches[] = {
+    {"fig01_kernel_launch", GPUTN_BENCH_fig01_kernel_launch},
+    {"fig08_latency_decomposition", GPUTN_BENCH_fig08_latency_decomposition},
+    {"abl_trigger_lookup", GPUTN_BENCH_abl_trigger_lookup},
+    {"abl_relaxed_sync", GPUTN_BENCH_abl_relaxed_sync},
+    {"abl_granularity", GPUTN_BENCH_abl_granularity},
+    {"abl_nic_offload", GPUTN_BENCH_abl_nic_offload},
+    {"abl_dynamic", GPUTN_BENCH_abl_dynamic},
+    {"abl_launch_sweep", GPUTN_BENCH_abl_launch_sweep},
+};
+
 /// (artifact, file): what a config's digests cover.
 using Artifacts = std::vector<std::pair<std::string, std::string>>;
 
@@ -85,6 +108,7 @@ const Artifacts kRunArtifacts = {{"stdout", "stdout.txt"},
                                  {"timeseries", "timeseries.json"}};
 const Artifacts kWhatifArtifacts = {{"stdout", "stdout.txt"},
                                     {"json", "whatif.json"}};
+const Artifacts kBenchArtifacts = {{"stdout", "stdout.txt"}};
 
 bool is_whatif(const Config& c) {
   return std::string(c.args).rfind("whatif", 0) == 0;
@@ -140,33 +164,30 @@ struct TempDir {
   fs::path path;
 };
 
-class ArtifactDigest : public ::testing::TestWithParam<Config> {};
-
-TEST_P(ArtifactDigest, MatchesCommittedDigests) {
-  const Config& c = GetParam();
-  const bool whatif = is_whatif(c);
+/// Runs `command` in a fresh directory with its stdout in stdout.txt,
+/// expects exit 0, and compares the digest of each of `artifacts` with the
+/// committed line "<name> <artifact>". `label` names the run in failures.
+void expect_committed_digests(const std::string& name,
+                              const std::string& label,
+                              const std::string& command,
+                              const Artifacts& artifacts) {
   TempDir tmp;
   ASSERT_FALSE(tmp.path.empty()) << "cannot make a temp directory";
   const fs::path& dir = tmp.path;
 
-  std::string cmd = "cd '" + dir.string() + "' && '" GPUTN_CLI "' " + c.args;
-  cmd += whatif ? " --json whatif.json"
-                : " --stats-json stats.json --flight flight.json"
-                  " --trace trace.json --timeseries timeseries.json";
-  cmd += " > stdout.txt";
+  std::string cmd = "cd '" + dir.string() + "' && " + command + " > stdout.txt";
   int status = std::system(cmd.c_str());
   ASSERT_TRUE(WIFEXITED(status)) << cmd;
   EXPECT_EQ(WEXITSTATUS(status), 0) << cmd;
 
   std::string moved, lines;
-  for (const auto& [artifact, file] : whatif ? kWhatifArtifacts
-                                             : kRunArtifacts) {
+  for (const auto& [artifact, file] : artifacts) {
     std::ifstream in(dir / file, std::ios::binary);
-    ASSERT_TRUE(in) << c.name << ": " << file << " was not written";
+    ASSERT_TRUE(in) << name << ": " << file << " was not written";
     std::string bytes((std::istreambuf_iterator<char>(in)),
                       std::istreambuf_iterator<char>());
     std::string now = hex(fnv1a64(bytes));
-    std::string key = std::string(c.name) + " " + artifact;
+    std::string key = name + " " + artifact;
     lines += key + " " + now + "\n";
     auto it = committed().find(key);
     std::string old = it == committed().end() ? "(none)" : it->second;
@@ -174,14 +195,39 @@ TEST_P(ArtifactDigest, MatchesCommittedDigests) {
       moved += "  " + key + ": committed " + old + ", now " + now + "\n";
     }
   }
-  EXPECT_TRUE(moved.empty()) << "`gputn " << c.args
-                             << "` moved these digests:\n"
+  EXPECT_TRUE(moved.empty()) << "`" << label << "` moved these digests:\n"
                              << moved << "Its lines are now:\n"
                              << lines;
 }
 
+class ArtifactDigest : public ::testing::TestWithParam<Config> {};
+
+TEST_P(ArtifactDigest, MatchesCommittedDigests) {
+  const Config& c = GetParam();
+  const bool whatif = is_whatif(c);
+  std::string cmd = "'" GPUTN_CLI "' " + std::string(c.args);
+  cmd += whatif ? " --json whatif.json"
+                : " --stats-json stats.json --flight flight.json"
+                  " --trace trace.json --timeseries timeseries.json";
+  expect_committed_digests(c.name, "gputn " + std::string(c.args), cmd,
+                           whatif ? kWhatifArtifacts : kRunArtifacts);
+}
+
 INSTANTIATE_TEST_SUITE_P(Cli, ArtifactDigest, ::testing::ValuesIn(kConfigs),
                          [](const ::testing::TestParamInfo<Config>& info) {
+                           return std::string(info.param.name);
+                         });
+
+class BenchDigest : public ::testing::TestWithParam<Bench> {};
+
+TEST_P(BenchDigest, MatchesCommittedDigests) {
+  const Bench& b = GetParam();
+  std::string cmd = std::string("'") + b.path + "'";
+  expect_committed_digests(b.name, b.name, cmd, kBenchArtifacts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Bench, BenchDigest, ::testing::ValuesIn(kBenches),
+                         [](const ::testing::TestParamInfo<Bench>& info) {
                            return std::string(info.param.name);
                          });
 
