@@ -22,10 +22,7 @@ double measure_mean_launch_us(const gpu::LaunchModel& profile, int queued) {
   gpu::GpuConfig cfg;
   cfg.teardown_latency = 0;  // isolate launch costs, as the Figure 1 study
   gpu::Gpu g(sim, memory, cfg);
-  if (const auto* am = dynamic_cast<const gpu::AmortizedLaunchModel*>(&profile)) {
-    g.set_launch_model(std::make_unique<gpu::AmortizedLaunchModel>(
-        am->name(), am->floor(), am->amortized()));
-  }
+  g.set_launch_model(profile);
   std::vector<std::shared_ptr<gpu::KernelRecord>> recs;
   for (int i = 0; i < queued; ++i) {
     recs.push_back(g.enqueue_kernel(gpu::KernelDesc{"empty", 1, 64, nullptr}));
@@ -44,12 +41,12 @@ int main() {
   std::printf("(mean per-kernel launch latency, us)\n\n");
   auto profiles = gpu::figure1_gpu_profiles();
   std::printf("%8s", "queued");
-  for (const auto& p : profiles) std::printf("%10s", p->name().c_str());
+  for (const auto& p : profiles) std::printf("%10s", p.name.c_str());
   std::printf("\n");
   for (int q : {1, 2, 4, 8, 16, 32, 64, 128, 256}) {
     std::printf("%8d", q);
     for (const auto& p : profiles) {
-      std::printf("%10.2f", measure_mean_launch_us(*p, q));
+      std::printf("%10.2f", measure_mean_launch_us(p, q));
     }
     std::printf("\n");
   }

@@ -6,21 +6,20 @@
 //     work-item activates a trigger by a system-scope posted store of a tag
 //     to that address (§3.1 step 3); the store lands in the trigger FIFO.
 //   * A matching unit pops the FIFO, looks the tag up in the trigger list
-//     (paying the configured lookup cost, §3.3), increments the counter, and
-//     fires any triggered operations whose thresholds are now met by pushing
-//     their pre-staged commands into the NIC command queue (§3.1 step 4).
-//     The FIFO and matching unit are one passive sim::Fifo (DESIGN.md §9):
-//     no process, one event per lookup delay and per chain-hop delay, plus
-//     the queue's wake-up when a store finds the unit idle.
+//     (paying the configured lookup cost, §3.3) and counts the store on the
+//     tag's entry (Figure 5). If the count reaches the entry's threshold,
+//     its pre-staged put goes into the NIC command queue (§3.1 step 4) and
+//     the entry leaves the list. The FIFO and matching unit are one passive
+//     sim::Fifo (DESIGN.md §9): no process, one event per lookup delay,
+//     plus the queue's wake-up when a store finds the unit idle.
 //   * Host-side registration (TrigPut, Figure 6) goes through register_put;
 //     relaxed synchronization (§3.2) is inherited from TriggerTable: a tag
-//     written before registration creates an orphan counter, and a
+//     written before registration creates an orphan entry, and a
 //     registration that finds its threshold already met fires immediately.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <vector>
+#include <string>
 
 #include "core/trigger_table.hpp"
 #include "mem/memory.hpp"
@@ -70,21 +69,11 @@ class TriggeredNic : public mem::MmioHandler {
   /// question has no sane hardware answer.
   void register_dynamic_put(Tag tag, nic::PutDesc put);
 
-  /// Host API: register a triggered put that fires when `tag`'s counter
+  /// Host API: register a triggered put that fires when `tag`'s count
   /// reaches `threshold` (TrigPut, Figure 6 step 2). Zero-cost for the
-  /// caller; the host runtime models its own posting cost.
+  /// caller; the host runtime models its own posting cost. A tag holds one
+  /// put until it fires: a second registration throws std::logic_error.
   void register_put(Tag tag, std::uint64_t threshold, nic::PutDesc put);
-
-  /// Fully general registration: an optional NIC command (put, get, or
-  /// two-sided send — Portals 4 offers the same family of triggered
-  /// operations) plus chained counter increments fired together (triggered
-  /// CTInc). Pure chains (no command) let the NIC sequence multi-step
-  /// schedules by itself.
-  void register_op(Tag tag, std::uint64_t threshold,
-                   std::optional<nic::Command> cmd, std::vector<Tag> chain);
-
-  /// Host API: reclaim a tag's counter and ops.
-  void release(Tag tag) { table_.release(tag); }
 
   /// mem::MmioHandler — the GPU's (or any agent's) trigger-address store.
   void on_mmio_store(mem::Addr addr, std::uint64_t value) override;
@@ -121,12 +110,10 @@ class TriggeredNic : public mem::MmioHandler {
 
   /// The matching unit takes the FIFO's head store and pays its lookup.
   void match(TriggerEvent&& ev);
-  /// The lookup is done: update the counter, then pay any chain hops.
+  /// The lookup is done: count the store, trace it and fire what it met.
   void update();
-  /// The counter is updated: trace the store and fire what it met.
-  void matched();
-  void fire(std::vector<nic::Command>&& cmds, int dynamic_target,
-            sim::Tick trigger_at, bool trigger_mmio);
+  void fire(nic::PutDesc put, int dynamic_target, sim::Tick trigger_at,
+            bool trigger_mmio);
 
   sim::Simulator* sim_;
   nic::Nic* nic_;
@@ -135,8 +122,7 @@ class TriggeredNic : public mem::MmioHandler {
   mem::Addr trigger_addr_;
   mem::Addr dyn_trigger_addr_;
   sim::Fifo<TriggerEvent> fifo_;
-  TriggerEvent cur_;                  ///< the store being matched
-  std::vector<nic::Command> ready_;   ///< what it fires
+  TriggerEvent cur_;  ///< the store being matched
   std::uint64_t triggers_received_ = 0;
   std::uint64_t fifo_high_water_ = 0;
   sim::TraceRecorder* trace_ = nullptr;

@@ -72,7 +72,7 @@ Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
     : sim_(&sim),
       mem_(&memory),
       config_(config),
-      launch_model_(std::make_unique<FixedLaunchModel>(config.launch_latency)),
+      launch_model_{"fixed", config.launch_latency, 0},
       stream_(sim, sim::method<&Gpu::start_op>(this)),
       cus_(sim, config.cu_count * std::max(1, config.max_wgs_per_cu),
            sim::method<&Gpu::start_work_group>(this)),
@@ -80,7 +80,7 @@ Gpu::Gpu(sim::Simulator& sim, mem::Memory& memory, GpuConfig config)
   if (config.cu_count <= 0) throw std::invalid_argument("cu_count <= 0");
 }
 
-void Gpu::set_launch_model(std::unique_ptr<LaunchModel> model) {
+void Gpu::set_launch_model(LaunchModel model) {
   launch_model_ = std::move(model);
 }
 
@@ -107,7 +107,7 @@ void Gpu::start_op(StreamOp&& op) {
     // Commands visible to the hardware scheduler: this one plus anything
     // still queued behind it (Figure 1's batching effect).
     int visible = 1 + static_cast<int>(stream_.size());
-    sim_->delay(launch_model_->launch_cost(visible), [this] { launched(); });
+    sim_->delay(launch_model_.launch_cost(visible), [this] { launched(); });
   } else if (std::holds_alternative<GdsPutOp>(op_)) {
     // The front-end scheduler rings a pre-posted doorbell on the NIC when
     // the stream reaches this entry (GDS model, §1/§5.1).

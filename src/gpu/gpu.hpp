@@ -190,8 +190,8 @@ class Gpu {
   sim::Simulator& simulator() { return *sim_; }
   mem::Memory& memory() { return *mem_; }
 
-  /// Replace the launch model (default: FixedLaunchModel(launch_latency)).
-  void set_launch_model(std::unique_ptr<LaunchModel> model);
+  /// Replace the launch model (default: {"fixed", launch_latency, 0}).
+  void set_launch_model(LaunchModel model);
 
   /// Enqueue a kernel on the (single, in-order) stream.
   std::shared_ptr<KernelRecord> enqueue_kernel(KernelDesc desc);
@@ -252,7 +252,7 @@ class Gpu {
   sim::Simulator* sim_;
   mem::Memory* mem_;
   GpuConfig config_;
-  std::unique_ptr<LaunchModel> launch_model_;
+  LaunchModel launch_model_;
   sim::Fifo<StreamOp> stream_;
   /// The op in service. A kernel's desc stays here until its last
   /// work-group ends: work-group frames reference its closure.

@@ -7,7 +7,7 @@
 // the optimistic end: a flat 1.5 µs launch + 1.5 µs teardown (§5.1).
 #pragma once
 
-#include <memory>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -15,52 +15,25 @@
 
 namespace gputn::gpu {
 
-class LaunchModel {
- public:
-  virtual ~LaunchModel() = default;
+/// Queue-depth-amortized launch cost: cost(q) = floor + amortized / q.
+/// Reproduces the Figure 1 curves: expensive for lone kernels, approaching
+/// the hardware floor when many commands are batched. With amortized = 0
+/// the cost is flat (the §5.1 calibration: {"fixed", 1.5 µs, 0}).
+struct LaunchModel {
+  std::string name;
+  sim::Tick floor = 0;
+  sim::Tick amortized = 0;
+
   /// Launch cost for the next kernel given the number of kernel commands
   /// currently visible to the hardware scheduler (>= 1).
-  virtual sim::Tick launch_cost(int commands_visible) const = 0;
-  virtual std::string name() const = 0;
-};
-
-/// Flat launch cost (the §5.1 calibration: 1.5 µs).
-class FixedLaunchModel final : public LaunchModel {
- public:
-  explicit FixedLaunchModel(sim::Tick cost) : cost_(cost) {}
-  sim::Tick launch_cost(int) const override { return cost_; }
-  std::string name() const override { return "fixed"; }
-
- private:
-  sim::Tick cost_;
-};
-
-/// Queue-depth-amortized model: cost(q) = floor + amortized / q.
-/// Reproduces the Figure 1 curves: expensive for lone kernels, approaching
-/// the hardware floor when many commands are batched.
-class AmortizedLaunchModel final : public LaunchModel {
- public:
-  AmortizedLaunchModel(std::string name, sim::Tick floor, sim::Tick amortized)
-      : name_(std::move(name)), floor_(floor), amortized_(amortized) {}
-
-  sim::Tick launch_cost(int commands_visible) const override {
-    if (commands_visible < 1) commands_visible = 1;
-    return floor_ + amortized_ / commands_visible;
+  sim::Tick launch_cost(int commands_visible) const {
+    return floor + amortized / std::max(commands_visible, 1);
   }
-  std::string name() const override { return name_; }
-
-  sim::Tick floor() const { return floor_; }
-  sim::Tick amortized() const { return amortized_; }
-
- private:
-  std::string name_;
-  sim::Tick floor_;
-  sim::Tick amortized_;
 };
 
 /// The three hardware profiles of Figure 1 (product names omitted in the
 /// paper to avoid cross-vendor comparison; calibrated to the described
 /// 3-20 µs envelope with a 3-4 µs best case).
-std::vector<std::unique_ptr<LaunchModel>> figure1_gpu_profiles();
+std::vector<LaunchModel> figure1_gpu_profiles();
 
 }  // namespace gputn::gpu

@@ -363,9 +363,11 @@ sim::Task<> gputn_node(Workspace& w, int id) {
   };
 
   // Sliding registration window: the prototype trigger table holds at most
-  // 16 simultaneous entries (§3.3), so the host keeps <= 3 iterations (12
-  // tags) registered and reclaims fired tags as their puts complete
-  // locally. All of this overlaps the persistent kernel (§3.2).
+  // 16 simultaneous entries (§3.3), so the host paces registration: it
+  // keeps <= 3 iterations (12 tags) registered, and registers iteration
+  // k + 3 once iteration k's puts complete locally. The NIC frees each
+  // entry as its put fires. All of this overlaps the persistent kernel
+  // (§3.2).
   const int window = std::min(iters, 3);
   for (int k = 0; k < window; ++k) co_await register_iter(k);
 
@@ -419,7 +421,6 @@ sim::Task<> gputn_node(Workspace& w, int id) {
       co_await node.cpu().wait_value_ge(d.local_flag[s],
                                         static_cast<std::uint64_t>(k) + 1);
     }
-    for (int s = 0; s < 4; ++s) node.triggered().release(halo_tag(k, s));
     co_await register_iter(k + window);
   }
   co_await rec->done.wait();

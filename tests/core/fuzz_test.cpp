@@ -98,42 +98,5 @@ TEST_P(RandomInterleavings, ExactlyOnceAndIntactUnderRandomSchedules) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomInterleavings, ::testing::Range(0, 24));
 
-class RandomChains : public ::testing::TestWithParam<int> {};
-
-TEST_P(RandomChains, RandomDagsFireEveryLeaf) {
-  sim::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 7);
-  FuzzRig r;
-
-  // Build a random forward-edge DAG of pure-chain ops; leaves carry puts.
-  const int depth = static_cast<int>(rng.uniform_int(2, 8));
-  std::vector<mem::Addr> leaf_flags;
-  for (Tag t = 0; t < static_cast<Tag>(depth); ++t) {
-    bool leaf = t == static_cast<Tag>(depth) - 1;
-    if (leaf) {
-      mem::Addr src = r.mems[0]->alloc(64);
-      mem::Addr dst = r.mems[1]->alloc(64);
-      mem::Addr flag = r.mems[1]->alloc(8);
-      r.mems[1]->store<std::uint64_t>(flag, 0);
-      nic::PutDesc put;
-      put.target = 1;
-      put.local_addr = src;
-      put.bytes = 64;
-      put.remote_addr = dst;
-      put.remote_flag = flag;
-      leaf_flags.push_back(flag);
-      r.trigs[0]->register_op(t, 1, nic::Command(put), {});
-    } else {
-      r.trigs[0]->register_op(t, 1, std::nullopt, {t + 1});
-    }
-  }
-  r.mems[0]->mmio_store(r.trigs[0]->trigger_address(), 0);
-  r.sim.run();
-  for (auto f : leaf_flags) {
-    EXPECT_EQ(r.mems[1]->load<std::uint64_t>(f), 1u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RandomChains, ::testing::Range(0, 8));
-
 }  // namespace
 }  // namespace gputn::core

@@ -1,6 +1,7 @@
 // Timed tests of the TriggeredNic extension wired to real NICs and fabric:
-// MMIO trigger stores, counter/threshold firing, and relaxed synchronization
-// races resolved in "hardware" (§3.1, §3.2).
+// MMIO trigger stores, counter/threshold firing, relaxed synchronization
+// races resolved in "hardware" (§3.1, §3.2), and counting receive events
+// that let an inbound put arm the next hop's put (§6).
 #include "core/triggered.hpp"
 
 #include <gtest/gtest.h>
@@ -178,7 +179,6 @@ TEST(TriggeredNic, LinkedListLookupCostSlowsMatching) {
   auto run_with = [](TriggeredNicConfig cfg) {
     Rig r(cfg);
     // Ten earlier tags so the target tag sits deep in the list.
-    std::vector<nic::Command> sink;
     for (std::uint64_t tag = 0; tag < 10; ++tag) {
       r.trig(0).register_put(tag, 1000000, r.put_0_to_1(0));
     }
@@ -190,6 +190,78 @@ TEST(TriggeredNic, LinkedListLookupCostSlowsMatching) {
     return r.sim.now();
   };
   EXPECT_GT(run_with(list_cfg), run_with(assoc_cfg));
+}
+
+TEST(TriggeredNic, FiredEntriesLeaveTheTable) {
+  TriggeredNicConfig cfg;
+  cfg.table.lookup = LookupKind::kHash;
+  Rig r(cfg);
+  constexpr Tag kPuts = 1000;
+  for (Tag tag = 0; tag < kPuts; ++tag) {
+    r.trig(0).register_put(tag, /*threshold=*/2, r.put_0_to_1(tag));
+  }
+  EXPECT_EQ(r.trig(0).table().size(), kPuts);
+  for (int round = 0; round < 2; ++round) {
+    for (Tag tag = 0; tag < kPuts; ++tag) {
+      r.mem(0).mmio_store(r.trig(0).trigger_address(), tag);
+    }
+  }
+  r.sim.run();
+  EXPECT_EQ(r.delivered(1), kPuts);
+  EXPECT_EQ(r.mem(1).load<std::uint64_t>(r.dst), kPuts - 1);
+  EXPECT_EQ(r.trig(0).table().size(), 0u)
+      << "each entry leaves the table as its put fires";
+  EXPECT_EQ(r.trig(0).table().orphans_created(), 0u);
+}
+
+// Cross-node chain: a put with a counting-receive tag advances the target
+// NIC's trigger counter, firing a pre-staged forward put — a processor-free
+// relay.
+TEST(TriggerChains, CountingReceiveForwardsAcrossNodes) {
+  sim::Simulator sim;
+  net::Fabric fabric(sim, net::FabricConfig{});
+  std::vector<std::unique_ptr<mem::Memory>> mems;
+  std::vector<std::unique_ptr<nic::Nic>> nics;
+  std::vector<std::unique_ptr<TriggeredNic>> trigs;
+  for (int i = 0; i < 3; ++i) {
+    mems.push_back(std::make_unique<mem::Memory>(1 << 20));
+    nics.push_back(
+        std::make_unique<nic::Nic>(sim, *mems.back(), fabric, nic::NicConfig{}));
+    trigs.push_back(std::make_unique<TriggeredNic>(sim, *nics.back(),
+                                                   *mems.back(),
+                                                   TriggeredNicConfig{}));
+  }
+  // Node 0 sends to node 1; node 1's NIC auto-forwards to node 2.
+  mem::Addr src = mems[0]->alloc(64);
+  mems[0]->store<std::uint64_t>(src, 777);
+  mem::Addr relay = mems[1]->alloc(64);
+  mem::Addr dst = mems[2]->alloc(64);
+  mem::Addr final_flag = mems[2]->alloc(8);
+  mems[2]->store<std::uint64_t>(final_flag, 0);
+
+  // Stage the forward put on node 1, armed by counting-receive tag 5.
+  nic::PutDesc fwd;
+  fwd.target = 2;
+  fwd.local_addr = relay;
+  fwd.bytes = 64;
+  fwd.remote_addr = dst;
+  fwd.remote_flag = final_flag;
+  trigs[1]->register_put(5, 1, fwd);
+
+  // First hop: put into the relay buffer, carrying the counting tag.
+  nic::PutDesc first;
+  first.target = 1;
+  first.local_addr = src;
+  first.bytes = 64;
+  first.remote_addr = relay;
+  first.remote_trigger_tag_plus1 = 5 + 1;
+  nics[0]->ring_doorbell(first);
+
+  sim.run();
+  EXPECT_EQ(mems[2]->load<std::uint64_t>(final_flag), 1u);
+  EXPECT_EQ(mems[2]->load<std::uint64_t>(dst), 777u);
+  EXPECT_EQ(trigs[1]->triggers_received(), 1u);
+  sim.reap_processes();
 }
 
 }  // namespace

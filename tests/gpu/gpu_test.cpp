@@ -162,7 +162,7 @@ TEST(Gpu, WorkGroupIdsCoverGrid) {
 }
 
 TEST(LaunchModel, AmortizedCurveDescendsToFloor) {
-  AmortizedLaunchModel m("x", sim::us(4), sim::us(16));
+  LaunchModel m{"x", sim::us(4), sim::us(16)};
   EXPECT_EQ(m.launch_cost(1), sim::us(20));
   EXPECT_EQ(m.launch_cost(4), sim::us(8));
   EXPECT_GT(m.launch_cost(2), m.launch_cost(16));
@@ -174,19 +174,18 @@ TEST(LaunchModel, Figure1ProfilesSpanDescribedEnvelope) {
   ASSERT_EQ(profiles.size(), 3u);
   for (const auto& p : profiles) {
     // "even the best case takes 3-4us": floor within envelope.
-    EXPECT_GE(p->launch_cost(256), sim::us(3.0));
-    EXPECT_LE(p->launch_cost(256), sim::us(4.5));
+    EXPECT_GE(p.launch_cost(256), sim::us(3.0));
+    EXPECT_LE(p.launch_cost(256), sim::us(4.5));
     // single-kernel cost within the 3-20 us range
-    EXPECT_LE(p->launch_cost(1), sim::us(20.0));
-    EXPECT_GT(p->launch_cost(1), p->launch_cost(256));
+    EXPECT_LE(p.launch_cost(1), sim::us(20.0));
+    EXPECT_GT(p.launch_cost(1), p.launch_cost(256));
   }
 }
 
 TEST(Gpu, BatchedLaunchUsesQueueDepth) {
   GpuConfig cfg = fast_config();
   Rig r(cfg);
-  r.gpu.set_launch_model(
-      std::make_unique<AmortizedLaunchModel>("t", sim::us(4), sim::us(16)));
+  r.gpu.set_launch_model({"t", sim::us(4), sim::us(16)});
   std::vector<std::shared_ptr<KernelRecord>> recs;
   for (int i = 0; i < 4; ++i) {
     recs.push_back(r.gpu.enqueue_kernel(KernelDesc{"e", 1, 64, nullptr}));

@@ -146,10 +146,10 @@ TEST(Runtime, TrigPutRegistrationIsDelayedByDoorbell) {
       }(r, src, dst),
       "host");
   r.sim.run_until(r.a().cpu().config().post_cost);
-  EXPECT_EQ(r.a().triggered().table().total_ops(), 0)
+  EXPECT_EQ(r.a().triggered().table().size(), 0u)
       << "registration still in flight";
   r.sim.run();
-  EXPECT_EQ(r.a().triggered().table().total_ops(), 1);
+  EXPECT_EQ(r.a().triggered().table().size(), 1u);
 }
 
 TEST(Runtime, GdsStreamWaitBlocksStream) {
